@@ -5,7 +5,12 @@
 //	ckibench                 # run every experiment at scale 1
 //	ckibench -exp fig12      # run one experiment
 //	ckibench -scale 4        # larger workloads (slower, smoother)
-//	ckibench -list           # list experiment ids
+//	ckibench -list           # list experiment ids, artifacts and their flags
+//
+// Every experiment with a JSON artifact is registered in
+// bench.Extensions() together with the flags it accepts; ckibench
+// derives its dispatch and its "flag requires -exp" usage errors (exit
+// 2) from that registry.
 //
 // Grid experiments fan their independent cells out to host goroutines;
 // -parallel caps the fan-out (default GOMAXPROCS). Every artifact is
@@ -36,8 +41,7 @@
 // The snapshot experiment measures checkpoint/restore latency, live
 // migration (iterative pre-copy with dirty-page tracking) and
 // warm-vs-cold restart recovery, emitting the BENCH_snapshot artifact;
-// -snap-out additionally writes a CKISNAP1 checkpoint image (the CI
-// smoke job corrupts a copy, then restores the intact one):
+// -snap-out additionally writes a CKISNAP1 checkpoint image:
 //
 //	ckibench -exp snapshot -json > BENCH_snapshot.json
 //	ckibench -exp snapshot -snap-out cki.snap
@@ -79,63 +83,41 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-
 	"strings"
 
-	"repro/internal/audit"
 	"repro/internal/bench"
 	"repro/internal/clock"
-	"repro/internal/fleet"
-	"repro/internal/telemetry"
 )
 
-// writeTimeline writes a merged fleet timeline: CKITS1 binary when the
-// path ends in .ckits, JSON export otherwise.
-func writeTimeline(path string, st *telemetry.Store) error {
-	if st == nil {
-		return errors.New("-slo-out: no timeline collected (is -scrape-interval set?)")
-	}
-	if strings.HasSuffix(path, ".ckits") {
-		return os.WriteFile(path, st.EncodeBinary(), 0o644)
-	}
-	b, err := st.Export().JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func writeFile(path string, data []byte) {
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-		os.Exit(1)
-	}
+// fail prints a ckibench error and exits with code.
+func fail(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ckibench: "+format+"\n", args...)
+	os.Exit(code)
 }
 
 // gateBaseline compares cur against the committed report at path and
 // exits non-zero when any runtime's throughput regressed beyond the
 // default tolerance — the perf-trajectory gate CI runs on every change.
-func gateBaseline(path string, cur *bench.SMPReport) {
+func gateBaseline(path string, rep bench.Report) {
+	cur, ok := rep.(*bench.SMPReport)
+	if !ok {
+		fail(1, "baseline: %T is not an smp report", rep)
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline: %v\n", err)
-		os.Exit(1)
+		fail(1, "baseline: %v", err)
 	}
 	old := &bench.SMPReport{}
 	if err := json.Unmarshal(b, old); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline %s: %v\n", path, err)
-		os.Exit(1)
+		fail(1, "baseline %s: %v", path, err)
 	}
 	deltas, err := bench.CompareReports(old, cur)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: baseline: %v\n", err)
-		os.Exit(1)
+		fail(1, "baseline: %v", err)
 	}
 	if err := bench.WriteDeltaTable(deltas, bench.DefaultRegressionTolerance, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-		os.Exit(1)
+		fail(1, "%v", err)
 	}
 	if bad := bench.ThroughputRegressions(deltas, bench.DefaultRegressionTolerance); len(bad) > 0 {
 		for _, d := range bad {
@@ -149,434 +131,202 @@ func gateBaseline(path string, cur *bench.SMPReport) {
 }
 
 // config is the parsed flag set, separated from flag.Parse so the
-// validation rules are unit-testable.
+// validation rules are unit-testable. The experiment flags bind straight
+// into bench.Options; scrapeIv is -scrape-interval as typed, which
+// validate parses into Options.ScrapeInterval.
 type config struct {
-	exp        string
-	scale      int
-	jsonOut    bool
-	traceOut   string
-	spansOut   string
-	metricsOut string
-	auditOut   string
-	baseline   string
-	parallel   int
-	seeds      int
-	snapOut    string
-	interval   int
-	nodes      int
-	sched      string
-	arrival    float64
-	traceFile  string
-	scrapeIv   string
-	sloOut     string
-	bundleOut  string
-	churnRate  float64
-	forkMode   string
+	exp      string
+	jsonOut  bool
+	baseline string
+	scrapeIv string
+	bench.Options
 }
 
-// fleetFlags reports whether any fleet-only flag is set (-nodes is
-// shared with -exp slo and validated separately).
-func (c config) fleetFlags() bool {
-	return c.sched != "" || c.arrival != 0 || c.traceFile != ""
-}
-
-// parseScrapeInterval resolves -scrape-interval ("" = unset).
-func (c config) parseScrapeInterval() (clock.Time, error) {
-	if c.scrapeIv == "" {
-		return 0, nil
+// expFlags names the experiment flags set away from their defaults.
+func (c config) expFlags() []string {
+	var set []string
+	for _, f := range []struct {
+		name string
+		on   bool
+	}{
+		{"-seeds", c.Seeds != 1},
+		{"-trace-out", c.TraceOut != ""},
+		{"-spans-out", c.SpansOut != ""},
+		{"-metrics-out", c.MetricsOut != ""},
+		{"-audit-out", c.AuditOut != ""},
+		{"-baseline", c.baseline != ""},
+		{"-checkpoint-interval", c.Interval != 1},
+		{"-snap-out", c.SnapOut != ""},
+		{"-nodes", c.Nodes != 0},
+		{"-sched", c.Sched != ""},
+		{"-arrival-rate", c.ArrivalRate != 0},
+		{"-trace-file", c.TraceFile != ""},
+		{"-scrape-interval", c.scrapeIv != ""},
+		{"-slo-out", c.SLOOut != ""},
+		{"-bundle-out", c.BundleOut != ""},
+		{"-churn-rate", c.ChurnRate != 0},
+		{"-fork-mode", c.ForkMode != ""},
+	} {
+		if f.on {
+			set = append(set, f.name)
+		}
 	}
-	d, err := clock.ParseTime(c.scrapeIv)
-	if err != nil {
-		return 0, fmt.Errorf("-scrape-interval: %w", err)
-	}
-	if d <= 0 {
-		return 0, errors.New("-scrape-interval must be > 0")
-	}
-	return d, nil
+	return set
 }
 
-// needProf reports whether any span/metrics artifact flag is set.
-func (c config) needProf() bool {
-	return c.traceOut != "" || c.spansOut != "" || c.metricsOut != ""
+// accepting lists the artifact experiments that accept flag, or all of
+// them for flag "", as "a, b, or c".
+func accepting(flag string) string {
+	var ids []string
+	for _, e := range bench.Extensions() {
+		if e.Artifact != nil && (flag == "" || e.Artifact.Accepts(flag)) {
+			ids = append(ids, e.ID)
+		}
+	}
+	switch n := len(ids); n {
+	case 1:
+		return ids[0]
+	case 2:
+		return ids[0] + " or " + ids[1]
+	default:
+		return strings.Join(ids[:n-1], ", ") + ", or " + ids[n-1]
+	}
 }
 
-// validate returns a usage error (exit 2) for flag combinations that
-// would otherwise be silently ignored or are meaningless.
-func validate(c config) error {
-	if c.parallel < 1 {
+// validate returns a usage error (exit 2) for flag values out of range,
+// mutually exclusive flags, and experiment flags the chosen experiment
+// does not accept (per the registry). It resolves -scrape-interval
+// into c.ScrapeInterval.
+func validate(c *config) error {
+	switch {
+	case c.Scale < 1:
+		return errors.New("-scale must be >= 1")
+	case c.Parallel < 1:
 		return errors.New("-parallel must be >= 1")
-	}
-	if c.seeds < 1 {
+	case c.Seeds < 1:
 		return errors.New("-seeds must be >= 1")
-	}
-	if (c.needProf() || c.auditOut != "" || c.baseline != "") && c.exp != "smp" {
-		return errors.New("-trace-out/-spans-out/-metrics-out/-audit-out/-baseline require -exp smp")
-	}
-	if c.needProf() && c.auditOut != "" {
+	case c.Interval < 1:
+		return errors.New("-checkpoint-interval must be >= 1")
+	case c.Nodes < 0:
+		return errors.New("-nodes must be >= 1")
+	case c.ArrivalRate < 0:
+		return errors.New("-arrival-rate must be > 0")
+	case c.ChurnRate < 0:
+		return errors.New("-churn-rate must be > 0")
+	case c.ArrivalRate != 0 && c.TraceFile != "":
+		return errors.New("-arrival-rate and -trace-file are mutually exclusive")
+	case c.AuditOut != "" && (c.TraceOut != "" || c.SpansOut != "" || c.MetricsOut != ""):
 		return errors.New("-audit-out cannot be combined with the span/metrics artifact flags")
 	}
-	if c.seeds > 1 && !(c.exp == "chaos" && c.jsonOut) {
-		return errors.New("-seeds requires -exp chaos -json")
-	}
-	if c.interval < 1 {
-		return errors.New("-checkpoint-interval must be >= 1")
-	}
-	if (c.snapOut != "" || c.interval != 1) && c.exp != "snapshot" {
-		return errors.New("-snap-out/-checkpoint-interval require -exp snapshot")
-	}
-	if c.fleetFlags() && c.exp != "fleet" {
-		return errors.New("-sched/-arrival-rate/-trace-file require -exp fleet")
-	}
-	if c.nodes != 0 && c.exp != "fleet" && c.exp != "slo" && c.exp != "tail" && c.exp != "serverless" {
-		return errors.New("-nodes requires -exp fleet, slo, tail, or serverless")
-	}
-	if c.nodes < 0 {
-		return errors.New("-nodes must be >= 1")
-	}
 	if c.scrapeIv != "" {
-		if c.exp != "fleet" && c.exp != "slo" {
-			return errors.New("-scrape-interval requires -exp fleet or -exp slo")
+		d, err := clock.ParseTime(c.scrapeIv)
+		if err != nil {
+			return fmt.Errorf("-scrape-interval: %w", err)
 		}
-		if _, err := c.parseScrapeInterval(); err != nil {
-			return err
+		if d <= 0 {
+			return errors.New("-scrape-interval must be > 0")
 		}
+		c.ScrapeInterval = d
 	}
-	switch {
-	case c.sloOut == "":
-	case c.exp == "slo":
-	case c.exp == "fleet":
-		if c.scrapeIv == "" {
-			return errors.New("-slo-out with -exp fleet requires an explicit -scrape-interval (every cell must share one interval for the merged timeline)")
-		}
-	default:
-		return errors.New("-slo-out requires -exp fleet or -exp slo")
+	e, ok := bench.Find(c.exp)
+	if c.exp != "" && !ok {
+		return fmt.Errorf("unknown experiment %q (try -list)", c.exp)
 	}
-	if c.bundleOut != "" && c.exp != "slo" {
-		return errors.New("-bundle-out requires -exp slo")
-	}
-	if c.sched != "" {
-		if _, err := fleet.SchedulerByName(c.sched); err != nil {
-			return err
+	for _, name := range c.expFlags() {
+		if e.Artifact == nil || !e.Artifact.Accepts(name) {
+			return fmt.Errorf("%s requires -exp %s", name, accepting(name))
 		}
 	}
-	if c.arrival < 0 {
-		return errors.New("-arrival-rate must be > 0")
+	if c.jsonOut && e.Artifact == nil {
+		return fmt.Errorf("-json is only supported with -exp %s", accepting(""))
 	}
-	if c.arrival != 0 && c.traceFile != "" {
-		return errors.New("-arrival-rate and -trace-file are mutually exclusive")
+	if c.Seeds > 1 && !c.jsonOut {
+		return errors.New("-seeds requires -json")
 	}
-	if (c.churnRate != 0 || c.forkMode != "") && c.exp != "serverless" {
-		return errors.New("-churn-rate/-fork-mode require -exp serverless")
-	}
-	if c.churnRate < 0 {
-		return errors.New("-churn-rate must be > 0")
-	}
-	switch c.forkMode {
-	case "", "cold", "eager", "cow", "lazy":
-	default:
-		return fmt.Errorf("-fork-mode must be cold, eager, cow, or lazy (got %q)", c.forkMode)
-	}
-	if c.jsonOut && c.exp != "chaos" && c.exp != "smp" && c.exp != "wallclock" && c.exp != "snapshot" && c.exp != "fleet" && c.exp != "slo" && c.exp != "tail" && c.exp != "serverless" {
-		return errors.New("-json is only supported with -exp chaos, smp, wallclock, snapshot, fleet, slo, tail, or serverless")
+	if e.Artifact != nil && e.Artifact.Validate != nil {
+		return e.Artifact.Validate(c.Options)
 	}
 	return nil
+}
+
+// usage prefixes an experiment flag's help with the experiments that
+// accept it.
+func usage(flag, text string) string {
+	return "with -exp " + accepting(flag) + ": " + text
 }
 
 func main() {
 	cfg := config{}
 	flag.StringVar(&cfg.exp, "exp", "", "experiment id (empty = all)")
-	flag.IntVar(&cfg.scale, "scale", 1, "workload scale factor")
-	list := flag.Bool("list", false, "list experiments and exit")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit a JSON report instead of a table (chaos, smp, wallclock)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "with -exp smp: write a Chrome trace-event JSON to FILE")
-	flag.StringVar(&cfg.spansOut, "spans-out", "", "with -exp smp: write the span profile JSON to FILE")
-	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "with -exp smp: write the metrics snapshot JSON to FILE")
-	flag.StringVar(&cfg.auditOut, "audit-out", "", "with -exp smp: record the machine-event audit log to FILE")
-	flag.StringVar(&cfg.baseline, "baseline", "", "with -exp smp: compare against a committed report and fail on >10% throughput regression")
-	flag.IntVar(&cfg.parallel, "parallel", bench.DefaultParallel(), "max grid cells run concurrently (artifacts are byte-identical for any value)")
-	flag.IntVar(&cfg.seeds, "seeds", 1, "with -exp chaos -json: sweep this many derived seeds")
-	flag.StringVar(&cfg.snapOut, "snap-out", "", "with -exp snapshot: write the CKI cell's CKISNAP1 checkpoint image to FILE")
-	flag.IntVar(&cfg.interval, "checkpoint-interval", 1, "with -exp snapshot: supervised rounds between periodic checkpoints in the warm-restart comparison")
-	flag.IntVar(&cfg.nodes, "nodes", 0, "with -exp fleet/slo/tail/serverless: simulated node count")
-	flag.StringVar(&cfg.sched, "sched", "", "with -exp fleet: restrict to one scheduler (binpack, spread; default both)")
-	flag.Float64Var(&cfg.arrival, "arrival-rate", 0, "with -exp fleet: replace the capacity curve with one open-loop segment at this rate (arrivals/sec)")
-	flag.StringVar(&cfg.traceFile, "trace-file", "", "with -exp fleet: drive arrivals from a piecewise rate trace file (\"rate_per_sec duration_ms\" lines)")
-	flag.StringVar(&cfg.scrapeIv, "scrape-interval", "", "with -exp fleet/slo: virtual scrape interval (e.g. 250us, 1.5ms; bare numbers are ps)")
-	flag.StringVar(&cfg.sloOut, "slo-out", "", "with -exp slo: write per-runtime CKITS1 timelines under DIR; with -exp fleet -scrape-interval: write the merged timeline to FILE (.ckits = binary, else JSON)")
-	flag.StringVar(&cfg.bundleOut, "bundle-out", "", "with -exp slo: write the postmortem bundles as JSON under DIR")
-	flag.Float64Var(&cfg.churnRate, "churn-rate", 0, "with -exp serverless: replace the derived churn arrival rate with this absolute rate (arrivals/sec)")
-	flag.StringVar(&cfg.forkMode, "fork-mode", "", "with -exp serverless: restrict the fleet stage to one instantiation mode (cold, eager, cow, lazy; default all)")
+	flag.IntVar(&cfg.Scale, "scale", 1, "workload scale factor (>= 1)")
+	list := flag.Bool("list", false, "list experiments, with each artifact's file and flags, and exit")
+	flag.BoolVar(&cfg.jsonOut, "json", false, usage("", "emit the JSON report instead of a table"))
+	flag.IntVar(&cfg.Parallel, "parallel", bench.DefaultParallel(), "max grid cells run concurrently (artifacts are byte-identical for any value)")
+	flag.IntVar(&cfg.Seeds, "seeds", 1, usage("-seeds", "sweep this many derived seeds (requires -json)"))
+	flag.StringVar(&cfg.TraceOut, "trace-out", "", usage("-trace-out", "write a Chrome trace-event JSON to FILE"))
+	flag.StringVar(&cfg.SpansOut, "spans-out", "", usage("-spans-out", "write the span profile JSON to FILE"))
+	flag.StringVar(&cfg.MetricsOut, "metrics-out", "", usage("-metrics-out", "write the metrics snapshot JSON to FILE"))
+	flag.StringVar(&cfg.AuditOut, "audit-out", "", usage("-audit-out", "record the machine-event audit log to FILE"))
+	flag.StringVar(&cfg.baseline, "baseline", "", usage("-baseline", "compare against a committed report and fail on >10% throughput regression"))
+	flag.StringVar(&cfg.SnapOut, "snap-out", "", usage("-snap-out", "write the CKI cell's CKISNAP1 checkpoint image to FILE"))
+	flag.IntVar(&cfg.Interval, "checkpoint-interval", 1, usage("-checkpoint-interval", "supervised rounds between periodic checkpoints in the warm-restart comparison"))
+	flag.IntVar(&cfg.Nodes, "nodes", 0, usage("-nodes", "simulated node count"))
+	flag.StringVar(&cfg.Sched, "sched", "", usage("-sched", "restrict to one scheduler (binpack, spread; default both)"))
+	flag.Float64Var(&cfg.ArrivalRate, "arrival-rate", 0, usage("-arrival-rate", "replace the capacity curve with one open-loop segment at this rate (arrivals/sec)"))
+	flag.StringVar(&cfg.TraceFile, "trace-file", "", usage("-trace-file", "drive arrivals from a piecewise rate trace file (\"rate_per_sec duration_ms\" lines)"))
+	flag.StringVar(&cfg.scrapeIv, "scrape-interval", "", usage("-scrape-interval", "virtual scrape interval (e.g. 250us, 1.5ms; bare numbers are ps)"))
+	flag.StringVar(&cfg.SLOOut, "slo-out", "", usage("-slo-out", "slo writes per-runtime CKITS1 timelines under DIR; fleet (with -scrape-interval) writes the merged timeline to FILE (.ckits = binary, else JSON)"))
+	flag.StringVar(&cfg.BundleOut, "bundle-out", "", usage("-bundle-out", "write the postmortem bundles as JSON under DIR"))
+	flag.Float64Var(&cfg.ChurnRate, "churn-rate", 0, usage("-churn-rate", "replace the derived churn arrival rate with this absolute rate (arrivals/sec)"))
+	flag.StringVar(&cfg.ForkMode, "fork-mode", "", usage("-fork-mode", "restrict the fleet stage to one instantiation mode (cold, eager, cow, lazy; default all)"))
 	flag.Parse()
 
-	if err := validate(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-		os.Exit(2)
-	}
-
-	if cfg.exp == "wallclock" {
-		rep, err := bench.RunWallclock(bench.WallclockOpts{Scale: cfg.scale})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: wallclock: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteWallclockJSON(rep, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: wallclock: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "slo" {
-		interval, _ := cfg.parseScrapeInterval()
-		rep, err := bench.RunSLO(bench.SLOOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel,
-			Nodes: cfg.nodes, ScrapeInterval: interval,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.sloOut != "" {
-			if err := bench.WriteSLOTimelines(rep, cfg.sloOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if cfg.bundleOut != "" {
-			if err := bench.WriteSLOBundles(rep, cfg.bundleOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteSLOJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteSLOTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: slo: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "tail" {
-		rep, err := bench.RunTail(bench.TailOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel, Nodes: cfg.nodes,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: tail: %v\n", err)
-			os.Exit(1)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteTailJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteTailTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: tail: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "serverless" {
-		rep, err := bench.RunServerless(bench.ServerlessOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel, Nodes: cfg.nodes,
-			ChurnRate: cfg.churnRate, ForkMode: cfg.forkMode,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: serverless: %v\n", err)
-			os.Exit(1)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteServerlessJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteServerlessTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: serverless: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "fleet" {
-		interval, _ := cfg.parseScrapeInterval()
-		rep, err := bench.RunFleet(bench.FleetOpts{
-			Scale: cfg.scale, Parallel: cfg.parallel,
-			Nodes: cfg.nodes, Sched: cfg.sched,
-			ArrivalRate: cfg.arrival, TraceFile: cfg.traceFile,
-			ScrapeInterval: interval,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.sloOut != "" {
-			if err := writeTimeline(cfg.sloOut, rep.Timeline); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteFleetJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteFleetTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: fleet: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.exp == "snapshot" {
-		rep, err := bench.RunSnapshot(cfg.scale, cfg.parallel, cfg.interval)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.snapOut != "" {
-			blob := rep.CheckpointBlob("CKI-BM")
-			if blob == nil {
-				fmt.Fprintf(os.Stderr, "ckibench: snapshot: no CKI checkpoint in report\n")
-				os.Exit(1)
-			}
-			writeFile(cfg.snapOut, blob)
-		}
-		var werr error
-		if cfg.jsonOut {
-			werr = bench.WriteSnapshotJSON(rep, os.Stdout)
-		} else {
-			werr = bench.WriteSnapshotTable(rep, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: snapshot: %v\n", werr)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if cfg.needProf() || cfg.auditOut != "" || cfg.baseline != "" {
-		var rep *bench.SMPReport
-		switch {
-		case cfg.needProf():
-			prof, err := bench.RunSMPProfiledParallel(cfg.scale, bench.SMPSeed, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-			if cfg.traceOut != "" {
-				writeFile(cfg.traceOut, prof.ChromeJSON())
-			}
-			if cfg.spansOut != "" {
-				b, err := prof.JSON()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-					os.Exit(1)
-				}
-				writeFile(cfg.spansOut, append(b, '\n'))
-			}
-			if cfg.metricsOut != "" {
-				b, err := prof.MetricsJSON()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-					os.Exit(1)
-				}
-				writeFile(cfg.metricsOut, append(b, '\n'))
-			}
-			rep = prof.Report
-		case cfg.auditOut != "":
-			rec := audit.NewRecorder(nil)
-			var err error
-			rep, err = bench.RunSMPAuditedParallel(cfg.scale, bench.SMPSeed, rec, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rec.WriteFile(cfg.auditOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			var err error
-			rep, err = bench.RunSMPParallel(cfg.scale, bench.SMPSeed, cfg.parallel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		// The report is byte-identical however it was produced (the
-		// observers are clock-neutral), so the usual outputs remain
-		// available in the same invocation.
-		if cfg.jsonOut {
-			if err := bench.WriteSMPReportJSON(rep, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err := bench.WriteSMPTable(rep, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: smp: %v\n", err)
-			os.Exit(1)
-		}
-		if cfg.baseline != "" {
-			gateBaseline(cfg.baseline, rep)
-		}
-		return
-	}
-
-	if cfg.jsonOut {
-		var emit func(int, io.Writer) error
-		switch cfg.exp {
-		case "chaos":
-			if cfg.seeds > 1 {
-				emit = func(s int, w io.Writer) error {
-					return bench.ChaosSweepJSON(s, cfg.seeds, cfg.parallel, w)
-				}
-			} else {
-				emit = bench.ChaosJSON
-			}
-		case "smp":
-			emit = func(s int, w io.Writer) error {
-				return bench.SMPJSONParallel(s, cfg.parallel, w)
-			}
-		}
-		if err := emit(cfg.scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: %s: %v\n", cfg.exp, err)
-			os.Exit(1)
-		}
-		return
+	if err := validate(&cfg); err != nil {
+		fail(2, "%v", err)
 	}
 
 	everything := append(bench.All(), bench.Extensions()...)
 	if *list {
 		for _, e := range everything {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
+			if a := e.Artifact; a != nil {
+				fmt.Printf("%-12s -json: %s\n", "", strings.TrimSpace(a.Path+"  "+strings.Join(a.Flags, " ")))
+			}
 		}
 		return
 	}
 	run := func(e bench.Experiment) {
 		fmt.Printf("--- %s: %s ---\n", e.ID, e.Title)
-		if err := e.Run(cfg.scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckibench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+		if err := e.Run(cfg.Scale, os.Stdout); err != nil {
+			fail(1, "%s: %v", e.ID, err)
 		}
 	}
-	if cfg.exp != "" {
+	if cfg.exp == "" {
 		for _, e := range everything {
-			if e.ID == cfg.exp {
+			if e.Run != nil {
 				run(e)
-				return
 			}
 		}
-		fmt.Fprintf(os.Stderr, "ckibench: unknown experiment %q (try -list)\n", cfg.exp)
-		os.Exit(2)
+		return
 	}
-	for _, e := range everything {
+	e, _ := bench.Find(cfg.exp)
+	if e.Artifact == nil {
 		run(e)
+		return
+	}
+	rep, err := e.Artifact.Run(cfg.Options)
+	if err != nil {
+		fail(1, "%s: %v", e.ID, err)
+	}
+	if cfg.jsonOut {
+		err = bench.WriteJSON(rep, os.Stdout)
+	} else {
+		err = rep.WriteTable(os.Stdout)
+	}
+	if err != nil {
+		fail(1, "%s: %v", e.ID, err)
+	}
+	if cfg.baseline != "" {
+		gateBaseline(cfg.baseline, rep)
 	}
 }

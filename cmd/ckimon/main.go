@@ -173,7 +173,7 @@ func renderReport(path string) {
 	if len(rep.Rows) == 0 {
 		fail("%s: report has no rows", path)
 	}
-	if err := bench.WriteSLOTable(rep, os.Stdout); err != nil {
+	if err := rep.WriteTable(os.Stdout); err != nil {
 		fail("%v", err)
 	}
 	for _, r := range rep.Rows {
@@ -210,7 +210,7 @@ func renderAttr(path string) {
 	if len(rep.Rows) == 0 {
 		fail("%s: report has no rows", path)
 	}
-	if err := bench.WriteTailTable(rep, os.Stdout); err != nil {
+	if err := rep.WriteTable(os.Stdout); err != nil {
 		fail("%v", err)
 	}
 	pct := func(part, total int64) string {

@@ -23,7 +23,9 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestExtensionsRun(t *testing.T) {
 	for _, e := range Extensions() {
-		e := e
+		if e.Run == nil {
+			continue // artifact only; its contract is tested separately
+		}
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := e.Run(1, &buf); err != nil {
@@ -40,19 +42,23 @@ func TestFindExperiment(t *testing.T) {
 	if _, ok := Find("fig12"); !ok {
 		t.Error("fig12 not found")
 	}
+	if e, ok := Find("fleet"); !ok || e.Artifact == nil {
+		t.Error("fleet (an extension) not found with its artifact")
+	}
 	if _, ok := Find("fig99"); ok {
 		t.Error("bogus experiment found")
 	}
-	// All IDs unique.
+	if len(All()) != 16 {
+		t.Errorf("experiment count = %d, want 16 (every table & figure)", len(All()))
+	}
+	// IDs unique across the paper and extension lists, so Find is
+	// unambiguous.
 	seen := map[string]bool{}
-	for _, e := range All() {
+	for _, e := range append(All(), Extensions()...) {
 		if seen[e.ID] {
 			t.Errorf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
-	}
-	if len(seen) != 16 {
-		t.Errorf("experiment count = %d, want 16 (every table & figure)", len(seen))
 	}
 }
 

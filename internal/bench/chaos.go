@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"strconv"
 
@@ -154,13 +155,18 @@ func RunChaos(scale int, seed uint64) (*ChaosSurvival, error) {
 	return rep, nil
 }
 
-// ExtChaos renders the chaos survival report as a table.
-func ExtChaos(scale int, w io.Writer) error {
-	rep, err := RunChaos(scale, ChaosSeed)
-	if err != nil {
-		return err
+// runChaosArtifact runs the committed single-seed report, or with
+// -seeds N a sweep over N derived seeds.
+func runChaosArtifact(o Options) (Report, error) {
+	if o.Seeds > 1 {
+		return RunChaosSweep(o.Scale, ChaosSeed, o.Seeds, o.Parallel)
 	}
-	t := NewTable("Chaos survival under deterministic fault injection (seed 0x5eed)",
+	return RunChaos(o.Scale, ChaosSeed)
+}
+
+// WriteTable renders the survival report as a table.
+func (rep *ChaosSurvival) WriteTable(w io.Writer) error {
+	t := NewTable(fmt.Sprintf("Chaos survival under deterministic fault injection (seed %#x)", rep.Seed),
 		"runtime", "rounds ok", "lost", "crashes", "collateral", "restarts", "gave up", "MTTR", "faults injected")
 	for _, r := range rep.Containers {
 		gaveUp := "no"
@@ -172,20 +178,28 @@ func ExtChaos(scale int, w io.Writer) error {
 	}
 	t.Note("%d rounds, %s of virtual time; RunC crashes take the whole cluster (shared host kernel),", rep.Rounds, rep.VirtualDur)
 	t.Note("per-container-kernel runtimes lose exactly the faulted container (Fig. 2)")
-	_, err = t.WriteTo(w)
+	_, err := t.WriteTo(w)
 	return err
 }
 
-func itoa(n int) string { return strconv.Itoa(n) }
-
-// ChaosJSON runs the chaos experiment and writes the survival report as
-// indented JSON (the committed BENCH_chaos artifact).
-func ChaosJSON(scale int, w io.Writer) error {
-	rep, err := RunChaos(scale, ChaosSeed)
-	if err != nil {
-		return err
+// Invariants checks that every runtime is present and served rounds,
+// and that the fault plan crashed at least one container — the survival
+// comparison needs a crash to compare.
+func (rep *ChaosSurvival) Invariants() error {
+	if len(rep.Containers) != 5 {
+		return fmt.Errorf("chaos: %d containers, want 5", len(rep.Containers))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	crashes := 0
+	for _, r := range rep.Containers {
+		crashes += r.Crashes
+		if r.RoundsOK == 0 {
+			return fmt.Errorf("chaos: %s never served a round", r.Runtime)
+		}
+	}
+	if crashes == 0 {
+		return errors.New("chaos: no container ever crashed under the default plan")
+	}
+	return nil
 }
+
+func itoa(n int) string { return strconv.Itoa(n) }

@@ -17,35 +17,39 @@ type Experiment struct {
 	ID string
 	// Title describes what is reproduced.
 	Title string
-	// Run executes at the given scale and writes the report.
+	// Run executes at the given scale and writes the table; nil for an
+	// experiment whose only output is its artifact.
 	Run func(scale int, w io.Writer) error
+	// Artifact declares the experiment's JSON report; nil for the
+	// table-only experiments.
+	Artifact *Artifact
 }
 
 // All returns every experiment, in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig2", "CVE study: container-exploitable kernel CVEs by effect", Fig2},
-		{"tab1", "VM-level container design space (measured cells)", Tab1},
-		{"tab2", "Microbenchmark latencies (syscall, pgfault, hypercall)", Tab2},
-		{"tab3", "Privileged-instruction blocking matrix", Tab3},
-		{"fig4", "Memory-intensive latency without CKI (motivation)", Fig4},
-		{"fig5", "I/O-intensive throughput without CKI (motivation)", Fig5},
-		{"fig10a", "Page-fault latency breakdown", Fig10a},
-		{"fig10b", "Syscall latency and OPT1/2/3 ablation", Fig10b},
-		{"fig11", "lmbench microbenchmarks", Fig11},
-		{"fig12", "Memory-intensive applications", Fig12},
-		{"fig13", "Overhead sweeps (BTree ratio, XSBench particles)", Fig13},
-		{"tab4", "TLB-miss-intensive applications", Tab4},
-		{"fig14", "SQLite throughput and syscall frequency", Fig14},
-		{"fig15", "Syscall-optimization breakdown on SQLite", Fig15},
-		{"fig16", "Key-value throughput vs number of clients", Fig16},
-		{"tab5", "Intra-kernel isolation comparison", Tab5},
+		{ID: "fig2", Title: "CVE study: container-exploitable kernel CVEs by effect", Run: Fig2},
+		{ID: "tab1", Title: "VM-level container design space (measured cells)", Run: Tab1},
+		{ID: "tab2", Title: "Microbenchmark latencies (syscall, pgfault, hypercall)", Run: Tab2},
+		{ID: "tab3", Title: "Privileged-instruction blocking matrix", Run: Tab3},
+		{ID: "fig4", Title: "Memory-intensive latency without CKI (motivation)", Run: Fig4},
+		{ID: "fig5", Title: "I/O-intensive throughput without CKI (motivation)", Run: Fig5},
+		{ID: "fig10a", Title: "Page-fault latency breakdown", Run: Fig10a},
+		{ID: "fig10b", Title: "Syscall latency and OPT1/2/3 ablation", Run: Fig10b},
+		{ID: "fig11", Title: "lmbench microbenchmarks", Run: Fig11},
+		{ID: "fig12", Title: "Memory-intensive applications", Run: Fig12},
+		{ID: "fig13", Title: "Overhead sweeps (BTree ratio, XSBench particles)", Run: Fig13},
+		{ID: "tab4", Title: "TLB-miss-intensive applications", Run: Tab4},
+		{ID: "fig14", Title: "SQLite throughput and syscall frequency", Run: Fig14},
+		{ID: "fig15", Title: "Syscall-optimization breakdown on SQLite", Run: Fig15},
+		{ID: "fig16", Title: "Key-value throughput vs number of clients", Run: Fig16},
+		{ID: "tab5", Title: "Intra-kernel isolation comparison", Run: Tab5},
 	}
 }
 
-// Find returns the experiment with the given ID.
+// Find returns the experiment with the given ID, paper or extension.
 func Find(id string) (Experiment, bool) {
-	for _, e := range All() {
+	for _, e := range append(All(), Extensions()...) {
 		if e.ID == id {
 			return e, true
 		}

@@ -14,23 +14,68 @@ import (
 // directions. Registered alongside the paper experiments so ckibench
 // regenerates them too.
 
-// Extensions returns the extension experiments.
+// Extensions returns the extension experiments. It is the registry of
+// every experiment with a JSON artifact: adding one means adding an
+// artifact entry here whose report implements Report.
 func Extensions() []Experiment {
 	return []Experiment{
-		{"ext-pku", "Design-PKU vs Design-PKS (rejected alternative, §3.1)", ExtPKU},
-		{"ext-gate", "KSM gate side-channel hardening ablation (§3.3)", ExtGate},
-		{"ext-future", "Future work: driver sandbox & in-kernel syscalls (§9)", ExtFuture},
-		{"ext-cow", "Eager vs copy-on-write fork across runtimes", ExtCOW},
-		{"ext-density", "CKI container density (Challenge-1 at scale)", ExtDensity},
-		{"ext-preempt", "Timer-tick (preemption) tax per runtime", ExtPreempt},
-		{"chaos", "Fault-injection survival across runtimes (Fig. 2)", ExtChaos},
-		{"smp", "Multi-core scaling & TLB-shootdown latency (SMP engine)", ExtSMP},
-		{"snapshot", "Checkpoint/restore, live migration & warm-restart MTTR", ExtSnapshot},
-		{"fleet", "Datacenter fleet serving: capacity curves & tail latency", ExtFleet},
-		{"slo", "Live telemetry: SLO burn-rate alerts & flight-recorder postmortems", ExtSLO},
-		{"tail", "Per-request causal tracing: critical-path tail-latency attribution", ExtTail},
-		{"serverless", "Serverless churn: fork-from-snapshot cold-start fast path", ExtServerless},
-		{"breakdown", "Cycle attribution: per-phase span trees vs measured totals", ExtBreakdown},
+		{ID: "ext-pku", Title: "Design-PKU vs Design-PKS (rejected alternative, §3.1)", Run: ExtPKU},
+		{ID: "ext-gate", Title: "KSM gate side-channel hardening ablation (§3.3)", Run: ExtGate},
+		{ID: "ext-future", Title: "Future work: driver sandbox & in-kernel syscalls (§9)", Run: ExtFuture},
+		{ID: "ext-cow", Title: "Eager vs copy-on-write fork across runtimes", Run: ExtCOW},
+		{ID: "ext-density", Title: "CKI container density (Challenge-1 at scale)", Run: ExtDensity},
+		{ID: "ext-preempt", Title: "Timer-tick (preemption) tax per runtime", Run: ExtPreempt},
+		artifact("chaos", "Fault-injection survival across runtimes (Fig. 2)", &Artifact{
+			Path:  "BENCH_chaos.json",
+			Flags: []string{"-seeds"},
+			Run:   runChaosArtifact,
+		}),
+		artifact("smp", "Multi-core scaling & TLB-shootdown latency (SMP engine)", &Artifact{
+			Path:  "BENCH_smp.json",
+			Flags: []string{"-trace-out", "-spans-out", "-metrics-out", "-audit-out", "-baseline"},
+			Run:   runSMPArtifact,
+		}),
+		artifact("snapshot", "Checkpoint/restore, live migration & warm-restart MTTR", &Artifact{
+			Path:  "BENCH_snapshot.json",
+			Flags: []string{"-checkpoint-interval", "-snap-out"},
+			Run:   runSnapshotArtifact,
+		}),
+		artifact("fleet", "Datacenter fleet serving: capacity curves & tail latency", &Artifact{
+			Path:     "BENCH_fleet.json",
+			Flags:    []string{"-nodes", "-sched", "-arrival-rate", "-trace-file", "-scrape-interval", "-slo-out"},
+			Validate: validateFleet,
+			Run:      runFleetArtifact,
+		}),
+		artifact("slo", "Live telemetry: SLO burn-rate alerts & flight-recorder postmortems", &Artifact{
+			Path:  "BENCH_slo.json",
+			Flags: []string{"-nodes", "-scrape-interval", "-slo-out", "-bundle-out"},
+			Run:   runSLOArtifact,
+		}),
+		artifact("tail", "Per-request causal tracing: critical-path tail-latency attribution", &Artifact{
+			Path:  "BENCH_tail.json",
+			Flags: []string{"-nodes"},
+			Run: func(o Options) (Report, error) {
+				return RunTail(TailOpts{Scale: o.Scale, Parallel: o.Parallel, Nodes: o.Nodes})
+			},
+		}),
+		artifact("serverless", "Serverless churn: fork-from-snapshot cold-start fast path", &Artifact{
+			Path:  "BENCH_serverless.json",
+			Flags: []string{"-nodes", "-churn-rate", "-fork-mode"},
+			Validate: func(o Options) error {
+				_, err := serverlessFleetModes(o.ForkMode)
+				return err
+			},
+			Run: func(o Options) (Report, error) {
+				return RunServerless(ServerlessOpts{Scale: o.Scale, Parallel: o.Parallel,
+					Nodes: o.Nodes, ChurnRate: o.ChurnRate, ForkMode: o.ForkMode})
+			},
+		}),
+		artifact("wallclock", "Host cost of the simulator: hot paths & parallel speedup", &Artifact{
+			Path:      "BENCH_wallclock.json",
+			HostTimed: true,
+			Run:       runWallclockArtifact,
+		}),
+		{ID: "breakdown", Title: "Cycle attribution: per-phase span trees vs measured totals", Run: ExtBreakdown},
 	}
 }
 

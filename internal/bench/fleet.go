@@ -1,10 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/backends"
 	"repro/internal/clock"
@@ -203,6 +205,33 @@ func fleetCalibrate(kind backends.Kind, opts backends.Options) (fleet.RuntimeCos
 	return costs, c.Name, nil
 }
 
+// fleetCalibrateAll calibrates every fleet runtime, one cell each fanned
+// out across host cores, and tabulates the cost models for the report.
+// exp prefixes errors with the calling experiment.
+func fleetCalibrateAll(exp string, parallel int) ([]fleet.RuntimeCosts, []FleetCalibration, error) {
+	specs := fleetSpecs()
+	costs := make([]fleet.RuntimeCosts, len(specs))
+	table := make([]FleetCalibration, len(specs))
+	err := RunIndexed(parallel, len(specs), func(i int) error {
+		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
+		if err != nil {
+			return fmt.Errorf("%s: calibrate %v: %w", exp, specs[i].kind, err)
+		}
+		costs[i] = c
+		table[i] = FleetCalibration{
+			Runtime:       name,
+			BootNs:        float64(c.Boot) / float64(clock.Nanosecond),
+			ServiceNs:     float64(c.Service) / float64(clock.Nanosecond),
+			WarmRestoreNs: float64(c.WarmRestore) / float64(clock.Nanosecond),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return costs, table, nil
+}
+
 // fleetSegment is one load segment of the grid: a label plus the
 // arrival stream builder (deterministic per seed).
 type fleetSegment struct {
@@ -365,18 +394,8 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	}
 	specs := fleetSpecs()
 
-	// Stage 1 — calibration: one real container per runtime, cells
-	// fanned out across host cores.
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err = RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("fleet: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	// Stage 1 — calibration: one real container per runtime.
+	costs, cal, err := fleetCalibrateAll("fleet", o.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -384,18 +403,10 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	rep := &FleetReport{
 		Seed: FleetSeed, Scale: o.Scale, Nodes: nodes,
 		SlotsPerNode: fleetSlotsPerNode, QueueLimit: fleetQueueLimit,
-		MeanReqs: fleetMeanReqs,
+		MeanReqs: fleetMeanReqs, Calibration: cal,
 	}
 	for _, s := range scheds {
 		rep.Schedulers = append(rep.Schedulers, s.Name())
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
 	}
 
 	// Stage 2 — the control-plane grid plus the replay cells, all
@@ -442,7 +453,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 				store := telemetry.NewStore(o.ScrapeInterval, 0)
 				cfg.Observe = telemetry.NewFleetProbe(metrics.NewRegistry(), store, nil,
 					metrics.L("load", seg.label),
-					metrics.L("runtime", names[ri]),
+					metrics.L("runtime", cal[ri].Runtime),
 					metrics.L("sched", scheds[sj].Name()))
 				cfg.ScrapeEvery = o.ScrapeInterval
 				stores[ci] = store
@@ -453,11 +464,11 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 			}
 			res, err := fleet.Run(cfg)
 			if err != nil {
-				return fmt.Errorf("fleet: %s/%s/%s: %w", names[ri], scheds[sj].Name(), seg.label, err)
+				return fmt.Errorf("fleet: %s/%s/%s: %w", cal[ri].Runtime, scheds[sj].Name(), seg.label, err)
 			}
 			ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 			rows[ci] = FleetRow{
-				Runtime: names[ri], Sched: scheds[sj].Name(), Load: seg.label,
+				Runtime: cal[ri].Runtime, Sched: scheds[sj].Name(), Load: seg.label,
 				OfferedPerSec: seg.offered,
 				Arrived:       res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
 				GoodputPerSec: res.Goodput(cfg.Horizon),
@@ -478,7 +489,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		cfg := fleetCellConfig(o, nodes, costs[ri], ri, replaySeg, seg, replaySched)
 		res, err := fleet.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("fleet: replay control %s: %w", names[ri], err)
+			return fmt.Errorf("fleet: replay control %s: %w", cal[ri].Runtime, err)
 		}
 		stat := res.Nodes[ni]
 		reqs := stat.Requests
@@ -495,7 +506,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		}
 		art, err := fleet.ReplayNode(w, specs[ri].kind, specs[ri].opts)
 		if err != nil {
-			return fmt.Errorf("fleet: replay %s node %d: %w", names[ri], stat.Node, err)
+			return fmt.Errorf("fleet: replay %s node %d: %w", cal[ri].Runtime, stat.Node, err)
 		}
 		arts[ci-nGrid] = *art
 		return nil
@@ -520,14 +531,10 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 
 // WriteFleetJSON writes the report in the exact encoding of the
 // committed BENCH_fleet artifact.
-func WriteFleetJSON(rep *FleetReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteFleetJSON(rep *FleetReport, w io.Writer) error { return WriteJSON(rep, w) }
 
-// WriteFleetTable renders the capacity curves and tails as a table.
-func WriteFleetTable(rep *FleetReport, w io.Writer) error {
+// WriteTable renders the capacity curves and tails as a table.
+func (rep *FleetReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("Fleet serving: %d nodes x %d slots, open-loop arrivals", rep.Nodes, rep.SlotsPerNode),
 		"runtime", "sched", "load", "offered/s", "done", "rejected", "goodput/s", "p50", "p99", "p999", "maxQ")
@@ -558,21 +565,107 @@ func WriteFleetTable(rep *FleetReport, w io.Writer) error {
 	return err
 }
 
-// ExtFleet is the table-mode entry point (ckibench -exp fleet).
-func ExtFleet(scale int, w io.Writer) error {
-	rep, err := RunFleet(FleetOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks the committed grid: 5 runtimes x 8 load segments x
+// 2 schedulers on 50 nodes of 4 slots, calibrated costs, >= 1000
+// arrivals and monotone tails in every cell, an overload segment that
+// rejects (backpressure), storm rows that evict and restore warm without
+// losing track of an eviction, and a replay digest per storm node.
+func (rep *FleetReport) Invariants() error {
+	nRT := len(fleetSpecs())
+	if rep.Nodes != fleetDefaultNodes || rep.SlotsPerNode != fleetSlotsPerNode ||
+		!slices.Equal(rep.Schedulers, fleet.SchedulerNames()) {
+		return fmt.Errorf("fleet: %d nodes x %d slots, schedulers %v; want %d x %d, %v",
+			rep.Nodes, rep.SlotsPerNode, rep.Schedulers, fleetDefaultNodes, fleetSlotsPerNode, fleet.SchedulerNames())
 	}
-	return WriteFleetTable(rep, w)
+	if len(rep.Calibration) != nRT {
+		return fmt.Errorf("fleet: %d calibration rows, want %d", len(rep.Calibration), nRT)
+	}
+	for _, c := range rep.Calibration {
+		if c.Runtime == "" || c.BootNs < 0 || c.ServiceNs <= 0 || c.WarmRestoreNs <= 0 {
+			return fmt.Errorf("fleet: degenerate calibration: %+v", c)
+		}
+	}
+	if want := nRT * (len(fleetLoadPoints) + 2) * len(rep.Schedulers); len(rep.Rows) != want {
+		return fmt.Errorf("fleet: %d rows, want %d", len(rep.Rows), want)
+	}
+	overloadRejects, stormWarm := false, false
+	for _, r := range rep.Rows {
+		cell := r.Runtime + "/" + r.Sched + "/" + r.Load
+		if r.Arrived < 1000 {
+			return fmt.Errorf("fleet: %s: only %d arrivals", cell, r.Arrived)
+		}
+		if r.P50Ms > r.P99Ms || r.P99Ms > r.P999Ms {
+			return fmt.Errorf("fleet: %s: quantiles not monotone: %v/%v/%v", cell, r.P50Ms, r.P99Ms, r.P999Ms)
+		}
+		overloadRejects = overloadRejects || (r.Load == "1.30x" && r.Rejected > 0)
+		if r.Load == "storm" {
+			// Running instances split warm/cold; displaced queued ones
+			// just re-place, so the split never exceeds the evictions.
+			if r.Evicted == 0 || r.WarmRestores+r.ColdRedos > r.Evicted {
+				return fmt.Errorf("fleet: %s: %d evicted, %d warm + %d cold", cell, r.Evicted, r.WarmRestores, r.ColdRedos)
+			}
+			stormWarm = stormWarm || r.WarmRestores > 0
+		}
+	}
+	if !overloadRejects {
+		return errors.New("fleet: no 1.30x overload row rejected (no backpressure)")
+	}
+	if !stormWarm {
+		return errors.New("fleet: no storm row restored warm")
+	}
+	if want := nRT * fleetReplayNodes; len(rep.Replay) != want {
+		return fmt.Errorf("fleet: %d replay digests, want %d", len(rep.Replay), want)
+	}
+	for _, a := range rep.Replay {
+		if a.Runtime == "" || a.Requests == 0 || a.Spans == 0 || a.MetricsFNV == 0 {
+			return fmt.Errorf("fleet: degenerate replay digest: %+v", a)
+		}
+	}
+	return nil
 }
 
-// FleetJSONParallel runs the experiment and writes the committed
-// artifact encoding; the bytes are identical for any parallel value.
-func FleetJSONParallel(o FleetOpts, w io.Writer) error {
-	rep, err := RunFleet(o)
+// validateFleet rejects an unknown -sched, and -slo-out without an
+// explicit -scrape-interval: every cell must share one interval for the
+// merged timeline.
+func validateFleet(o Options) error {
+	if o.Sched != "" {
+		if _, err := fleet.SchedulerByName(o.Sched); err != nil {
+			return err
+		}
+	}
+	if o.SLOOut != "" && o.ScrapeInterval == 0 {
+		return errors.New("-slo-out with -exp fleet requires an explicit -scrape-interval (every cell must share one interval for the merged timeline)")
+	}
+	return nil
+}
+
+// runFleetArtifact runs the experiment and writes the merged timeline
+// to -slo-out.
+func runFleetArtifact(o Options) (Report, error) {
+	rep, err := RunFleet(FleetOpts{
+		Scale: o.Scale, Parallel: o.Parallel,
+		Nodes: o.Nodes, Sched: o.Sched,
+		ArrivalRate: o.ArrivalRate, TraceFile: o.TraceFile,
+		ScrapeInterval: o.ScrapeInterval,
+	})
+	if err != nil || o.SLOOut == "" {
+		return rep, err
+	}
+	return rep, writeTimeline(o.SLOOut, rep.Timeline)
+}
+
+// writeTimeline writes a merged fleet timeline: CKITS1 binary when the
+// path ends in .ckits, JSON export otherwise.
+func writeTimeline(path string, st *telemetry.Store) error {
+	if st == nil {
+		return errors.New("-slo-out: no timeline collected (is -scrape-interval set?)")
+	}
+	if strings.HasSuffix(path, ".ckits") {
+		return os.WriteFile(path, st.EncodeBinary(), 0o644)
+	}
+	b, err := st.Export().JSON()
 	if err != nil {
 		return err
 	}
-	return WriteFleetJSON(rep, w)
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

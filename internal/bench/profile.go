@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
@@ -67,6 +68,33 @@ func (p *SMPProfile) Registry() *metrics.Registry { return p.reg }
 // JSON renders the profile as deterministic indented JSON.
 func (p *SMPProfile) JSON() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
+}
+
+// writeFiles writes the profile artifacts o names: the Chrome trace
+// (-trace-out), the span profile (-spans-out) and the metrics snapshot
+// (-metrics-out).
+func (p *SMPProfile) writeFiles(o Options) error {
+	if o.TraceOut != "" {
+		if err := os.WriteFile(o.TraceOut, p.ChromeJSON(), 0o644); err != nil {
+			return err
+		}
+	}
+	for _, out := range []struct {
+		path   string
+		encode func() ([]byte, error)
+	}{{o.SpansOut, p.JSON}, {o.MetricsOut, p.MetricsJSON}} {
+		if out.path == "" {
+			continue
+		}
+		b, err := out.encode()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(out.path, append(b, '\n'), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParseSMPProfile loads a profile written by JSON.

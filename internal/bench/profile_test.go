@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -76,6 +77,38 @@ func TestSMPProfile(t *testing.T) {
 		}
 		if !bytes.Equal(m1, m2) {
 			t.Error("metrics snapshot differs between two same-seed runs")
+		}
+	})
+
+	t.Run("chrome trace schema", func(t *testing.T) {
+		// One process per runtime, and only complete ("X") events, all
+		// in the flow or remote category.
+		var tr struct {
+			DisplayTimeUnit string `json:"displayTimeUnit"`
+			TraceEvents     []struct {
+				Ph   string `json:"ph"`
+				Name string `json:"name"`
+				Cat  string `json:"cat"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(prof.ChromeJSON(), &tr); err != nil {
+			t.Fatal(err)
+		}
+		procs, complete := 0, 0
+		for _, ev := range tr.TraceEvents {
+			switch {
+			case ev.Ph == "M" && ev.Name == "process_name":
+				procs++
+			case ev.Ph == "X":
+				complete++
+				if ev.Cat != "flow" && ev.Cat != "remote" {
+					t.Errorf("complete event %q in category %q", ev.Name, ev.Cat)
+				}
+			}
+		}
+		if tr.DisplayTimeUnit != "ns" || procs != 5 || complete == 0 {
+			t.Errorf("displayTimeUnit %q, %d processes, %d complete events; want ns, 5, > 0",
+				tr.DisplayTimeUnit, procs, complete)
 		}
 	})
 
@@ -180,10 +213,25 @@ func TestSMPProfile(t *testing.T) {
 	})
 
 	t.Run("metrics cover every runtime", func(t *testing.T) {
-		snap := prof.Registry().Snapshot()
+		// Decoded from the -metrics-out bytes: every family carries its
+		// name, kind and series.
+		b, err := prof.MetricsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Families []map[string]json.RawMessage `json:"families"`
+		}
+		if err := json.Unmarshal(b, &snap); err != nil {
+			t.Fatal(err)
+		}
 		fams := map[string]bool{}
 		for _, f := range snap.Families {
-			fams[f.Name] = true
+			var name string
+			if json.Unmarshal(f["name"], &name) != nil || f["kind"] == nil || f["series"] == nil {
+				t.Errorf("family without name, kind or series: %v", f)
+			}
+			fams[name] = true
 		}
 		for _, want := range []string{
 			"syscall_latency_ns", "shootdown_latency_ns", "guest_syscalls_total",

@@ -6,82 +6,17 @@ import (
 	"testing"
 )
 
-// TestServerlessParallelIdentical: the committed-artifact contract —
-// the emitted bytes are identical for any -parallel value and across
-// reruns.
-func TestServerlessParallelIdentical(t *testing.T) {
-	o := ServerlessOpts{Scale: 1, Nodes: 6}
-	var seq, par, again bytes.Buffer
-	o.Parallel = 1
-	if err := ServerlessJSONParallel(o, &seq); err != nil {
-		t.Fatal(err)
-	}
-	o.Parallel = 8
-	if err := ServerlessJSONParallel(o, &par); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("serverless report differs between -parallel 1 and 8")
-	}
-	if err := ServerlessJSONParallel(o, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(par.Bytes(), again.Bytes()) {
-		t.Fatalf("serverless report differs across reruns")
-	}
-}
-
-// TestServerlessColdStartOrdering pins the experiment's headline: on
-// CKI the lazy fork's p99 strictly beats the eager restore's, which
-// strictly beats the cold boot's — and the calibrated instantiation
-// costs order the same way on every runtime (forks < eager < cold).
+// TestServerlessColdStartOrdering: the experiment's headline — forks <
+// eager < cold on every runtime, and on CKI a lazy-fork p99 below the
+// eager restore's below the cold boot's — holds off the committed fleet
+// size too.
 func TestServerlessColdStartOrdering(t *testing.T) {
 	rep, err := RunServerless(ServerlessOpts{Scale: 1, Parallel: DefaultParallel(), Nodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(serverlessSpecs()); len(rep.Calibration) != want || len(rep.Churn) != want {
-		t.Fatalf("got %d calibration / %d churn rows, want %d",
-			len(rep.Calibration), len(rep.Churn), want)
-	}
-	for _, c := range rep.Calibration {
-		if !(c.LazyForkNs < c.EagerRestoreNs && c.CowForkNs < c.EagerRestoreNs &&
-			c.EagerRestoreNs < c.ColdBootNs) {
-			t.Fatalf("%s: instantiation costs out of order: %+v", c.Runtime, c)
-		}
-		if c.ShareBreaks == 0 {
-			t.Fatalf("%s: cow fork broke no shares", c.Runtime)
-		}
-		if c.DeferredPages == 0 {
-			t.Fatalf("%s: lazy fork deferred nothing", c.Runtime)
-		}
-	}
-	for _, c := range rep.Churn {
-		if !c.Drained {
-			t.Fatalf("%s: churn loop left the store undrained: %+v", c.Runtime, c)
-		}
-		if c.PeakSharedRefs == 0 || c.PeakUniquePages < 2 || c.Breaks == 0 {
-			t.Fatalf("%s: churn loop shared nothing: %+v", c.Runtime, c)
-		}
-	}
-	p99 := map[string]float64{}
-	for _, r := range rep.Rows {
-		if r.Runtime == "CKI-BM" {
-			p99[r.Mode] = r.P99Ms
-		}
-		if r.Completed == 0 {
-			t.Fatalf("%s/%s: no completions", r.Runtime, r.Mode)
-		}
-		if r.BootPct <= 0 || r.ServicePct <= 0 {
-			t.Fatalf("%s/%s: degenerate attribution: %+v", r.Runtime, r.Mode, r)
-		}
-	}
-	if len(p99) != len(serverlessModes) {
-		t.Fatalf("CKI rows incomplete: %v", p99)
-	}
-	if !(p99["lazy"] < p99["eager"] && p99["eager"] < p99["cold"]) {
-		t.Fatalf("CKI p99 ordering violated: lazy %.4f eager %.4f cold %.4f",
-			p99["lazy"], p99["eager"], p99["cold"])
+	if err := rep.Invariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,7 +51,7 @@ func TestServerlessTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := WriteServerlessTable(rep, &b); err != nil {
+	if err := rep.WriteTable(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -129,7 +128,7 @@ type SLORow struct {
 	// Alerts is the cell's full alert timeline in fire order.
 	Alerts []telemetry.Alert `json:"alerts"`
 	// DetectionNs is virtual time from storm onset to the first page
-	// (0 when no page fired — the CI gate requires > 0).
+	// (0 when no page fired — Invariants requires > 0).
 	DetectionNs int64 `json:"detection_ns"`
 	// BurnCurve is the reject-rate SLO's per-tick burn rates.
 	BurnCurve []telemetry.BurnPoint `json:"burn_curve"`
@@ -464,17 +463,7 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 		nodes = sloNodes
 	}
 	specs := fleetSpecs()
-
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err := RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("slo: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	costs, cal, err := fleetCalibrateAll("slo", o.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -482,22 +471,14 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 	rep := &SLOReport{
 		Seed: SLOSeed, Scale: o.Scale, Nodes: nodes,
 		SlotsPerNode: sloSlotsPerNode, QueueLimit: sloQueueLimit,
-		MeanReqs: sloMeanReqs, Sched: "spread",
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
+		MeanReqs: sloMeanReqs, Sched: "spread", Calibration: cal,
 	}
 
 	rows := make([]SLORow, len(specs))
 	cellBundles := make([][]SLONamedBundle, len(specs))
 	stores := make([]*telemetry.Store, len(specs))
 	err = RunIndexed(o.Parallel, len(specs), func(ri int) error {
-		row, bundles, store, err := sloCell(o, nodes, ri, names[ri], costs[ri], specs[ri].kind, specs[ri].opts)
+		row, bundles, store, err := sloCell(o, nodes, ri, cal[ri].Runtime, costs[ri], specs[ri].kind, specs[ri].opts)
 		if err != nil {
 			return err
 		}
@@ -517,11 +498,7 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 
 // WriteSLOJSON writes the report in the exact encoding of the
 // committed BENCH_slo artifact.
-func WriteSLOJSON(rep *SLOReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteSLOJSON(rep *SLOReport, w io.Writer) error { return WriteJSON(rep, w) }
 
 // WriteSLOTimelines writes each cell's full-resolution time-series
 // store as a CKITS1 binary under dir (ckibench -slo-out).
@@ -564,8 +541,8 @@ func WriteSLOBundles(rep *SLOReport, dir string) error {
 	return nil
 }
 
-// WriteSLOTable renders the alert timelines and detection latencies.
-func WriteSLOTable(rep *SLOReport, w io.Writer) error {
+// WriteTable renders the alert timelines and detection latencies.
+func (rep *SLOReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("SLO burn-rate alerting: %d nodes x %d slots, eviction storm at t=horizon/3",
 			rep.Nodes, rep.SlotsPerNode),
@@ -613,11 +590,72 @@ func WriteSLOTable(rep *SLOReport, w io.Writer) error {
 	return err
 }
 
-// ExtSLO is the table-mode entry point (ckibench -exp slo).
-func ExtSLO(scale int, w io.Writer) error {
-	rep, err := RunSLO(SLOOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks every runtime's storm cell: the storm rejected and
+// evicted, the reject-rate page fired inside the storm window with a
+// positive detection latency and resolved after the nodes returned, the
+// burn curve has a point per tick, and the machine replay crashed at
+// least twice, raised node alerts, and dumped both an alert bundle and
+// a watchdog bundle carrying real spans and audit events.
+func (rep *SLOReport) Invariants() error {
+	if len(rep.Rows) != len(fleetSpecs()) {
+		return fmt.Errorf("slo: %d rows, want %d", len(rep.Rows), len(fleetSpecs()))
 	}
-	return WriteSLOTable(rep, w)
+	for _, r := range rep.Rows {
+		if r.DetectionNs <= 0 || r.Rejected == 0 || r.Evicted == 0 {
+			return fmt.Errorf("slo: %s: detection %dns, %d rejected, %d evicted; want all > 0",
+				r.Runtime, r.DetectionNs, r.Rejected, r.Evicted)
+		}
+		pages := 0
+		for _, a := range r.Alerts {
+			if a.SLO != "reject-rate" || a.Severity != "page" {
+				continue
+			}
+			pages++
+			if a.FiredAtNs < r.StormStartNs || a.FiredAtNs > r.StormEndNs || a.ResolvedAtNs <= a.FiredAtNs {
+				return fmt.Errorf("slo: %s: page fired at %dns, resolved at %dns; storm window [%d, %d]",
+					r.Runtime, a.FiredAtNs, a.ResolvedAtNs, r.StormStartNs, r.StormEndNs)
+			}
+		}
+		if pages == 0 {
+			return fmt.Errorf("slo: %s: no reject-rate page fired", r.Runtime)
+		}
+		if len(r.BurnCurve) != r.Ticks {
+			return fmt.Errorf("slo: %s: burn curve has %d points, want %d", r.Runtime, len(r.BurnCurve), r.Ticks)
+		}
+		if r.ReplayCrashes < 2 || len(r.NodeAlerts) == 0 {
+			return fmt.Errorf("slo: %s: replay saw %d crashes and %d node alerts; want >= 2 and > 0",
+				r.Runtime, r.ReplayCrashes, len(r.NodeAlerts))
+		}
+		reasons := map[string]int{}
+		for _, d := range r.Bundles {
+			reasons[d.Reason]++
+			if d.Series == 0 || d.FNV == 0 || (d.Reason == "watchdog" && (d.Spans == 0 || d.Events == 0)) {
+				return fmt.Errorf("slo: %s: empty %s bundle %+v", r.Runtime, d.Reason, d)
+			}
+		}
+		if reasons["alert"] == 0 || reasons["watchdog"] == 0 {
+			return fmt.Errorf("slo: %s: bundle reasons %v, want both alert and watchdog", r.Runtime, reasons)
+		}
+	}
+	return nil
+}
+
+// runSLOArtifact runs the experiment and writes the per-runtime
+// timelines to -slo-out and the postmortem bundles to -bundle-out.
+func runSLOArtifact(o Options) (Report, error) {
+	rep, err := RunSLO(SLOOpts{Scale: o.Scale, Parallel: o.Parallel, Nodes: o.Nodes, ScrapeInterval: o.ScrapeInterval})
+	if err != nil {
+		return nil, err
+	}
+	if o.SLOOut != "" {
+		if err := WriteSLOTimelines(rep, o.SLOOut); err != nil {
+			return nil, err
+		}
+	}
+	if o.BundleOut != "" {
+		if err := WriteSLOBundles(rep, o.BundleOut); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }

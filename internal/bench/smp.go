@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -310,18 +309,30 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 	return rep, nil
 }
 
-// ExtSMP renders the SMP scaling report as a table.
-func ExtSMP(scale int, w io.Writer) error {
-	rep, err := RunSMP(scale, SMPSeed)
-	if err != nil {
-		return err
+// runSMPArtifact runs the experiment under whichever observers the side
+// outputs need; the report is byte-identical either way, because the
+// observers never advance the virtual clock.
+func runSMPArtifact(o Options) (Report, error) {
+	switch {
+	case o.TraceOut != "" || o.SpansOut != "" || o.MetricsOut != "":
+		prof, err := RunSMPProfiledParallel(o.Scale, SMPSeed, o.Parallel)
+		if err != nil {
+			return nil, err
+		}
+		return prof.Report, prof.writeFiles(o)
+	case o.AuditOut != "":
+		rec := audit.NewRecorder(nil)
+		rep, err := RunSMPAuditedParallel(o.Scale, SMPSeed, rec, o.Parallel)
+		if err != nil {
+			return nil, err
+		}
+		return rep, rec.WriteFile(o.AuditOut)
 	}
-	return WriteSMPTable(rep, w)
+	return RunSMPParallel(o.Scale, SMPSeed, o.Parallel)
 }
 
-// WriteSMPTable renders an SMP report as the scaling table (shared by
-// ExtSMP and ckibench's artifact mode, which already holds a report).
-func WriteSMPTable(rep *SMPReport, w io.Writer) error {
+// WriteTable renders the report as the scaling table.
+func (rep *SMPReport) WriteTable(w io.Writer) error {
 	t := NewTable("Multi-core scaling and TLB-shootdown latency (SMP engine)",
 		"runtime", "vCPUs", "service/req", "shootdown", "throughput (op/s)", "speedup")
 	for _, r := range rep.Rows {
@@ -339,26 +350,36 @@ func WriteSMPTable(rep *SMPReport, w io.Writer) error {
 	return err
 }
 
-// SMPJSON runs the SMP experiment and writes the report as indented
-// JSON (the committed BENCH_smp artifact).
-func SMPJSON(scale int, w io.Writer) error {
-	return SMPJSONParallel(scale, 1, w)
-}
-
-// SMPJSONParallel is SMPJSON with the grid cells fanned out to at most
-// parallel goroutines; the emitted bytes are identical for any value.
-func SMPJSONParallel(scale, parallel int, w io.Writer) error {
-	rep, err := RunSMPParallel(scale, SMPSeed, parallel)
-	if err != nil {
-		return err
+// Invariants checks that every (runtime, vCPU count) cell is present in
+// grid order, that every multi-vCPU cell actually shot down TLBs at a
+// positive latency, and that the 1-vCPU cells are the shootdown-free
+// speedup baseline.
+func (rep *SMPReport) Invariants() error {
+	if want := len(smpSpecs()) * len(SMPVCPUCounts); len(rep.Rows) != want {
+		return fmt.Errorf("smp: %d rows, want %d", len(rep.Rows), want)
 	}
-	return WriteSMPReportJSON(rep, w)
+	for i, r := range rep.Rows {
+		if want := SMPVCPUCounts[i%len(SMPVCPUCounts)]; r.VCPUs != want {
+			return fmt.Errorf("smp: row %d (%s) has %d vCPUs, want %d", i, r.Runtime, r.VCPUs, want)
+		}
+		if r.Throughput <= 0 {
+			return fmt.Errorf("smp: %s @%d vCPUs: throughput %v", r.Runtime, r.VCPUs, r.Throughput)
+		}
+		if r.VCPUs == 1 {
+			if r.Speedup != 1 || r.Shootdowns != 0 {
+				return fmt.Errorf("smp: %s @1 vCPU: speedup %v, %d shootdowns; want 1 and 0",
+					r.Runtime, r.Speedup, r.Shootdowns)
+			}
+			continue
+		}
+		if r.Shootdowns == 0 || r.IPIsSent == 0 || r.ShootdownNs <= 0 {
+			return fmt.Errorf("smp: %s @%d vCPUs: no shootdown traffic (%d shootdowns, %d IPIs, %vns)",
+				r.Runtime, r.VCPUs, r.Shootdowns, r.IPIsSent, r.ShootdownNs)
+		}
+	}
+	return nil
 }
 
 // WriteSMPReportJSON writes an already-computed report in the exact
 // encoding of the committed BENCH_smp artifact.
-func WriteSMPReportJSON(rep *SMPReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteSMPReportJSON(rep *SMPReport, w io.Writer) error { return WriteJSON(rep, w) }

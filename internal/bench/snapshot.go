@@ -1,9 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/backends"
 	"repro/internal/clock"
@@ -76,7 +77,7 @@ type SnapshotReport struct {
 	Rows     []SnapshotRow `json:"containers"`
 
 	// blobs holds each cell's initial checkpoint image, aligned with
-	// Rows; not serialized — the CI smoke job extracts one via
+	// Rows; not serialized — -snap-out extracts one via
 	// CheckpointBlob.
 	blobs [][]byte
 }
@@ -337,16 +338,22 @@ func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
 	return rep, nil
 }
 
-// WriteSnapshotJSON writes the report as indented JSON (the committed
-// BENCH_snapshot artifact).
-func WriteSnapshotJSON(rep *SnapshotReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// runSnapshotArtifact runs the experiment and writes the CKI cell's
+// checkpoint image to -snap-out.
+func runSnapshotArtifact(o Options) (Report, error) {
+	rep, err := RunSnapshot(o.Scale, o.Parallel, max(o.Interval, 1))
+	if err != nil || o.SnapOut == "" {
+		return rep, err
+	}
+	blob := rep.CheckpointBlob("CKI-BM")
+	if blob == nil {
+		return nil, errors.New("snapshot: no CKI checkpoint in report")
+	}
+	return rep, os.WriteFile(o.SnapOut, blob, 0o644)
 }
 
-// WriteSnapshotTable renders the report as a table.
-func WriteSnapshotTable(rep *SnapshotReport, w io.Writer) error {
+// WriteTable renders the report as a table.
+func (rep *SnapshotReport) WriteTable(w io.Writer) error {
 	t := NewTable("Checkpoint/restore, live migration, and warm-restart recovery",
 		"runtime", "ckpt bytes", "resident", "checkpoint", "restore",
 		"pre-copy", "downtime", "warm MTTR", "cold MTTR")
@@ -363,14 +370,34 @@ func WriteSnapshotTable(rep *SnapshotReport, w io.Writer) error {
 	return err
 }
 
-// ExtSnapshot runs the experiment at the default checkpoint interval
-// and renders the table.
-func ExtSnapshot(scale int, w io.Writer) error {
-	rep, err := RunSnapshot(scale, DefaultParallel(), 1)
-	if err != nil {
-		return err
+// Invariants checks every runtime's row: a non-empty checkpoint whose
+// image matches the reported size and digest, a paying restore, a
+// converged pre-copy with nonzero downtime — and the robustness claim,
+// warm MTTR strictly below cold on CKI and PVM, which restore warm.
+func (rep *SnapshotReport) Invariants() error {
+	if len(rep.Rows) != len(snapshotSpecs()) || len(rep.blobs) != len(rep.Rows) {
+		return fmt.Errorf("snapshot: %d rows and %d checkpoint images, want %d of each",
+			len(rep.Rows), len(rep.blobs), len(snapshotSpecs()))
 	}
-	return WriteSnapshotTable(rep, w)
+	for i, r := range rep.Rows {
+		if r.CheckpointB == 0 || r.ResidentPages == 0 {
+			return fmt.Errorf("snapshot: %s: empty checkpoint (%d bytes, %d pages)", r.Runtime, r.CheckpointB, r.ResidentPages)
+		}
+		if blob := rep.blobs[i]; len(blob) != r.CheckpointB || fmt.Sprintf("%#016x", blobFNV(blob)) != r.BlobFNV {
+			return fmt.Errorf("snapshot: %s: image (%d bytes) does not match the reported %d bytes, %s",
+				r.Runtime, len(blob), r.CheckpointB, r.BlobFNV)
+		}
+		if r.DowntimeNs <= 0 || r.PreDumpRounds < 1 || r.StopPages > r.PreDumpPages || r.RestoreNs <= 0 {
+			return fmt.Errorf("snapshot: %s: implausible migration: %+v", r.Runtime, r)
+		}
+		if r.Runtime == "CKI-BM" || r.Runtime == "PVM-BM" {
+			if r.WarmRestores == 0 || r.WarmMTTRNs >= r.ColdMTTRNs {
+				return fmt.Errorf("snapshot: %s: %d warm restores, warm MTTR %s not below cold %s",
+					r.Runtime, r.WarmRestores, r.WarmMTTR, r.ColdMTTR)
+			}
+		}
+	}
+	return nil
 }
 
 // blobFNV hashes a checkpoint image with FNV-64a — the same family the

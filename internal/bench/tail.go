@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -144,7 +143,7 @@ type TailQuantile struct {
 
 // TailExemplarRef is one histogram-bucket exemplar: the link from the
 // metrics layer back to a traced request. Every referenced ID resolves
-// to a waterfall in the same row (the CI gate checks).
+// to a waterfall in the same row (Invariants checks).
 type TailExemplarRef struct {
 	BucketNs  int64  `json:"bucket_ns"` // bucket upper bound, -1 = +Inf
 	RequestID string `json:"request_id"`
@@ -341,16 +340,13 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 	}
 
 	// Waterfalls: the top-K slowest plus every bucket exemplar — the
-	// metrics layer's links must all resolve.
+	// metrics layer's links must all resolve (Invariants checks).
 	want := map[trace.RequestID]bool{}
 	for i := 0; i < tailTopK && i < len(pairs); i++ {
 		want[pairs[i].id] = true
 	}
 	for _, e := range storm.ex {
 		id := trace.RequestID(e.ID)
-		if _, ok := comps[id]; !ok {
-			return row, fmt.Errorf("tail: %s: exemplar %016x is not a completed traced request", name, e.ID)
-		}
 		want[id] = true
 		row.Exemplars = append(row.Exemplars, TailExemplarRef{
 			BucketNs: e.BucketNs, RequestID: id.String(),
@@ -397,18 +393,7 @@ func RunTail(o TailOpts) (*TailReport, error) {
 	if nodes == 0 {
 		nodes = tailNodes
 	}
-	specs := fleetSpecs()
-
-	costs := make([]fleet.RuntimeCosts, len(specs))
-	names := make([]string, len(specs))
-	err := RunIndexed(o.Parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("tail: calibrate %v: %w", specs[i].kind, err)
-		}
-		costs[i], names[i] = c, name
-		return nil
-	})
+	costs, cal, err := fleetCalibrateAll("tail", o.Parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -416,23 +401,15 @@ func RunTail(o TailOpts) (*TailReport, error) {
 	rep := &TailReport{
 		Seed: TailSeed, Scale: o.Scale, Nodes: nodes,
 		SlotsPerNode: tailSlotsPerNode, QueueLimit: tailQueueLimit,
-		MeanReqs: tailMeanReqs, Sched: "spread",
-	}
-	for i := range specs {
-		rep.Calibration = append(rep.Calibration, FleetCalibration{
-			Runtime:       names[i],
-			BootNs:        float64(costs[i].Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(costs[i].Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(costs[i].WarmRestore) / float64(clock.Nanosecond),
-		})
+		MeanReqs: tailMeanReqs, Sched: "spread", Calibration: cal,
 	}
 
 	// Two cells per runtime — storm (even) and calm baseline (odd) —
 	// all independent, one fan-out.
-	cells := make([]*tailCell, 2*len(specs))
+	cells := make([]*tailCell, 2*len(cal))
 	err = RunIndexed(o.Parallel, len(cells), func(ci int) error {
 		ri, storm := ci/2, ci%2 == 0
-		cell, err := runTailCell(o, nodes, ri, names[ri], costs[ri], storm)
+		cell, err := runTailCell(o, nodes, ri, cal[ri].Runtime, costs[ri], storm)
 		if err != nil {
 			return err
 		}
@@ -442,8 +419,8 @@ func RunTail(o TailOpts) (*TailReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ri := range specs {
-		row, err := tailRow(names[ri], cells[2*ri], cells[2*ri+1])
+	for ri := range cal {
+		row, err := tailRow(cal[ri].Runtime, cells[2*ri], cells[2*ri+1])
 		if err != nil {
 			return nil, err
 		}
@@ -454,11 +431,7 @@ func RunTail(o TailOpts) (*TailReport, error) {
 
 // WriteTailJSON writes the report in the exact encoding of the
 // committed BENCH_tail artifact.
-func WriteTailJSON(rep *TailReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
+func WriteTailJSON(rep *TailReport, w io.Writer) error { return WriteJSON(rep, w) }
 
 // tailShare renders a component's share of an aggregate total.
 func tailShare(part, total int64) string {
@@ -468,8 +441,8 @@ func tailShare(part, total int64) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(total))
 }
 
-// WriteTailTable renders the attribution summary as tables.
-func WriteTailTable(rep *TailReport, w io.Writer) error {
+// WriteTable renders the attribution summary as tables.
+func (rep *TailReport) WriteTable(w io.Writer) error {
 	t := NewTable(
 		fmt.Sprintf("Tail-latency attribution: %d nodes x %d slots, eviction storm at t=horizon/2",
 			rep.Nodes, rep.SlotsPerNode),
@@ -523,21 +496,66 @@ func WriteTailTable(rep *TailReport, w io.Writer) error {
 	return err
 }
 
-// ExtTail is the table-mode entry point (ckibench -exp tail).
-func ExtTail(scale int, w io.Writer) error {
-	rep, err := RunTail(TailOpts{Scale: scale, Parallel: DefaultParallel()})
-	if err != nil {
-		return err
+// Invariants checks every runtime's attributed row: the storm bit
+// (evictions, warm or cold redos), the p50/p99/p999 requests are named,
+// monotone and conserve — components sum exactly to the latency, as they
+// do per waterfall and in aggregate — the top-K slowest requests have
+// waterfalls running arrival to completion, every histogram exemplar
+// resolves to one of them, and the paired storm tax is non-negative at
+// the far tail.
+func (rep *TailReport) Invariants() error {
+	if want := len(fleetSpecs()); len(rep.Rows) != want || len(rep.Calibration) != want {
+		return fmt.Errorf("tail: %d rows / %d calibrations, want %d", len(rep.Rows), len(rep.Calibration), want)
 	}
-	return WriteTailTable(rep, w)
-}
-
-// TailJSONParallel runs the experiment and writes the committed
-// artifact encoding; the bytes are identical for any parallel value.
-func TailJSONParallel(o TailOpts, w io.Writer) error {
-	rep, err := RunTail(o)
-	if err != nil {
-		return err
+	conserves := func(c TailComponents) bool {
+		return c.QueuePs+c.BootPs+c.WarmRestorePs+c.ServicePs+c.StormRedoPs == c.TotalPs
 	}
-	return WriteTailJSON(rep, w)
+	for _, r := range rep.Rows {
+		if r.Arrived == 0 || r.Completed == 0 || r.Evicted == 0 || r.WarmRestores+r.ColdRedos == 0 {
+			return fmt.Errorf("tail: %s: empty cell or the storm displaced nothing: %d arrived, %d done, %d evicted, %d redone",
+				r.Runtime, r.Arrived, r.Completed, r.Evicted, r.WarmRestores+r.ColdRedos)
+		}
+		if len(r.Quantiles) != 3 {
+			return fmt.Errorf("tail: %s: %d quantiles, want p50/p99/p999", r.Runtime, len(r.Quantiles))
+		}
+		for i, q := range r.Quantiles {
+			if !conserves(q.Components) || q.Components.TotalPs == 0 || q.RequestID == "" {
+				return fmt.Errorf("tail: %s %s: degenerate or non-conserving quantile %+v", r.Runtime, q.Q, q)
+			}
+			if i > 0 && r.Quantiles[i-1].LatencyMs > q.LatencyMs {
+				return fmt.Errorf("tail: %s: quantiles not monotone at %s", r.Runtime, q.Q)
+			}
+		}
+		if !conserves(r.Totals) || r.Totals.Placements < r.Completed {
+			return fmt.Errorf("tail: %s: aggregate components %+v do not conserve over %d completions", r.Runtime, r.Totals, r.Completed)
+		}
+		waterfalls := map[string]bool{}
+		ranks := map[int]bool{}
+		for _, wf := range r.Waterfalls {
+			steps := wf.Steps
+			if !conserves(wf.Components) || len(steps) == 0 ||
+				steps[0].Kind != trace.SegArrival || steps[len(steps)-1].Kind != trace.SegComplete {
+				return fmt.Errorf("tail: %s %s: malformed waterfall", r.Runtime, wf.RequestID)
+			}
+			waterfalls[wf.RequestID] = true
+			ranks[wf.Rank] = true
+		}
+		for rank := 1; rank <= tailTopK; rank++ {
+			if !ranks[rank] {
+				return fmt.Errorf("tail: %s: no waterfall at slowness rank %d", r.Runtime, rank)
+			}
+		}
+		if len(r.Exemplars) == 0 {
+			return fmt.Errorf("tail: %s: latency histogram recorded no exemplars", r.Runtime)
+		}
+		for _, e := range r.Exemplars {
+			if !waterfalls[e.RequestID] {
+				return fmt.Errorf("tail: %s: exemplar %s has no waterfall", r.Runtime, e.RequestID)
+			}
+		}
+		if r.StormTaxP999Ms < 0 {
+			return fmt.Errorf("tail: %s: negative p999 storm tax %v", r.Runtime, r.StormTaxP999Ms)
+		}
+	}
+	return nil
 }

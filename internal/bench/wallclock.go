@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -391,10 +390,71 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 	return rep, nil
 }
 
-// WriteWallclockJSON renders the report in the committed artifact's
-// encoding.
-func WriteWallclockJSON(rep *WallclockReport, w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// runWallclockArtifact measures at the default effort. A host
+// measurement has no byte contract, so the run checks its invariants
+// itself.
+func runWallclockArtifact(o Options) (Report, error) {
+	rep, err := RunWallclock(WallclockOpts{Scale: o.Scale})
+	if err != nil {
+		return nil, err
+	}
+	return rep, rep.Invariants()
+}
+
+// WriteTable writes the JSON report: a host measurement has no table
+// form.
+func (rep *WallclockReport) WriteTable(w io.Writer) error { return WriteJSON(rep, w) }
+
+// Invariants checks the report's shape and its regression gates: every
+// hot path is measured, the pinned ones at zero allocations per op; TLB
+// flush cost stays flat across a 32x capacity step (the old O(capacity)
+// scan cost ~32x, so 4x allows generous noise); both speedup entries are
+// populated; and wherever 4 cores ran a 4-worker parallel leg, the smp
+// grid speeds up at least 2x.
+func (rep *WallclockReport) Invariants() error {
+	if rep.HostCPUs < 1 || rep.GoMaxProcs < 1 {
+		return fmt.Errorf("wallclock: host section not populated: %d CPUs, GOMAXPROCS %d", rep.HostCPUs, rep.GoMaxProcs)
+	}
+	byName := map[string]WallclockBench{}
+	for _, e := range rep.Benches {
+		if e.NsPerOp <= 0 {
+			return fmt.Errorf("wallclock: %s: ns_per_op = %v, want > 0", e.Name, e.NsPerOp)
+		}
+		byName[e.Name] = e
+	}
+	for _, name := range []string{"getpid_flow/RunC", "getpid_flow/CKI-BM", "smp_cell_round/RunC", "smp_cell_round/CKI-BM"} {
+		if _, ok := byName[name]; !ok {
+			return fmt.Errorf("wallclock: missing bench entry %q", name)
+		}
+	}
+	for _, name := range []string{
+		"shootdown/8vcpu", "tlb/lookup_hit", "tlb/insert_evict",
+		"tlb/flush_page_reinsert", "audit/record", "trace/span_nil",
+		"snapshot/encode_to", "pagestore/lookup",
+	} {
+		e, ok := byName[name]
+		if !ok || e.AllocsPerOp != 0 {
+			return fmt.Errorf("wallclock: %s: present %v, allocs_per_op %d; want a zero-allocation entry", name, ok, e.AllocsPerOp)
+		}
+	}
+	if len(rep.FlushByCapacity) != 3 {
+		return fmt.Errorf("wallclock: flush curve has %d points, want 3", len(rep.FlushByCapacity))
+	}
+	if lo, hi := rep.FlushByCapacity[0], rep.FlushByCapacity[2]; hi.NsPerFlush > 4*lo.NsPerFlush {
+		return fmt.Errorf("wallclock: flush cost scales with capacity: cap %d = %.0fns vs cap %d = %.0fns",
+			lo.Capacity, lo.NsPerFlush, hi.Capacity, hi.NsPerFlush)
+	}
+	if len(rep.Speedups) != 2 {
+		return fmt.Errorf("wallclock: %d speedup entries, want 2 (smp, chaos)", len(rep.Speedups))
+	}
+	for _, s := range rep.Speedups {
+		if s.SequentialMs <= 0 || s.ParallelMs <= 0 || s.Speedup <= 0 {
+			return fmt.Errorf("wallclock: speedup entry not populated: %+v", s)
+		}
+		if s.Experiment == "smp" && rep.HostCPUs >= 4 && s.Parallel >= 4 && s.Speedup < 2 {
+			return fmt.Errorf("wallclock: smp grid speedup %.2fx at -parallel %d on %d cores, want >= 2x",
+				s.Speedup, s.Parallel, rep.HostCPUs)
+		}
+	}
+	return nil
 }

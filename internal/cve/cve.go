@@ -139,8 +139,14 @@ func (s Summary) Render() string {
 	for e := range s.ByEffect {
 		effects = append(effects, e)
 	}
+	// Most common first; the name breaks ties, since map order would
+	// otherwise decide between equal counts.
 	sort.Slice(effects, func(i, j int) bool {
-		return s.ByEffect[effects[i]] > s.ByEffect[effects[j]]
+		ci, cj := s.ByEffect[effects[i]], s.ByEffect[effects[j]]
+		if ci != cj {
+			return ci > cj
+		}
+		return effects[i].String() < effects[j].String()
 	})
 	for _, e := range effects {
 		dos := "DoS"

@@ -70,6 +70,23 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// TestRenderStableOrder pins the effect order: equal counts ("Information
+// Leakage" and "Kernel Panic", 6 each) are ordered by name, so every
+// render in one process is identical.
+func TestRenderStableOrder(t *testing.T) {
+	s := Summarize(Dataset())
+	first := s.Render()
+	leak, panicked := strings.Index(first, "Information Leakage"), strings.Index(first, "Kernel Panic")
+	if leak < 0 || panicked < 0 || leak > panicked {
+		t.Fatalf("tied effects not in name order:\n%s", first)
+	}
+	for i := 0; i < 20; i++ {
+		if out := s.Render(); out != first {
+			t.Fatalf("render %d differs:\n%s\n---\n%s", i, first, out)
+		}
+	}
+}
+
 func TestEmptySummary(t *testing.T) {
 	s := Summarize(nil)
 	if s.DoSShare() != 0 || s.Share(UseAfterFree) != 0 {
