@@ -6,71 +6,114 @@
 package des
 
 import (
-	"container/heap"
+	"slices"
 
 	"repro/internal/clock"
 )
 
-// event is one scheduled occurrence.
-type event struct {
-	at   clock.Time
-	seq  int // tie-breaker for determinism
-	fire func(now clock.Time)
+// event is one scheduled occurrence carrying a payload v.
+type event[T any] struct {
+	at  clock.Time
+	seq uint64 // tie-breaker: same-time events fire in scheduling order
+	v   T
 }
 
-type eventHeap []*event
+// events is the simulation core: a binary min-heap of value events
+// ordered by (at, seq), plus the current time. seq is assigned in
+// scheduling order, so the fire order is a total order that does not
+// depend on the heap's internal layout. Values, not pointers, so a
+// scheduled event costs no allocation beyond amortized slice growth.
+type events[T any] struct {
+	now  clock.Time
+	seq  uint64
+	heap []event[T]
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *events[T]) less(i, j int) bool {
+	a, b := &e.heap[i], &e.heap[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// at schedules v at absolute time t, clamped to now.
+func (e *events[T]) at(t clock.Time, v T) {
+	if t < e.now {
+		t = e.now
 	}
-	return h[i].seq < h[j].seq
+	e.seq++
+	e.heap = append(e.heap, event[T]{at: t, seq: e.seq, v: v})
+	for i := len(e.heap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !e.less(i, p) {
+			break
+		}
+		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		i = p
+	}
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// next pops the earliest event. If it lies past horizon it is dropped,
+// now becomes horizon, and next reports false; an empty queue reports
+// false with now unchanged. Otherwise now advances to the event's time.
+func (e *events[T]) next(horizon clock.Time) (T, bool) {
+	var zero T
+	n := len(e.heap) - 1
+	if n < 0 {
+		return zero, false
+	}
+	top := e.heap[0]
+	e.heap[0] = e.heap[n]
+	e.heap[n] = event[T]{} // release the payload for the collector
+	e.heap = e.heap[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && e.less(c+1, c) {
+			c++
+		}
+		if !e.less(c, i) {
+			break
+		}
+		e.heap[i], e.heap[c] = e.heap[c], e.heap[i]
+		i = c
+	}
+	if top.at > horizon {
+		e.now = horizon
+		return zero, false
+	}
+	e.now = top.at
+	return top.v, true
 }
 
 // Sim is a discrete-event simulation run.
 type Sim struct {
-	now  clock.Time
-	heap eventHeap
-	seq  int
+	ev events[func(now clock.Time)]
 }
 
 // Now returns the current simulation time.
-func (s *Sim) Now() clock.Time { return s.now }
+func (s *Sim) Now() clock.Time { return s.ev.now }
 
 // At schedules fire at absolute time t (clamped to now).
-func (s *Sim) At(t clock.Time, fire func(now clock.Time)) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.heap, &event{at: t, seq: s.seq, fire: fire})
-}
+func (s *Sim) At(t clock.Time, fire func(now clock.Time)) { s.ev.at(t, fire) }
 
 // After schedules fire after delay d.
-func (s *Sim) After(d clock.Time, fire func(now clock.Time)) {
-	s.At(s.now+d, fire)
-}
+func (s *Sim) After(d clock.Time, fire func(now clock.Time)) { s.ev.at(s.ev.now+d, fire) }
+
+// Grow reserves room for n more pending events, with slices.Grow
+// semantics (a negative n panics): a caller that knows how many events
+// it is about to schedule (an arrival stream) pays for one allocation
+// instead of repeated doubling.
+func (s *Sim) Grow(n int) { s.ev.heap = slices.Grow(s.ev.heap, n) }
 
 // Run processes events until the horizon (or the queue drains).
 func (s *Sim) Run(horizon clock.Time) {
-	for s.heap.Len() > 0 {
-		e := heap.Pop(&s.heap).(*event)
-		if e.at > horizon {
-			s.now = horizon
+	for {
+		fire, ok := s.ev.next(horizon)
+		if !ok {
 			return
 		}
-		s.now = e.at
-		e.fire(s.now)
+		fire(s.ev.now)
 	}
 }
 
@@ -95,53 +138,93 @@ type ClosedLoop struct {
 	Horizon clock.Time
 }
 
+// loopEvent is the payload of the closed-loop models' events: a client
+// sending its next request (done false), or the completion of a request
+// that arrived at arrived and, in SMPLoop, ran on core.
+type loopEvent struct {
+	arrived clock.Time
+	core    int
+	done    bool
+}
+
+// fifo is a FIFO of arrival times on a ring buffer. It doubles when full
+// and never shrinks, so its memory is bounded by the peak backlog — at
+// most the client count in a closed loop — however long the run.
+type fifo struct {
+	buf  []clock.Time
+	head int
+	n    int
+}
+
+func (q *fifo) push(t clock.Time) {
+	if q.n == len(q.buf) {
+		grown := make([]clock.Time, max(2*len(q.buf), 8))
+		copy(grown, q.buf[q.head:])
+		copy(grown[len(q.buf)-q.head:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = t
+	q.n++
+}
+
+func (q *fifo) pop() clock.Time {
+	t := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return t
+}
+
+// loopEvents returns an event queue sized for a closed loop: each client
+// has at most one event pending (its next send or its request's
+// completion), so the queue never grows.
+func loopEvents(clients int) *events[loopEvent] {
+	return &events[loopEvent]{heap: make([]event[loopEvent], 0, clients)}
+}
+
 // Throughput runs the closed loop and returns completed requests per
 // (virtual) second and the mean response latency.
 func (cl ClosedLoop) Throughput() (opsPerSec float64, meanLatency clock.Time) {
-	s := &Sim{}
-	type req struct {
-		arrived clock.Time
-	}
+	ev := loopEvents(cl.Clients)
+	queue := fifo{buf: make([]clock.Time, cl.Clients)}
 	var (
-		queue     []req
 		busy      int
 		completed int
 		totalLat  clock.Time
 	)
-	var dispatch func(now clock.Time)
-	finish := func(r req) func(now clock.Time) {
-		return func(now clock.Time) {
-			busy--
-			completed++
-			totalLat += now - r.arrived
-			// The client receives the response and, after RTT, sends
-			// the next request.
-			s.After(cl.RTT, func(now clock.Time) {
-				queue = append(queue, req{arrived: now})
-				dispatch(now)
-			})
-			dispatch(now)
-		}
-	}
-	dispatch = func(now clock.Time) {
-		for busy < cl.Workers && len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			busy++
-			// Backlog includes the request being served.
-			st := cl.Service(len(queue) + 1)
-			s.After(st, finish(r))
-		}
-	}
 	// Prime: all clients send at t≈0 (staggered for determinism).
 	for i := 0; i < cl.Clients; i++ {
-		d := clock.Time(i) * clock.Microsecond / 8
-		s.After(d, func(now clock.Time) {
-			queue = append(queue, req{arrived: now})
-			dispatch(now)
-		})
+		ev.at(clock.Time(i)*clock.Microsecond/8, loopEvent{})
 	}
-	s.Run(cl.Horizon)
+	for {
+		e, ok := ev.next(cl.Horizon)
+		if !ok {
+			break
+		}
+		now := ev.now
+		if e.done {
+			busy--
+			completed++
+			totalLat += now - e.arrived
+			// The client receives the response and, after RTT, sends
+			// the next request.
+			ev.at(now+cl.RTT, loopEvent{})
+		} else {
+			queue.push(now)
+		}
+		for busy < cl.Workers && queue.n > 0 {
+			arrived := queue.pop()
+			busy++
+			// Backlog includes the request being served.
+			ev.at(now+cl.Service(queue.n+1), loopEvent{arrived: arrived, done: true})
+		}
+	}
 	if completed == 0 {
 		return 0, 0
 	}
@@ -184,70 +267,57 @@ type SMPLoop struct {
 // Throughput runs the loop and returns completed requests per virtual
 // second, the mean response latency, and the shootdown count.
 func (sl SMPLoop) Throughput() (opsPerSec float64, meanLatency clock.Time, shootdowns int) {
-	s := &Sim{}
-	type req struct {
-		arrived clock.Time
-	}
+	ev := loopEvents(sl.Clients)
 	nextFree := make([]clock.Time, sl.VCPUs)
 	var (
-		queue     []req
 		completed int
 		totalLat  clock.Time
 	)
-	var dispatch func(now clock.Time)
-	dispatch = func(now clock.Time) {
-		for len(queue) > 0 {
-			// Earliest-free core, lowest ID on ties (deterministic).
+	for i := 0; i < sl.Clients; i++ {
+		ev.at(clock.Time(i)*clock.Microsecond/8, loopEvent{})
+	}
+	for {
+		e, ok := ev.next(sl.Horizon)
+		if !ok {
+			break
+		}
+		now := ev.now
+		if !e.done {
+			// Dispatch is eager: a request is bound to a core the moment
+			// it arrives, so the only backlog it sees is itself. The
+			// earliest-free core serves it, lowest ID on ties
+			// (deterministic).
 			v := 0
 			for i := 1; i < len(nextFree); i++ {
 				if nextFree[i] < nextFree[v] {
 					v = i
 				}
 			}
-			r := queue[0]
-			queue = queue[1:]
-			start := now
-			if nextFree[v] > start {
-				start = nextFree[v]
-			}
-			st := sl.Service(len(queue) + 1)
-			done := start + st
+			done := max(now, nextFree[v]) + sl.Service(1)
 			nextFree[v] = done
-			core := v
-			s.At(done, func(now clock.Time) {
-				completed++
-				totalLat += now - r.arrived
-				if sl.Observe != nil {
-					sl.Observe(now - r.arrived)
-				}
-				if sl.ShootdownEvery > 0 && completed%sl.ShootdownEvery == 0 {
-					shootdowns++
-					nextFree[core] += sl.ShootdownStall
-					for i := range nextFree {
-						if i == core {
-							continue
-						}
-						if nextFree[i] < now {
-							nextFree[i] = now
-						}
-						nextFree[i] += sl.RemoteStall
-					}
-				}
-				s.After(sl.RTT, func(now clock.Time) {
-					queue = append(queue, req{arrived: now})
-					dispatch(now)
-				})
-			})
+			ev.at(done, loopEvent{arrived: now, core: v, done: true})
+			continue
 		}
+		completed++
+		totalLat += now - e.arrived
+		if sl.Observe != nil {
+			sl.Observe(now - e.arrived)
+		}
+		if sl.ShootdownEvery > 0 && completed%sl.ShootdownEvery == 0 {
+			shootdowns++
+			nextFree[e.core] += sl.ShootdownStall
+			for i := range nextFree {
+				if i == e.core {
+					continue
+				}
+				if nextFree[i] < now {
+					nextFree[i] = now
+				}
+				nextFree[i] += sl.RemoteStall
+			}
+		}
+		ev.at(now+sl.RTT, loopEvent{})
 	}
-	for i := 0; i < sl.Clients; i++ {
-		d := clock.Time(i) * clock.Microsecond / 8
-		s.After(d, func(now clock.Time) {
-			queue = append(queue, req{arrived: now})
-			dispatch(now)
-		})
-	}
-	s.Run(sl.Horizon)
 	if completed == 0 {
 		return 0, 0, shootdowns
 	}

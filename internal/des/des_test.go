@@ -1,7 +1,10 @@
 package des
 
 import (
+	"container/heap"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/clock"
 )
@@ -138,5 +141,174 @@ func TestLatencyGrowsWithClients(t *testing.T) {
 	}
 	if l1, l64 := lat(1), lat(64); l64 < 4*l1 {
 		t.Errorf("queueing latency did not grow: %v -> %v", l1, l64)
+	}
+}
+
+// refSim is the container/heap event core Sim replaced: pointer events
+// ordered by (at, seq). It stays here as the oracle Sim must match.
+type refSim struct {
+	now  clock.Time
+	heap refHeap
+	seq  int
+}
+
+type refEvent struct {
+	at   clock.Time
+	seq  int
+	fire func(now clock.Time)
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+func (s *refSim) Now() clock.Time { return s.now }
+
+func (s *refSim) At(t clock.Time, fire func(now clock.Time)) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	heap.Push(&s.heap, &refEvent{at: t, seq: s.seq, fire: fire})
+}
+
+func (s *refSim) After(d clock.Time, fire func(now clock.Time)) { s.At(s.now+d, fire) }
+
+func (s *refSim) Run(horizon clock.Time) {
+	for s.heap.Len() > 0 {
+		e := heap.Pop(&s.heap).(*refEvent)
+		if e.at > horizon {
+			s.now = horizon
+			return
+		}
+		s.now = e.at
+		e.fire(s.now)
+	}
+}
+
+// scheduler is the API Sim and refSim share.
+type scheduler interface {
+	Now() clock.Time
+	At(t clock.Time, fire func(now clock.Time))
+	After(d clock.Time, fire func(now clock.Time))
+	Run(horizon clock.Time)
+}
+
+// fired is one entry of a run log: event id fired at now. id -1 records
+// Now() after a Run returns.
+type fired struct {
+	id  int
+	now clock.Time
+}
+
+// runSchedule drives s through a random schedule drawn from seed: times
+// from a small range (so ties are common), absolute times in the past
+// (clamped to now), events that schedule more events when they fire,
+// and a horizon cut followed by a second Run that resumes past it.
+func runSchedule(s scheduler, seed uint64) []fired {
+	r := NewRand(seed)
+	var (
+		log      []fired
+		ids      int
+		schedule func(depth int)
+	)
+	schedule = func(depth int) {
+		id := ids
+		ids++
+		fire := func(now clock.Time) {
+			log = append(log, fired{id, now})
+			if depth < 3 {
+				for n := r.Uint64() % 3; n > 0; n-- {
+					schedule(depth + 1)
+				}
+			}
+		}
+		t := clock.Time(r.Uint64() % 16)
+		switch r.Uint64() % 3 {
+		case 0:
+			s.At(t, fire)
+		case 1:
+			s.After(t, fire)
+		default:
+			s.At(s.Now()-t, fire)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		schedule(0)
+	}
+	horizon := clock.Time(r.Uint64() % 32)
+	s.Run(horizon)
+	log = append(log, fired{-1, s.Now()})
+	s.Run(horizon + 64)
+	return append(log, fired{-1, s.Now()})
+}
+
+func TestSimMatchesReference(t *testing.T) {
+	same := func(seed uint64) bool {
+		return slices.Equal(runSchedule(&Sim{}, seed), runSchedule(&refSim{}, seed))
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+var (
+	flatService = func(int) clock.Time { return 10 * clock.Microsecond }
+	benchClosed = ClosedLoop{Clients: 64, Workers: 4, RTT: 40 * clock.Microsecond, Service: flatService, Horizon: 20 * clock.Millisecond}
+	benchSMP    = SMPLoop{
+		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: flatService,
+		ShootdownEvery: 1, ShootdownStall: 2 * clock.Microsecond, RemoteStall: clock.Microsecond,
+		Horizon: 20 * clock.Millisecond,
+	}
+)
+
+// The closed loops allocate their buffers once, sized by the client
+// count: nothing per event, so a 100x longer run allocates the same.
+func TestLoopAllocs(t *testing.T) {
+	allocs := func(h clock.Time) (closed, smp float64) {
+		cl, sl := benchClosed, benchSMP
+		cl.Horizon, sl.Horizon = h, h
+		closed = testing.AllocsPerRun(3, func() { cl.Throughput() })
+		smp = testing.AllocsPerRun(3, func() { sl.Throughput() })
+		return closed, smp
+	}
+	shortCL, shortSMP := allocs(5 * clock.Millisecond)
+	longCL, longSMP := allocs(500 * clock.Millisecond)
+	if shortCL != longCL {
+		t.Errorf("ClosedLoop allocs: %v at 5ms, %v at 500ms; want equal", shortCL, longCL)
+	}
+	if shortSMP != longSMP {
+		t.Errorf("SMPLoop allocs: %v at 5ms, %v at 500ms; want equal", shortSMP, longSMP)
+	}
+}
+
+// benchOps keeps the benchmarked results live.
+var benchOps float64
+
+func BenchmarkClosedLoop(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchOps, _ = benchClosed.Throughput()
+	}
+}
+
+func BenchmarkSMPLoop(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchOps, _, _ = benchSMP.Throughput()
 	}
 }

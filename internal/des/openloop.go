@@ -296,24 +296,22 @@ type OpenLoopResult struct {
 func (ol OpenLoop) Run() OpenLoopResult {
 	s := &Sim{}
 	res := OpenLoopResult{}
-	type req struct{ arrived clock.Time }
 	var (
-		queue    []req
+		queue    fifo
 		busy     int
 		totalLat clock.Time
 	)
 	var dispatch func(now clock.Time)
 	dispatch = func(now clock.Time) {
-		for busy < ol.Servers && len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
+		for busy < ol.Servers && queue.n > 0 {
+			arrived := queue.pop()
 			busy++
-			st := ol.Service(len(queue) + 1)
+			st := ol.Service(queue.n + 1)
 			res.TotalBusy += st
 			s.After(st, func(now clock.Time) {
 				busy--
 				res.Completed++
-				lat := now - r.arrived
+				lat := now - arrived
 				totalLat += lat
 				if ol.Observe != nil {
 					ol.Observe(lat)
@@ -322,25 +320,28 @@ func (ol OpenLoop) Run() OpenLoopResult {
 			})
 		}
 	}
+	// Every arrival is pending at once, plus at most one completion
+	// per server.
+	s.Grow(len(ol.Arrivals) + ol.Servers)
 	for _, a := range ol.Arrivals {
 		if a.At >= ol.Horizon {
 			break
 		}
 		s.At(a.At, func(now clock.Time) {
 			res.Arrived++
-			if ol.QueueLimit > 0 && len(queue) >= ol.QueueLimit && busy >= ol.Servers {
+			if ol.QueueLimit > 0 && queue.n >= ol.QueueLimit && busy >= ol.Servers {
 				res.Rejected++
 				return
 			}
-			queue = append(queue, req{arrived: now})
-			if len(queue) > res.MaxQueue {
-				res.MaxQueue = len(queue)
+			queue.push(now)
+			if queue.n > res.MaxQueue {
+				res.MaxQueue = queue.n
 			}
 			dispatch(now)
 		})
 	}
 	s.Run(ol.Horizon)
-	res.Queued = len(queue)
+	res.Queued = queue.n
 	res.InService = busy
 	if res.Completed > 0 {
 		res.MeanLatency = totalLat / clock.Time(res.Completed)

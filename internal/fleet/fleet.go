@@ -344,6 +344,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	// At the start every arrival, scrape and storm event is pending;
+	// reserve for those plus a completion per slot.
+	scrapes := 0
+	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
+		scrapes = int(cfg.Horizon / cfg.ScrapeEvery)
+	}
+	s.Grow(len(cfg.Arrivals) + scrapes + 2 + cfg.Nodes*cfg.SlotsPerNode)
+
 	// Schedule the arrival stream. Demands are drawn in arrival order
 	// at generation time, keeping the stream independent of placement.
 	for _, a := range cfg.Arrivals {

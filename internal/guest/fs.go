@@ -28,6 +28,26 @@ type Inode struct {
 // Size returns the file length.
 func (i *Inode) Size() uint64 { return uint64(len(i.Data)) }
 
+// grow extends the file to size bytes (a no-op if it is already that
+// long) and zero-fills the new range. Capacity at least doubles when it
+// runs out, so a run of appends copies the file O(log n) times instead
+// of once per write. The bytes between len and cap may be stale — a
+// shrinking Ftruncate keeps the capacity — which is why the new range
+// is cleared rather than assumed zero.
+func (i *Inode) grow(size uint64) {
+	old := uint64(len(i.Data))
+	if size <= old {
+		return
+	}
+	if c := uint64(cap(i.Data)); size > c {
+		grown := make([]byte, old, max(size, 2*c))
+		copy(grown, i.Data)
+		i.Data = grown
+	}
+	i.Data = i.Data[:size]
+	clear(i.Data[old:])
+}
+
 func newFS(k *Kernel) *FS {
 	return &FS{k: k, files: make(map[string]*Inode), nextIno: 2}
 }
@@ -143,7 +163,9 @@ func (k *Kernel) fileRead(f *File, n int) ([]byte, error) {
 		if end > uint64(len(data)) {
 			end = uint64(len(data))
 		}
-		out := data[f.pos:end]
+		// Capped at end, so appending to the result can never write
+		// into the file.
+		out := data[f.pos:end:end]
 		f.pos = end
 		k.charge(copyCost(len(out)))
 		k.Stats.BytesRead += uint64(len(out))
@@ -197,11 +219,7 @@ func (k *Kernel) fileWrite(f *File, data []byte) (int, error) {
 			pos = ino.Size()
 		}
 		end := pos + uint64(len(data))
-		if end > uint64(len(ino.Data)) {
-			grown := make([]byte, end)
-			copy(grown, ino.Data)
-			ino.Data = grown
-		}
+		ino.grow(end)
 		copy(ino.Data[pos:end], data)
 		f.pos = end
 		ino.Dirty = true

@@ -15,7 +15,7 @@ import (
 // runs the full runtime flows. RunC keeps the focus on kernel logic;
 // backends_test.go re-runs cross-cutting scenarios on all runtimes.
 
-func runc(t *testing.T) *backends.Container {
+func runc(t testing.TB) *backends.Container {
 	t.Helper()
 	c, err := backends.New(backends.RunC, backends.Options{})
 	if err != nil {

@@ -106,7 +106,9 @@ func (k *Kernel) dropFile(f *File) {
 	}
 }
 
-// Read reads up to n bytes from fd.
+// Read reads up to n bytes from fd. For a regular file the returned
+// slice aliases the file's contents: it is valid until the next write or
+// truncate of that file, so callers that keep the bytes must copy them.
 func (k *Kernel) Read(fd, n int) ([]byte, error) {
 	var out []byte
 	_, err := k.syscall(func() (uint64, error) {
@@ -133,7 +135,9 @@ func (k *Kernel) Write(fd int, data []byte) (int, error) {
 	return int(n), err
 }
 
-// Pread reads at an explicit offset without moving the cursor.
+// Pread reads at an explicit offset without moving the cursor. Like
+// Read, the returned slice aliases the file and is valid until the next
+// write or truncate of it.
 func (k *Kernel) Pread(fd, n int, off uint64) ([]byte, error) {
 	var out []byte
 	_, err := k.syscall(func() (uint64, error) {
@@ -265,12 +269,10 @@ func (k *Kernel) Ftruncate(fd int, size uint64) error {
 		if f.kind != kindRegular {
 			return 0, EINVAL
 		}
-		if size <= uint64(len(f.inode.Data)) {
+		if size <= f.inode.Size() {
 			f.inode.Data = f.inode.Data[:size]
 		} else {
-			grown := make([]byte, size)
-			copy(grown, f.inode.Data)
-			f.inode.Data = grown
+			f.inode.grow(size)
 		}
 		return 0, nil
 	})

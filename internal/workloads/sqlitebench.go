@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/backends"
 	"repro/internal/clock"
@@ -38,6 +39,8 @@ type SQLiteDB struct {
 	jrnFD int
 	cache map[uint64][]byte
 	dirty map[uint64]bool
+	// flush is Commit's reusable buffer of dirty page numbers.
+	flush []uint64
 	rows  uint64
 	// jpos is the rollback journal's append cursor.
 	jpos uint64
@@ -76,11 +79,17 @@ func (d *SQLiteDB) loadPage(pg uint64) ([]byte, error) {
 	p := make([]byte, dbPageSize)
 	copy(p, data)
 	if len(d.cache) >= dbCachePages {
-		for victim := range d.cache { // drop an arbitrary clean page
-			if !d.dirty[victim] {
-				delete(d.cache, victim)
-				break
+		// Drop the lowest-numbered clean page: a fixed choice, so the
+		// miss pattern (and with it the syscall trace) never depends on
+		// map iteration order.
+		victim, found := uint64(0), false
+		for cached := range d.cache {
+			if !d.dirty[cached] && (!found || cached < victim) {
+				victim, found = cached, true
 			}
+		}
+		if found {
+			delete(d.cache, victim)
 		}
 	}
 	d.cache[pg] = p
@@ -118,12 +127,17 @@ func (d *SQLiteDB) Put(key uint64, value []byte, sync bool) error {
 	return nil
 }
 
-// Commit flushes dirty pages with the journal protocol.
+// Commit flushes dirty pages with the journal protocol, in ascending
+// page order as a real pager writes them back.
 func (d *SQLiteDB) Commit() error {
 	k := d.c.K
+	d.flush = d.flush[:0]
 	for pg := range d.dirty {
-		page := d.cache[pg]
-		if _, err := k.Pwrite(d.dbFD, page, pg*dbPageSize); err != nil {
+		d.flush = append(d.flush, pg)
+	}
+	slices.Sort(d.flush)
+	for _, pg := range d.flush {
+		if _, err := k.Pwrite(d.dbFD, d.cache[pg], pg*dbPageSize); err != nil {
 			return err
 		}
 		delete(d.dirty, pg)
