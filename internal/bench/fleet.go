@@ -409,11 +409,8 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		rep.Schedulers = append(rep.Schedulers, s.Name())
 	}
 
-	// Stage 2 — the control-plane grid plus the replay cells, all
-	// independent, all in one fan-out. Grid cell (ri, si, ci) simulates
-	// one (runtime, segment, scheduler) fleet; replay cell (ri, ni)
-	// recomputes its runtime's storm cell (cheap, pure) and re-executes
-	// node ni of it on a real machine.
+	// Stage 2 — the control-plane grid: cell (ri, si, sj) simulates one
+	// (runtime, segment, scheduler) fleet.
 	segsPerRT := make([][]fleetSegment, len(specs))
 	for ri := range specs {
 		lifetime := costs[ri].Boot + clock.Time(fleetMeanReqs)*costs[ri].Service
@@ -426,9 +423,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	}
 	nSegs := len(segsPerRT[0])
 	nGrid := len(specs) * nSegs * len(scheds)
-	nReplay := len(specs) * fleetReplayNodes
 	rows := make([]FleetRow, nGrid)
-	arts := make([]fleet.NodeArtifact, nReplay)
 	var stores []*telemetry.Store
 	if o.ScrapeInterval > 0 {
 		stores = make([]*telemetry.Store, nGrid)
@@ -438,60 +433,64 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		recs = make([]*trace.RequestRecorder, nGrid)
 	}
 	// The replayed segment is the storm cell (last segment) under the
-	// last scheduler in the axis.
-	replaySeg := nSegs - 1
-	replaySched := scheds[len(scheds)-1]
+	// last scheduler in the axis; its cell keeps the per-node stats.
+	replaySeg, replaySched := nSegs-1, len(scheds)-1
+	stormNodes := make([][]fleet.NodeStat, len(specs))
 
-	err = RunIndexed(o.Parallel, nGrid+nReplay, func(ci int) error {
-		if ci < nGrid {
-			ri := ci / (nSegs * len(scheds))
-			si := ci / len(scheds) % nSegs
-			sj := ci % len(scheds)
-			seg := segsPerRT[ri][si]
-			cfg := fleetCellConfig(o, nodes, costs[ri], ri, si, seg, scheds[sj])
-			if o.ScrapeInterval > 0 {
-				store := telemetry.NewStore(o.ScrapeInterval, 0)
-				cfg.Observe = telemetry.NewFleetProbe(metrics.NewRegistry(), store, nil,
-					metrics.L("load", seg.label),
-					metrics.L("runtime", cal[ri].Runtime),
-					metrics.L("sched", scheds[sj].Name()))
-				cfg.ScrapeEvery = o.ScrapeInterval
-				stores[ci] = store
-			}
-			if o.TraceRequests {
-				recs[ci] = trace.NewRequestRecorder()
-				cfg.Requests = recs[ci]
-			}
-			res, err := fleet.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("fleet: %s/%s/%s: %w", cal[ri].Runtime, scheds[sj].Name(), seg.label, err)
-			}
-			ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
-			rows[ci] = FleetRow{
-				Runtime: cal[ri].Runtime, Sched: scheds[sj].Name(), Load: seg.label,
-				OfferedPerSec: seg.offered,
-				Arrived:       res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
-				GoodputPerSec: res.Goodput(cfg.Horizon),
-				MeanMs:        ms(res.MeanLatency()),
-				P50Ms:         ms(res.Quantile(0.5)),
-				P99Ms:         ms(res.Quantile(0.99)),
-				P999Ms:        ms(res.Quantile(0.999)),
-				MaxQueue:      res.MaxQueue,
-				Evicted:       res.Evicted,
-				WarmRestores:  res.WarmRestores,
-				ColdRedos:     res.ColdRedos,
-			}
-			return nil
+	err = RunIndexed(o.Parallel, nGrid, func(ci int) error {
+		ri := ci / (nSegs * len(scheds))
+		si := ci / len(scheds) % nSegs
+		sj := ci % len(scheds)
+		seg := segsPerRT[ri][si]
+		cfg := fleetCellConfig(o, nodes, costs[ri], ri, si, seg, scheds[sj])
+		if o.ScrapeInterval > 0 {
+			store := telemetry.NewStore(o.ScrapeInterval, 0)
+			cfg.Observe = telemetry.NewFleetProbe(metrics.NewRegistry(), store, nil,
+				metrics.L("load", seg.label),
+				metrics.L("runtime", cal[ri].Runtime),
+				metrics.L("sched", scheds[sj].Name()))
+			cfg.ScrapeEvery = o.ScrapeInterval
+			stores[ci] = store
 		}
-		ri := (ci - nGrid) / fleetReplayNodes
-		ni := (ci - nGrid) % fleetReplayNodes
-		seg := segsPerRT[ri][replaySeg]
-		cfg := fleetCellConfig(o, nodes, costs[ri], ri, replaySeg, seg, replaySched)
+		if o.TraceRequests {
+			recs[ci] = trace.NewRequestRecorder()
+			cfg.Requests = recs[ci]
+		}
 		res, err := fleet.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("fleet: replay control %s: %w", cal[ri].Runtime, err)
+			return fmt.Errorf("fleet: %s/%s/%s: %w", cal[ri].Runtime, scheds[sj].Name(), seg.label, err)
 		}
-		stat := res.Nodes[ni]
+		ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
+		rows[ci] = FleetRow{
+			Runtime: cal[ri].Runtime, Sched: scheds[sj].Name(), Load: seg.label,
+			OfferedPerSec: seg.offered,
+			Arrived:       res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
+			GoodputPerSec: res.Goodput(cfg.Horizon),
+			MeanMs:        ms(res.MeanLatency()),
+			P50Ms:         ms(res.Quantile(0.5)),
+			P99Ms:         ms(res.Quantile(0.99)),
+			P999Ms:        ms(res.Quantile(0.999)),
+			MaxQueue:      res.MaxQueue,
+			Evicted:       res.Evicted,
+			WarmRestores:  res.WarmRestores,
+			ColdRedos:     res.ColdRedos,
+		}
+		if si == replaySeg && sj == replaySched {
+			stormNodes[ri] = res.Nodes
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Stage 3 — replay: cell (ri, ni) re-executes node ni of runtime
+	// ri's storm cell on a real machine.
+	nReplay := len(specs) * fleetReplayNodes
+	arts := make([]fleet.NodeArtifact, nReplay)
+	err = RunIndexed(o.Parallel, nReplay, func(ci int) error {
+		ri, ni := ci/fleetReplayNodes, ci%fleetReplayNodes
+		stat := stormNodes[ri][ni]
 		reqs := stat.Requests
 		if reqs > fleetReplayMaxReqs {
 			reqs = fleetReplayMaxReqs
@@ -508,7 +507,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		if err != nil {
 			return fmt.Errorf("fleet: replay %s node %d: %w", cal[ri].Runtime, stat.Node, err)
 		}
-		arts[ci-nGrid] = *art
+		arts[ci] = *art
 		return nil
 	})
 	if err != nil {

@@ -18,98 +18,117 @@ type event[T any] struct {
 	v   T
 }
 
-// events is the simulation core: a binary min-heap of value events
+// Queue is the simulation core: a binary min-heap of value events
 // ordered by (at, seq), plus the current time. seq is assigned in
 // scheduling order, so the fire order is a total order that does not
 // depend on the heap's internal layout. Values, not pointers, so a
-// scheduled event costs no allocation beyond amortized slice growth.
-type events[T any] struct {
+// scheduled event costs no allocation beyond amortized slice growth,
+// and a pointer-free payload T keeps the heap out of the collector's
+// sight. The zero Queue is empty at time 0.
+type Queue[T any] struct {
 	now  clock.Time
 	seq  uint64
 	heap []event[T]
 }
 
-func (e *events[T]) less(i, j int) bool {
-	a, b := &e.heap[i], &e.heap[j]
+func (q *Queue[T]) less(i, j int) bool {
+	a, b := &q.heap[i], &q.heap[j]
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// at schedules v at absolute time t, clamped to now.
-func (e *events[T]) at(t clock.Time, v T) {
-	if t < e.now {
-		t = e.now
+// Now returns the time of the last event Next delivered (or the horizon
+// it stopped at).
+func (q *Queue[T]) Now() clock.Time { return q.now }
+
+// Grow reserves room for n more pending events, with slices.Grow
+// semantics (a negative n panics): a caller that knows how many events
+// it is about to schedule pays for one allocation instead of repeated
+// doubling.
+func (q *Queue[T]) Grow(n int) { q.heap = slices.Grow(q.heap, n) }
+
+// At schedules v at absolute time t, clamped to now.
+func (q *Queue[T]) At(t clock.Time, v T) {
+	if t < q.now {
+		t = q.now
 	}
-	e.seq++
-	e.heap = append(e.heap, event[T]{at: t, seq: e.seq, v: v})
-	for i := len(e.heap) - 1; i > 0; {
+	q.seq++
+	q.heap = append(q.heap, event[T]{at: t, seq: q.seq, v: v})
+	for i := len(q.heap) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !e.less(i, p) {
+		if !q.less(i, p) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
 		i = p
 	}
 }
 
-// next pops the earliest event. If it lies past horizon it is dropped,
-// now becomes horizon, and next reports false; an empty queue reports
+// Peek reports the time of the earliest pending event, false when none
+// is pending. A caller merging an external time-sorted stream (arrivals)
+// delivers its own item first whenever that item is not later.
+func (q *Queue[T]) Peek() (clock.Time, bool) {
+	if len(q.heap) == 0 {
+		return 0, false
+	}
+	return q.heap[0].at, true
+}
+
+// Next pops the earliest event. If it lies past horizon it is dropped,
+// now becomes horizon, and Next reports false; an empty queue reports
 // false with now unchanged. Otherwise now advances to the event's time.
-func (e *events[T]) next(horizon clock.Time) (T, bool) {
+func (q *Queue[T]) Next(horizon clock.Time) (T, bool) {
 	var zero T
-	n := len(e.heap) - 1
+	n := len(q.heap) - 1
 	if n < 0 {
 		return zero, false
 	}
-	top := e.heap[0]
-	e.heap[0] = e.heap[n]
-	e.heap[n] = event[T]{} // release the payload for the collector
-	e.heap = e.heap[:n]
+	top := q.heap[0]
+	q.heap[0] = q.heap[n]
+	q.heap[n] = event[T]{} // release the payload for the collector
+	q.heap = q.heap[:n]
 	for i := 0; ; {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && e.less(c+1, c) {
+		if c+1 < n && q.less(c+1, c) {
 			c++
 		}
-		if !e.less(c, i) {
+		if !q.less(c, i) {
 			break
 		}
-		e.heap[i], e.heap[c] = e.heap[c], e.heap[i]
+		q.heap[i], q.heap[c] = q.heap[c], q.heap[i]
 		i = c
 	}
 	if top.at > horizon {
-		e.now = horizon
+		q.now = horizon
 		return zero, false
 	}
-	e.now = top.at
+	q.now = top.at
 	return top.v, true
 }
 
-// Sim is a discrete-event simulation run.
+// Sim is a discrete-event simulation run whose events are closures.
 type Sim struct {
-	ev events[func(now clock.Time)]
+	ev Queue[func(now clock.Time)]
 }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() clock.Time { return s.ev.now }
 
 // At schedules fire at absolute time t (clamped to now).
-func (s *Sim) At(t clock.Time, fire func(now clock.Time)) { s.ev.at(t, fire) }
+func (s *Sim) At(t clock.Time, fire func(now clock.Time)) { s.ev.At(t, fire) }
 
 // After schedules fire after delay d.
-func (s *Sim) After(d clock.Time, fire func(now clock.Time)) { s.ev.at(s.ev.now+d, fire) }
+func (s *Sim) After(d clock.Time, fire func(now clock.Time)) { s.ev.At(s.ev.now+d, fire) }
 
-// Grow reserves room for n more pending events, with slices.Grow
-// semantics (a negative n panics): a caller that knows how many events
-// it is about to schedule (an arrival stream) pays for one allocation
-// instead of repeated doubling.
-func (s *Sim) Grow(n int) { s.ev.heap = slices.Grow(s.ev.heap, n) }
+// Grow reserves room for n more pending events (Queue.Grow).
+func (s *Sim) Grow(n int) { s.ev.Grow(n) }
 
 // Run processes events until the horizon (or the queue drains).
 func (s *Sim) Run(horizon clock.Time) {
 	for {
-		fire, ok := s.ev.next(horizon)
+		fire, ok := s.ev.Next(horizon)
 		if !ok {
 			return
 		}
@@ -184,8 +203,8 @@ func (q *fifo) pop() clock.Time {
 // loopEvents returns an event queue sized for a closed loop: each client
 // has at most one event pending (its next send or its request's
 // completion), so the queue never grows.
-func loopEvents(clients int) *events[loopEvent] {
-	return &events[loopEvent]{heap: make([]event[loopEvent], 0, clients)}
+func loopEvents(clients int) *Queue[loopEvent] {
+	return &Queue[loopEvent]{heap: make([]event[loopEvent], 0, clients)}
 }
 
 // Throughput runs the closed loop and returns completed requests per
@@ -200,10 +219,10 @@ func (cl ClosedLoop) Throughput() (opsPerSec float64, meanLatency clock.Time) {
 	)
 	// Prime: all clients send at t≈0 (staggered for determinism).
 	for i := 0; i < cl.Clients; i++ {
-		ev.at(clock.Time(i)*clock.Microsecond/8, loopEvent{})
+		ev.At(clock.Time(i)*clock.Microsecond/8, loopEvent{})
 	}
 	for {
-		e, ok := ev.next(cl.Horizon)
+		e, ok := ev.Next(cl.Horizon)
 		if !ok {
 			break
 		}
@@ -214,7 +233,7 @@ func (cl ClosedLoop) Throughput() (opsPerSec float64, meanLatency clock.Time) {
 			totalLat += now - e.arrived
 			// The client receives the response and, after RTT, sends
 			// the next request.
-			ev.at(now+cl.RTT, loopEvent{})
+			ev.At(now+cl.RTT, loopEvent{})
 		} else {
 			queue.push(now)
 		}
@@ -222,7 +241,7 @@ func (cl ClosedLoop) Throughput() (opsPerSec float64, meanLatency clock.Time) {
 			arrived := queue.pop()
 			busy++
 			// Backlog includes the request being served.
-			ev.at(now+cl.Service(queue.n+1), loopEvent{arrived: arrived, done: true})
+			ev.At(now+cl.Service(queue.n+1), loopEvent{arrived: arrived, done: true})
 		}
 	}
 	if completed == 0 {
@@ -274,10 +293,10 @@ func (sl SMPLoop) Throughput() (opsPerSec float64, meanLatency clock.Time, shoot
 		totalLat  clock.Time
 	)
 	for i := 0; i < sl.Clients; i++ {
-		ev.at(clock.Time(i)*clock.Microsecond/8, loopEvent{})
+		ev.At(clock.Time(i)*clock.Microsecond/8, loopEvent{})
 	}
 	for {
-		e, ok := ev.next(sl.Horizon)
+		e, ok := ev.Next(sl.Horizon)
 		if !ok {
 			break
 		}
@@ -295,7 +314,7 @@ func (sl SMPLoop) Throughput() (opsPerSec float64, meanLatency clock.Time, shoot
 			}
 			done := max(now, nextFree[v]) + sl.Service(1)
 			nextFree[v] = done
-			ev.at(done, loopEvent{arrived: now, core: v, done: true})
+			ev.At(done, loopEvent{arrived: now, core: v, done: true})
 			continue
 		}
 		completed++
@@ -316,7 +335,7 @@ func (sl SMPLoop) Throughput() (opsPerSec float64, meanLatency clock.Time, shoot
 				nextFree[i] += sl.RemoteStall
 			}
 		}
-		ev.at(now+sl.RTT, loopEvent{})
+		ev.At(now+sl.RTT, loopEvent{})
 	}
 	if completed == 0 {
 		return 0, 0, shootdowns

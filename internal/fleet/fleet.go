@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/clock"
@@ -39,7 +40,11 @@ type Config struct {
 	// demand is an exponential draw around it (seeded, deterministic).
 	MeanReqs int
 	// Arrivals is the open-loop arrival stream (Poisson, diurnal, or a
-	// parsed rate trace); Horizon closes the measurement window.
+	// parsed rate trace), sorted by At; Horizon closes the measurement
+	// window. Every des generator emits a sorted stream. Run merges the
+	// stream into its event queue instead of scheduling it, so it
+	// returns an error when the part below Horizon is unsorted or holds
+	// a negative At; arrivals at or past Horizon are ignored.
 	Arrivals []des.Arrival
 	Horizon  clock.Time
 	// Seed drives the demand draws and the eviction choice.
@@ -107,9 +112,10 @@ func (o EvictOutcome) String() string {
 // Implementations must be pure observers: they run on the fleet's
 // virtual timeline but may not mutate fleet state or advance any
 // clock, so the Result is byte-identical with or without one attached.
-// The Pressure slice passed to Scrape is reused between calls; copy it
-// to retain. (internal/telemetry.FleetProbe is the canonical
-// implementation — fleet deliberately does not import it.)
+// The Pressure slice passed to Scrape is the scheduler's live view:
+// never modify it, and copy it to retain. (internal/telemetry.FleetProbe
+// is the canonical implementation — fleet deliberately does not import
+// it.)
 type Observer interface {
 	// Arrival: one open-loop arrival entered the system.
 	Arrival(now clock.Time)
@@ -182,8 +188,8 @@ func (r *Result) Quantile(q float64) clock.Time {
 		return 0
 	}
 	if r.sorted == nil {
-		r.sorted = append([]clock.Time(nil), r.Latencies...)
-		sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i] < r.sorted[j] })
+		r.sorted = slices.Clone(r.Latencies)
+		slices.Sort(r.sorted)
 	}
 	idx := int(q*float64(len(r.sorted))+0.999999) - 1
 	if idx < 0 {
@@ -240,124 +246,104 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ForkBoots && cfg.Costs.ForkBoot <= 0 {
 		return nil, fmt.Errorf("fleet: churn mode needs a positive fork-boot cost")
 	}
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.loop()
+	return r.result()
+}
+
+// evKind is what a queued control-plane event does.
+type evKind uint8
+
+const (
+	evFinish    evKind = iota // an instance's completion, stale if its gen moved on
+	evStormDown               // the eviction storm takes its victims down
+	evStormUp                 // the victims come back
+	evScrape                  // a telemetry sample point
+)
+
+// event is the pointer-free payload of the control plane's event queue:
+// a kind plus, for evFinish, the instance's slab index and the
+// generation its completion was scheduled under.
+type event struct {
+	kind evKind
+	inst int32
+	gen  int32
+}
+
+// run is one Run's state. Arrivals never enter the event queue: they
+// are already sorted by time, so loop merges them in, and an arrival
+// fires before any queued event at the same time.
+type run struct {
+	cfg *Config
+	rec *trace.RequestRecorder
+	res *Result
+	q   des.Queue[event]
+	// insts holds one instance per arrival below the horizon, in stream
+	// order.
+	insts []instance
+	// nodes[i] is node i+1; view[i] is its Pressure, written back by
+	// sync after every change to the node.
+	nodes []SimNode
+	view  []Pressure
 	// arrivalBoot is how a fresh instance (an arrival, or a storm
 	// cold-redo) comes up in this run's arrival mode.
-	arrivalBoot, arrivalBootKind := cfg.Costs.Boot, trace.SegBoot
-	if cfg.ForkBoots {
-		arrivalBoot, arrivalBootKind = cfg.Costs.ForkBoot, trace.SegForkBoot
-	}
+	arrivalBoot     clock.Time
+	arrivalBootKind string
+	// victims are the storm's node IDs; displaced is the storm's scratch
+	// list of the instances one victim held.
+	victims   []int
+	displaced []int32
+}
 
-	s := &des.Sim{}
-	res := &Result{}
+// newRun builds the instance slab, the nodes and the initial event
+// queue, drawing every arrival's demand in stream order so the demand
+// stream stays independent of placement.
+func newRun(cfg Config) (*run, error) {
+	n := 0
+	for i, a := range cfg.Arrivals {
+		if a.At >= cfg.Horizon {
+			break
+		}
+		if a.At < 0 || (i > 0 && a.At < cfg.Arrivals[i-1].At) {
+			return nil, fmt.Errorf("fleet: arrival %d at %v: arrivals must be non-negative and sorted by At", i, a.At)
+		}
+		n++
+	}
+	r := &run{
+		cfg:             &cfg,
+		rec:             cfg.Requests,
+		res:             &Result{},
+		insts:           make([]instance, n),
+		nodes:           make([]SimNode, cfg.Nodes),
+		view:            make([]Pressure, cfg.Nodes),
+		arrivalBoot:     cfg.Costs.Boot,
+		arrivalBootKind: trace.SegBoot,
+	}
+	if cfg.ForkBoots {
+		r.arrivalBoot, r.arrivalBootKind = cfg.Costs.ForkBoot, trace.SegForkBoot
+	}
 	// Node IDs are 1-based, matching container IDs: ID 0 means "no
 	// node" everywhere a node label can be absent (spans, metrics).
-	nodes := make([]*SimNode, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = NewSimNode(i+1, cfg.SlotsPerNode, cfg.QueueLimit)
+	per := cfg.SlotsPerNode + cfg.QueueLimit
+	backing := make([]int32, cfg.Nodes*per)
+	for i := range r.nodes {
+		nd := &r.nodes[i]
+		*nd = SimNode{id: i + 1, slots: cfg.SlotsPerNode, queueLimit: cfg.QueueLimit}
+		b := backing[i*per : (i+1)*per : (i+1)*per]
+		nd.running = b[:0:cfg.SlotsPerNode]
+		nd.queue = b[cfg.SlotsPerNode:cfg.SlotsPerNode]
+		r.sync(nd)
 	}
+
 	// The demand stream and the eviction choice draw from separate
 	// seeded generators, so adding an eviction never perturbs the
 	// per-container demands.
 	demandRng := des.NewRand(cfg.Seed)
-	evictRng := des.NewRand(cfg.Seed ^ 0xe51c7e51c7)
-
-	view := make([]Pressure, cfg.Nodes)
-	refreshView := func() []Pressure {
-		for i, n := range nodes {
-			view[i] = n.Pressure()
-		}
-		return view
-	}
-
-	// rec is the request-trace sink; a nil *RequestRecorder is a valid
-	// no-op, so every emission below is unconditional. Timed segments
-	// (queue, boot, service, redo) are emitted retrospectively once
-	// their end is known; emitTimed skips empty intervals so waterfalls
-	// stay clean without breaking the tiling the conservation law checks.
-	rec := cfg.Requests
-	emitTimed := func(id trace.RequestID, kind string, at, dur clock.Time, node int) {
-		if dur > 0 {
-			rec.Emit(id, kind, at, dur, node, "")
-		}
-	}
-
-	var start func(n *SimNode, inst *instance, now clock.Time)
-	var place func(inst *instance, now clock.Time)
-
-	finish := func(n *SimNode, inst *instance, gen int) func(now clock.Time) {
-		return func(now clock.Time) {
-			if inst.gen != gen {
-				return // superseded by an eviction requeue
-			}
-			n.removeRunning(inst)
-			res.Completed++
-			res.Latencies = append(res.Latencies, now-inst.arrivedAt)
-			emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, n.id)
-			emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, now-(inst.startedAt+inst.boot), n.id)
-			rec.Emit(inst.id, trace.SegComplete, now, 0, n.id, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Completed(now, n.id, inst.id, now-inst.arrivedAt)
-			}
-			if len(n.queue) > 0 {
-				next := n.queue[0]
-				n.queue = n.queue[1:]
-				res.TotalQueueWait += now - next.enqueuedAt
-				emitTimed(next.id, trace.SegQueue, next.enqueuedAt, now-next.enqueuedAt, n.id)
-				start(n, next, now)
-			}
-		}
-	}
-
-	start = func(n *SimNode, inst *instance, now clock.Time) {
-		inst.node = n.id
-		inst.startedAt = now
-		n.running = append(n.running, inst)
-		n.Starts++
-		n.Requests += inst.reqs
-		s.After(inst.boot+inst.demand, finish(n, inst, inst.gen))
-	}
-
-	place = func(inst *instance, now clock.Time) {
-		id, ok := cfg.Sched.Place(refreshView())
-		if !ok {
-			res.Rejected++
-			rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Rejected(now)
-			}
-			return
-		}
-		n := nodes[id-1]
-		if len(n.running) < n.slots {
-			rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
-			start(n, inst, now)
-			return
-		}
-		rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "queued")
-		inst.enqueuedAt = now
-		n.queue = append(n.queue, inst)
-		if len(n.queue) > n.MaxQueue {
-			n.MaxQueue = len(n.queue)
-		}
-		if len(n.queue) > res.MaxQueue {
-			res.MaxQueue = len(n.queue)
-		}
-	}
-
-	// At the start every arrival, scrape and storm event is pending;
-	// reserve for those plus a completion per slot.
-	scrapes := 0
-	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
-		scrapes = int(cfg.Horizon / cfg.ScrapeEvery)
-	}
-	s.Grow(len(cfg.Arrivals) + scrapes + 2 + cfg.Nodes*cfg.SlotsPerNode)
-
-	// Schedule the arrival stream. Demands are drawn in arrival order
-	// at generation time, keeping the stream independent of placement.
-	for _, a := range cfg.Arrivals {
-		if a.At >= cfg.Horizon {
-			break
-		}
+	for i := range r.insts {
+		a := cfg.Arrivals[i]
 		reqs := 1 + int(demandRng.ExpFloat64()*float64(cfg.MeanReqs))
 		if max := 8 * cfg.MeanReqs; reqs > max {
 			reqs = max
@@ -369,136 +355,278 @@ func Run(cfg Config) (*Result, error) {
 			// have gotten at the source.
 			id = trace.MintRequestID(cfg.Seed, a.Seq)
 		}
-		inst := &instance{
-			seq:       a.Seq,
+		r.insts[i] = instance{
 			id:        id,
 			arrivedAt: a.At,
-			boot:      arrivalBoot,
+			boot:      r.arrivalBoot,
 			demand:    clock.Time(reqs) * cfg.Costs.Service,
 			reqs:      reqs,
-			bootKind:  arrivalBootKind,
+			bootKind:  r.arrivalBootKind,
 		}
-		s.At(a.At, func(now clock.Time) {
-			res.Arrived++
-			rec.Emit(inst.id, trace.SegArrival, now, 0, 0, "")
-			if cfg.Observe != nil {
-				cfg.Observe.Arrival(now)
-			}
-			place(inst, now)
-		})
 	}
+
+	// Pending at once: the storm's two events, every scrape, a
+	// completion per slot, and the stale completions a storm leaves
+	// behind (at most one per victim slot).
+	scrapes, victims := 0, 0
+	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
+		scrapes = max(int(cfg.Horizon/cfg.ScrapeEvery), 0)
+	}
+	storm := cfg.EvictAt > 0 && cfg.EvictNodes > 0
+	if storm {
+		victims = min(cfg.EvictNodes, cfg.Nodes)
+	}
+	r.q.Grow(2 + scrapes + (cfg.Nodes+victims)*cfg.SlotsPerNode)
 
 	// The eviction storm: EvictNodes seeded-chosen nodes go down at
 	// EvictAt; every container on them re-enters the scheduler at
-	// once. Snapshot-aged containers restore warm (remaining demand
-	// preserved, WarmRestore boot); young ones redo from scratch.
-	if cfg.EvictAt > 0 && cfg.EvictNodes > 0 {
-		victims := make([]int, 0, cfg.EvictNodes)
-		taken := make(map[int]bool, cfg.EvictNodes)
-		for len(victims) < cfg.EvictNodes && len(victims) < cfg.Nodes {
+	// once. Queued in the order the closure-per-event core scheduled
+	// them, so equal-time events keep their order: storm, then scrapes,
+	// then completions.
+	if storm {
+		evictRng := des.NewRand(cfg.Seed ^ 0xe51c7e51c7)
+		r.victims = make([]int, 0, victims)
+		taken := make(map[int]bool, victims)
+		for len(r.victims) < victims {
 			id := 1 + int(evictRng.Uint64()%uint64(cfg.Nodes))
 			if !taken[id] {
 				taken[id] = true
-				victims = append(victims, id)
+				r.victims = append(r.victims, id)
 			}
 		}
-		sort.Ints(victims)
-		s.At(cfg.EvictAt, func(now clock.Time) {
-			for _, id := range victims {
-				n := nodes[id-1]
-				n.down = true
-				n.Crashed = true
-				displaced := append(append([]*instance(nil), n.running...), n.queue...)
-				running := len(n.running)
-				n.running = n.running[:0]
-				n.queue = n.queue[:0]
-				for i, inst := range displaced {
-					inst.restarts++
-					n.Evicted++
-					res.Evicted++
-					outcome := EvictRequeued
-					if i < running {
-						// Was running: decide warm vs cold by snapshot age.
-						elapsed := now - inst.startedAt
-						ran := elapsed - inst.boot
-						if ran < 0 {
-							ran = 0
-						}
-						if elapsed >= cfg.SnapshotAge && cfg.Costs.WarmRestore > 0 {
-							res.WarmRestores++
-							outcome = EvictWarm
-							if elapsed < inst.boot {
-								// Displaced mid-boot: the partial boot
-								// is wasted (the restore replaces it).
-								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
-							} else {
-								// The finished boot and the service the
-								// snapshot preserves counted toward
-								// completion; only work past the
-								// preservation point is redone.
-								emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, id)
-								preserved := ran
-								if ran >= inst.demand {
-									preserved = inst.demand - cfg.Costs.Service // final request redone
-									if preserved < 0 {
-										preserved = 0
-									}
-								}
-								emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, preserved, id)
-								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt+inst.boot+preserved, ran-preserved, id)
-							}
-							inst.boot = cfg.Costs.WarmRestore
-							inst.bootKind = trace.SegWarmRestore
-							if ran < inst.demand {
-								inst.demand -= ran
-							} else {
-								inst.demand = cfg.Costs.Service // final request redone
-							}
-						} else {
-							res.ColdRedos++
-							outcome = EvictCold
-							// Redone from scratch: everything since the
-							// start — boot included — is storm tax.
-							emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
-							inst.boot = arrivalBoot
-							inst.bootKind = arrivalBootKind
-							inst.demand = clock.Time(inst.reqs) * cfg.Costs.Service
-						}
-						inst.gen++ // poison the in-flight completion
-					} else {
-						emitTimed(inst.id, trace.SegQueue, inst.enqueuedAt, now-inst.enqueuedAt, id)
-					}
-					rec.Emit(inst.id, trace.SegEvict, now, 0, id, outcome.String())
-					if cfg.Observe != nil {
-						cfg.Observe.Evicted(now, id, outcome)
-					}
-					place(inst, now)
-				}
-			}
-		})
+		sort.Ints(r.victims)
+		r.q.At(cfg.EvictAt, event{kind: evStormDown})
 		if cfg.DownFor > 0 {
-			s.At(cfg.EvictAt+cfg.DownFor, func(now clock.Time) {
-				for _, id := range victims {
-					nodes[id-1].down = false
-				}
-			})
+			r.q.At(cfg.EvictAt+cfg.DownFor, event{kind: evStormUp})
 		}
 	}
-
-	// Telemetry scrape points. Scheduled after arrivals and the storm,
-	// so at an equal timestamp a scrape samples the state those events
-	// left behind; the hooks are pure, so this changes nothing measured.
-	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
+	// Telemetry scrape points: at an equal timestamp a scrape samples
+	// the state arrivals and the storm left behind; the hooks are pure,
+	// so this changes nothing measured.
+	if scrapes > 0 {
 		for t := cfg.ScrapeEvery; t <= cfg.Horizon; t += cfg.ScrapeEvery {
-			s.At(t, func(now clock.Time) {
-				cfg.Observe.Scrape(now, refreshView())
-			})
+			r.q.At(t, event{kind: evScrape})
 		}
 	}
+	return r, nil
+}
 
-	s.Run(cfg.Horizon)
+// loop runs the simulation to the horizon, merging the sorted arrival
+// stream with the queued events.
+func (r *run) loop() {
+	next := 0
+	for {
+		if next < len(r.insts) {
+			at, ok := r.q.Peek()
+			if a := r.insts[next].arrivedAt; !ok || a <= at {
+				r.arrive(int32(next), a)
+				next++
+				continue
+			}
+		}
+		e, ok := r.q.Next(r.cfg.Horizon)
+		if !ok {
+			return
+		}
+		now := r.q.Now()
+		switch e.kind {
+		case evFinish:
+			r.finish(e.inst, e.gen, now)
+		case evStormDown:
+			r.stormDown(now)
+		case evStormUp:
+			for _, id := range r.victims {
+				n := &r.nodes[id-1]
+				n.down = false
+				r.sync(n)
+			}
+		case evScrape:
+			r.cfg.Observe.Scrape(now, r.view)
+		}
+	}
+}
 
-	for _, n := range nodes {
+// sync writes node n's pressure back into the scheduler's view.
+func (r *run) sync(n *SimNode) { r.view[n.id-1] = n.Pressure() }
+
+// emitTimed emits a timed segment (queue, boot, service, redo)
+// retrospectively, once its end is known, and skips empty intervals so
+// waterfalls stay clean without breaking the tiling the conservation
+// law checks. A nil recorder is a valid no-op, so every emission is
+// unconditional.
+func (r *run) emitTimed(id trace.RequestID, kind string, at, dur clock.Time, node int) {
+	if dur > 0 {
+		r.rec.Emit(id, kind, at, dur, node, "")
+	}
+}
+
+// arrive admits arrival i into the system.
+func (r *run) arrive(i int32, now clock.Time) {
+	r.res.Arrived++
+	r.rec.Emit(r.insts[i].id, trace.SegArrival, now, 0, 0, "")
+	if r.cfg.Observe != nil {
+		r.cfg.Observe.Arrival(now)
+	}
+	r.place(i, now)
+}
+
+// place puts instance i on the node the scheduler picks: running if a
+// slot is free, queued otherwise, rejected if no node admits it.
+func (r *run) place(i int32, now clock.Time) {
+	inst := &r.insts[i]
+	id, ok := r.cfg.Sched.Place(r.view)
+	if !ok {
+		r.res.Rejected++
+		r.rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
+		if r.cfg.Observe != nil {
+			r.cfg.Observe.Rejected(now)
+		}
+		return
+	}
+	n := &r.nodes[id-1]
+	if len(n.running) < n.slots {
+		r.rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
+		r.start(n, i, now)
+		return
+	}
+	r.rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "queued")
+	inst.enqueuedAt = now
+	n.queue = append(n.queue, i)
+	r.sync(n)
+	if len(n.queue) > n.MaxQueue {
+		n.MaxQueue = len(n.queue)
+	}
+	if len(n.queue) > r.res.MaxQueue {
+		r.res.MaxQueue = len(n.queue)
+	}
+}
+
+// start runs instance i on node n and schedules its completion.
+func (r *run) start(n *SimNode, i int32, now clock.Time) {
+	inst := &r.insts[i]
+	inst.node = n.id
+	inst.startedAt = now
+	n.running = append(n.running, i)
+	r.sync(n)
+	n.Starts++
+	n.Requests += inst.reqs
+	r.q.At(now+inst.boot+inst.demand, event{kind: evFinish, inst: i, gen: inst.gen})
+}
+
+// finish completes instance i unless an eviction superseded the
+// completion, then starts the head of its node's queue.
+func (r *run) finish(i, gen int32, now clock.Time) {
+	inst := &r.insts[i]
+	if inst.gen != gen {
+		return // superseded by an eviction requeue
+	}
+	n := &r.nodes[inst.node-1]
+	n.removeRunning(i)
+	r.sync(n)
+	r.res.Completed++
+	r.res.Latencies = append(r.res.Latencies, now-inst.arrivedAt)
+	r.emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, n.id)
+	r.emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, now-(inst.startedAt+inst.boot), n.id)
+	r.rec.Emit(inst.id, trace.SegComplete, now, 0, n.id, "")
+	if r.cfg.Observe != nil {
+		r.cfg.Observe.Completed(now, n.id, inst.id, now-inst.arrivedAt)
+	}
+	if len(n.queue) > 0 {
+		next := n.popQueue()
+		queued := r.insts[next].enqueuedAt
+		r.res.TotalQueueWait += now - queued
+		r.emitTimed(r.insts[next].id, trace.SegQueue, queued, now-queued, n.id)
+		r.start(n, next, now)
+	}
+}
+
+// stormDown takes every victim down and re-places what it held.
+// Snapshot-aged running containers restore warm (remaining demand
+// preserved, WarmRestore boot); young ones redo from scratch; queued
+// ones just re-enter the scheduler.
+func (r *run) stormDown(now clock.Time) {
+	cfg, res := r.cfg, r.res
+	for _, id := range r.victims {
+		n := &r.nodes[id-1]
+		n.down = true
+		n.Crashed = true
+		r.displaced = append(append(r.displaced[:0], n.running...), n.queue...)
+		running := len(n.running)
+		n.running = n.running[:0]
+		n.queue = n.queue[:0]
+		r.sync(n)
+		for k, i := range r.displaced {
+			inst := &r.insts[i]
+			n.Evicted++
+			res.Evicted++
+			outcome := EvictRequeued
+			if k < running {
+				// Was running: decide warm vs cold by snapshot age.
+				elapsed := now - inst.startedAt
+				ran := elapsed - inst.boot
+				if ran < 0 {
+					ran = 0
+				}
+				if elapsed >= cfg.SnapshotAge && cfg.Costs.WarmRestore > 0 {
+					res.WarmRestores++
+					outcome = EvictWarm
+					if elapsed < inst.boot {
+						// Displaced mid-boot: the partial boot is
+						// wasted (the restore replaces it).
+						r.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+					} else {
+						// The finished boot and the service the
+						// snapshot preserves counted toward completion;
+						// only work past the preservation point is
+						// redone.
+						r.emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, id)
+						preserved := ran
+						if ran >= inst.demand {
+							preserved = inst.demand - cfg.Costs.Service // final request redone
+							if preserved < 0 {
+								preserved = 0
+							}
+						}
+						r.emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, preserved, id)
+						r.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt+inst.boot+preserved, ran-preserved, id)
+					}
+					inst.boot = cfg.Costs.WarmRestore
+					inst.bootKind = trace.SegWarmRestore
+					if ran < inst.demand {
+						inst.demand -= ran
+					} else {
+						inst.demand = cfg.Costs.Service // final request redone
+					}
+				} else {
+					res.ColdRedos++
+					outcome = EvictCold
+					// Redone from scratch: everything since the start —
+					// boot included — is storm tax.
+					r.emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+					inst.boot = r.arrivalBoot
+					inst.bootKind = r.arrivalBootKind
+					inst.demand = clock.Time(inst.reqs) * cfg.Costs.Service
+				}
+				inst.gen++ // poison the in-flight completion
+			} else {
+				r.emitTimed(inst.id, trace.SegQueue, inst.enqueuedAt, now-inst.enqueuedAt, id)
+			}
+			r.rec.Emit(inst.id, trace.SegEvict, now, 0, id, outcome.String())
+			if cfg.Observe != nil {
+				cfg.Observe.Evicted(now, id, outcome)
+			}
+			r.place(i, now)
+		}
+	}
+}
+
+// result tallies what is still queued or running at the horizon and
+// checks conservation.
+func (r *run) result() (*Result, error) {
+	res := r.res
+	res.Nodes = make([]NodeStat, 0, len(r.nodes))
+	for i := range r.nodes {
+		n := &r.nodes[i]
 		res.QueuedAtHorizon += len(n.queue)
 		res.RunningAtHorizon += len(n.running)
 		res.Nodes = append(res.Nodes, NodeStat{

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/clock"
 	"repro/internal/des"
@@ -562,5 +564,477 @@ func TestQuantileBoundaries(t *testing.T) {
 	var empty Result
 	if empty.Quantile(0.99) != 0 {
 		t.Errorf("empty result quantile != 0")
+	}
+}
+
+// refInstance and refNode are the pointer-based state refRun keeps.
+type refInstance struct {
+	id                               trace.RequestID
+	arrivedAt, enqueuedAt, startedAt clock.Time
+	boot, demand                     clock.Time
+	bootKind                         string
+	reqs, gen                        int
+}
+
+type refNode struct {
+	id, slots, queueLimit int
+	running, queue        []*refInstance
+	down                  bool
+	stat                  NodeStat
+}
+
+func (n *refNode) pressure() Pressure {
+	return Pressure{Node: n.id, Slots: n.slots, Running: len(n.running),
+		Queued: len(n.queue), QueueLimit: n.queueLimit, Down: n.down}
+}
+
+// refRun is the closure-per-event Run that the typed event core
+// replaced: every arrival, completion, storm and scrape is a closure on
+// a des.Sim, and the pressure view is rebuilt before every placement.
+// It stays here as the oracle Run must match. It takes a validated
+// config (Run's defaults already applied).
+func refRun(cfg Config) (*Result, error) {
+	arrivalBoot, arrivalBootKind := cfg.Costs.Boot, trace.SegBoot
+	if cfg.ForkBoots {
+		arrivalBoot, arrivalBootKind = cfg.Costs.ForkBoot, trace.SegForkBoot
+	}
+	s := &des.Sim{}
+	res := &Result{}
+	nodes := make([]*refNode, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = &refNode{id: i + 1, slots: cfg.SlotsPerNode, queueLimit: cfg.QueueLimit}
+		nodes[i].stat.Node = i + 1
+	}
+	demandRng := des.NewRand(cfg.Seed)
+	evictRng := des.NewRand(cfg.Seed ^ 0xe51c7e51c7)
+	view := make([]Pressure, cfg.Nodes)
+	refreshView := func() []Pressure {
+		for i, n := range nodes {
+			view[i] = n.pressure()
+		}
+		return view
+	}
+	rec := cfg.Requests
+	emitTimed := func(id trace.RequestID, kind string, at, dur clock.Time, node int) {
+		if dur > 0 {
+			rec.Emit(id, kind, at, dur, node, "")
+		}
+	}
+
+	var start func(n *refNode, inst *refInstance, now clock.Time)
+	var place func(inst *refInstance, now clock.Time)
+	finish := func(n *refNode, inst *refInstance, gen int) func(now clock.Time) {
+		return func(now clock.Time) {
+			if inst.gen != gen {
+				return
+			}
+			for i, r := range n.running {
+				if r == inst {
+					n.running = append(n.running[:i], n.running[i+1:]...)
+					break
+				}
+			}
+			res.Completed++
+			res.Latencies = append(res.Latencies, now-inst.arrivedAt)
+			emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, n.id)
+			emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, now-(inst.startedAt+inst.boot), n.id)
+			rec.Emit(inst.id, trace.SegComplete, now, 0, n.id, "")
+			if cfg.Observe != nil {
+				cfg.Observe.Completed(now, n.id, inst.id, now-inst.arrivedAt)
+			}
+			if len(n.queue) > 0 {
+				next := n.queue[0]
+				n.queue = n.queue[1:]
+				res.TotalQueueWait += now - next.enqueuedAt
+				emitTimed(next.id, trace.SegQueue, next.enqueuedAt, now-next.enqueuedAt, n.id)
+				start(n, next, now)
+			}
+		}
+	}
+	start = func(n *refNode, inst *refInstance, now clock.Time) {
+		inst.startedAt = now
+		n.running = append(n.running, inst)
+		n.stat.Starts++
+		n.stat.Requests += inst.reqs
+		s.After(inst.boot+inst.demand, finish(n, inst, inst.gen))
+	}
+	place = func(inst *refInstance, now clock.Time) {
+		id, ok := cfg.Sched.Place(refreshView())
+		if !ok {
+			res.Rejected++
+			rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
+			if cfg.Observe != nil {
+				cfg.Observe.Rejected(now)
+			}
+			return
+		}
+		n := nodes[id-1]
+		if len(n.running) < n.slots {
+			rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
+			start(n, inst, now)
+			return
+		}
+		rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "queued")
+		inst.enqueuedAt = now
+		n.queue = append(n.queue, inst)
+		n.stat.MaxQueue = max(n.stat.MaxQueue, len(n.queue))
+		res.MaxQueue = max(res.MaxQueue, len(n.queue))
+	}
+
+	for _, a := range cfg.Arrivals {
+		if a.At >= cfg.Horizon {
+			break
+		}
+		reqs := min(1+int(demandRng.ExpFloat64()*float64(cfg.MeanReqs)), 8*cfg.MeanReqs)
+		id := a.ID
+		if id == 0 {
+			id = trace.MintRequestID(cfg.Seed, a.Seq)
+		}
+		inst := &refInstance{id: id, arrivedAt: a.At, boot: arrivalBoot,
+			demand: clock.Time(reqs) * cfg.Costs.Service, reqs: reqs, bootKind: arrivalBootKind}
+		s.At(a.At, func(now clock.Time) {
+			res.Arrived++
+			rec.Emit(inst.id, trace.SegArrival, now, 0, 0, "")
+			if cfg.Observe != nil {
+				cfg.Observe.Arrival(now)
+			}
+			place(inst, now)
+		})
+	}
+
+	if cfg.EvictAt > 0 && cfg.EvictNodes > 0 {
+		var victims []int
+		taken := map[int]bool{}
+		for len(victims) < cfg.EvictNodes && len(victims) < cfg.Nodes {
+			id := 1 + int(evictRng.Uint64()%uint64(cfg.Nodes))
+			if !taken[id] {
+				taken[id] = true
+				victims = append(victims, id)
+			}
+		}
+		sort.Ints(victims)
+		s.At(cfg.EvictAt, func(now clock.Time) {
+			for _, id := range victims {
+				n := nodes[id-1]
+				n.down = true
+				n.stat.Crashed = true
+				displaced := append(append([]*refInstance(nil), n.running...), n.queue...)
+				running := len(n.running)
+				n.running, n.queue = nil, nil
+				for i, inst := range displaced {
+					n.stat.Evicted++
+					res.Evicted++
+					outcome := EvictRequeued
+					if i < running {
+						elapsed := now - inst.startedAt
+						ran := max(elapsed-inst.boot, 0)
+						if elapsed >= cfg.SnapshotAge && cfg.Costs.WarmRestore > 0 {
+							res.WarmRestores++
+							outcome = EvictWarm
+							if elapsed < inst.boot {
+								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+							} else {
+								emitTimed(inst.id, inst.bootKind, inst.startedAt, inst.boot, id)
+								preserved := ran
+								if ran >= inst.demand {
+									preserved = max(inst.demand-cfg.Costs.Service, 0)
+								}
+								emitTimed(inst.id, trace.SegService, inst.startedAt+inst.boot, preserved, id)
+								emitTimed(inst.id, trace.SegStormRedo, inst.startedAt+inst.boot+preserved, ran-preserved, id)
+							}
+							inst.boot, inst.bootKind = cfg.Costs.WarmRestore, trace.SegWarmRestore
+							if ran < inst.demand {
+								inst.demand -= ran
+							} else {
+								inst.demand = cfg.Costs.Service
+							}
+						} else {
+							res.ColdRedos++
+							outcome = EvictCold
+							emitTimed(inst.id, trace.SegStormRedo, inst.startedAt, elapsed, id)
+							inst.boot, inst.bootKind = arrivalBoot, arrivalBootKind
+							inst.demand = clock.Time(inst.reqs) * cfg.Costs.Service
+						}
+						inst.gen++
+					} else {
+						emitTimed(inst.id, trace.SegQueue, inst.enqueuedAt, now-inst.enqueuedAt, id)
+					}
+					rec.Emit(inst.id, trace.SegEvict, now, 0, id, outcome.String())
+					if cfg.Observe != nil {
+						cfg.Observe.Evicted(now, id, outcome)
+					}
+					place(inst, now)
+				}
+			}
+		})
+		if cfg.DownFor > 0 {
+			s.At(cfg.EvictAt+cfg.DownFor, func(clock.Time) {
+				for _, id := range victims {
+					nodes[id-1].down = false
+				}
+			})
+		}
+	}
+	if cfg.Observe != nil && cfg.ScrapeEvery > 0 {
+		for t := cfg.ScrapeEvery; t <= cfg.Horizon; t += cfg.ScrapeEvery {
+			s.At(t, func(now clock.Time) { cfg.Observe.Scrape(now, refreshView()) })
+		}
+	}
+	s.Run(cfg.Horizon)
+
+	for _, n := range nodes {
+		res.QueuedAtHorizon += len(n.queue)
+		res.RunningAtHorizon += len(n.running)
+		res.Nodes = append(res.Nodes, n.stat)
+	}
+	return res, res.Conserve()
+}
+
+// call is one observer callback; view is a copy of a scrape's view.
+type call struct {
+	hook    string
+	now     clock.Time
+	node    int
+	id      trace.RequestID
+	lat     clock.Time
+	outcome EvictOutcome
+	view    []Pressure
+}
+
+// callLog is an Observer that records every callback in order.
+type callLog struct{ calls []call }
+
+func (l *callLog) Arrival(now clock.Time) { l.calls = append(l.calls, call{hook: "arrival", now: now}) }
+func (l *callLog) Completed(now clock.Time, node int, id trace.RequestID, lat clock.Time) {
+	l.calls = append(l.calls, call{hook: "completed", now: now, node: node, id: id, lat: lat})
+}
+func (l *callLog) Rejected(now clock.Time) {
+	l.calls = append(l.calls, call{hook: "rejected", now: now})
+}
+func (l *callLog) Evicted(now clock.Time, node int, outcome EvictOutcome) {
+	l.calls = append(l.calls, call{hook: "evicted", now: now, node: node, outcome: outcome})
+}
+func (l *callLog) Scrape(now clock.Time, view []Pressure) {
+	l.calls = append(l.calls, call{hook: "scrape", now: now, view: slices.Clone(view)})
+}
+
+// randomConfig draws a small fleet config from seed. Every time in it
+// (arrivals, costs, storm, scrapes, horizon) is a multiple of one
+// 10µs tick and the arrivals crowd a short window, so arrivals share
+// timestamps with each other and land exactly on completions, the
+// storm and scrapes. One config in four uses a Poisson stream instead.
+// The observer and the recorder are each attached three times in four.
+func randomConfig(seed uint64) Config {
+	r := des.NewRand(seed)
+	pick := func(lo, hi int) int { return lo + int(r.Uint64()%uint64(hi-lo+1)) }
+	const tick = 10 * clock.Microsecond
+	ticks := func(lo, hi int) clock.Time { return clock.Time(pick(lo, hi)) * tick }
+	cfg := Config{
+		Nodes: pick(1, 12), SlotsPerNode: pick(1, 4), QueueLimit: pick(1, 6),
+		Costs: RuntimeCosts{
+			Boot: ticks(0, 3), Service: ticks(1, 3),
+			WarmRestore: ticks(0, 2), ForkBoot: ticks(1, 3),
+		},
+		MeanReqs:    pick(1, 4),
+		Seed:        seed,
+		Sched:       []Scheduler{BinPack{}, Spread{}}[pick(0, 1)],
+		SnapshotAge: ticks(0, 6),
+		ForkBoots:   pick(0, 1) == 1,
+	}
+	span := pick(1, 60)
+	cfg.Horizon = ticks(span/2, span+20)
+	if pick(0, 3) == 0 {
+		cfg.Arrivals = des.PoissonArrivals(seed, float64(pick(1, 400))*1e3, cfg.Horizon)
+	} else {
+		ks := make([]int, pick(0, 150))
+		for i := range ks {
+			ks[i] = pick(0, span)
+		}
+		slices.Sort(ks)
+		for i, k := range ks {
+			cfg.Arrivals = append(cfg.Arrivals, des.Arrival{At: clock.Time(k) * tick, Seq: i})
+		}
+	}
+	if pick(0, 2) > 0 {
+		cfg.EvictAt = ticks(1, span)
+		cfg.EvictNodes = pick(1, cfg.Nodes+1)
+		if pick(0, 1) == 1 {
+			cfg.DownFor = ticks(1, span)
+		}
+	}
+	if pick(0, 3) > 0 {
+		cfg.Observe = &callLog{}
+		cfg.ScrapeEvery = ticks(1, 8)
+	}
+	if pick(0, 3) > 0 {
+		cfg.Requests = trace.NewRequestRecorder()
+	}
+	return cfg
+}
+
+// withFreshObservers returns cfg with new, empty observers of the same
+// kinds attached.
+func withFreshObservers(cfg Config) Config {
+	if cfg.Observe != nil {
+		cfg.Observe = &callLog{}
+	}
+	if cfg.Requests != nil {
+		cfg.Requests = trace.NewRequestRecorder()
+	}
+	return cfg
+}
+
+// TestRunMatchesReference: over random configs, Run agrees with the
+// closure-per-event refRun on the Result (Latencies order and Nodes
+// included), on the sequence of observer callbacks and on every
+// request's segments; and every run conserves arrivals and, per
+// request, latency, with exactly one terminal segment for every request
+// that completed or was rejected. The generator must also hit the tie
+// cases the merged arrival stream has to order: an arrival at the time
+// of a completion, of the storm and of a scrape.
+func TestRunMatchesReference(t *testing.T) {
+	var onCompletion, onStorm, onScrape bool
+	same := func(seed uint64) bool {
+		cfg := randomConfig(seed)
+		got, err := Run(cfg)
+		if err != nil {
+			t.Logf("seed %d: Run: %v", seed, err)
+			return false
+		}
+		ref := withFreshObservers(cfg)
+		want, err := refRun(ref)
+		if err != nil {
+			t.Logf("seed %d: refRun: %v", seed, err)
+			return false
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: results differ:\n%+v\nvs reference\n%+v", seed, got, want)
+			return false
+		}
+		if log, ok := cfg.Observe.(*callLog); ok {
+			if refLog := ref.Observe.(*callLog); !reflect.DeepEqual(log.calls, refLog.calls) {
+				t.Logf("seed %d: observer callbacks differ", seed)
+				return false
+			}
+			arrivals := map[clock.Time]bool{}
+			for _, c := range log.calls {
+				switch c.hook {
+				case "arrival":
+					arrivals[c.now] = true
+				case "completed":
+					onCompletion = onCompletion || arrivals[c.now]
+				case "evicted":
+					onStorm = onStorm || arrivals[c.now]
+				case "scrape":
+					onScrape = onScrape || arrivals[c.now]
+				}
+			}
+		}
+		rec := cfg.Requests
+		if rec == nil {
+			return true
+		}
+		ids := rec.Requests()
+		if !slices.Equal(ids, ref.Requests.Requests()) || len(ids) != got.Arrived {
+			t.Logf("seed %d: traced requests differ from the reference or the arrivals", seed)
+			return false
+		}
+		for _, id := range ids {
+			segs := rec.Segments(id)
+			if !reflect.DeepEqual(segs, ref.Requests.Segments(id)) {
+				t.Logf("seed %d: request %s segments differ", seed, id)
+				return false
+			}
+			if !segs[len(segs)-1].Terminal() {
+				continue // queued or running at the horizon
+			}
+			if _, one := rec.TerminalOf(id); !one {
+				t.Logf("seed %d: request %s has more than one terminal", seed, id)
+				return false
+			}
+			if _, err := trace.Conserve(segs); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	if !onCompletion || !onStorm || !onScrape {
+		t.Fatalf("generator missed a tie: arrival on a completion %v, on the storm %v, on a scrape %v",
+			onCompletion, onStorm, onScrape)
+	}
+}
+
+// TestRunRejectsUnsortedArrivals: the stream below the horizon must be
+// sorted by At; what lies at or past the horizon is never read.
+func TestRunRejectsUnsortedArrivals(t *testing.T) {
+	cfg := Config{
+		Nodes: 2, SlotsPerNode: 1, Costs: testCosts(), Sched: Spread{},
+		Horizon:  clock.Millisecond,
+		Arrivals: []des.Arrival{{At: 200 * clock.Microsecond}, {At: 100 * clock.Microsecond, Seq: 1}},
+	}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("out-of-order arrivals accepted")
+	}
+	cfg.Horizon = 150 * clock.Microsecond
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("disorder past the horizon rejected: %v", err)
+	}
+}
+
+// allocConfig is a 50x4 fleet with a storm at half the horizon, driven
+// just past its ~285k/s capacity for about n Poisson arrivals, so node
+// queues fill and drain all run long.
+func allocConfig(n int, sched Scheduler) Config {
+	const rate = 300_000
+	h := clock.Time(float64(n) / rate * float64(clock.Second))
+	return Config{
+		Nodes: 50, SlotsPerNode: 4, QueueLimit: 16,
+		Costs: testCosts(), MeanReqs: 8,
+		Arrivals: des.PoissonArrivals(5, rate, h),
+		Horizon:  h, Seed: 5, Sched: sched,
+		SnapshotAge: 100 * clock.Microsecond,
+		EvictAt:     h / 2, EvictNodes: 5, DownFor: h / 8,
+	}
+}
+
+// TestRunAllocs: Run allocates per run, not per arrival or start: its
+// instance slab, node queues and event queue are sized up front, so
+// 20k arrivals cost fewer than 1000 allocations under either scheduler,
+// and ten times the arrivals add only the few doublings of Latencies.
+func TestRunAllocs(t *testing.T) {
+	for _, sched := range []Scheduler{BinPack{}, Spread{}} {
+		var allocs [2]float64
+		for k, n := range []int{2_000, 20_000} {
+			cfg := allocConfig(n, sched)
+			allocs[k] = testing.AllocsPerRun(3, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, %d arrivals: %.0f allocs/run", sched.Name(), len(cfg.Arrivals), allocs[k])
+		}
+		if allocs[1] >= 1000 || allocs[1]-allocs[0] >= 64 {
+			t.Errorf("%s: %.0f allocs for ~2k arrivals, %.0f for ~20k; want < 1000 and fewer than 64 more",
+				sched.Name(), allocs[0], allocs[1])
+		}
+	}
+}
+
+// benchResult keeps the benchmarked result live.
+var benchResult *Result
+
+func BenchmarkRun(b *testing.B) {
+	cfg := allocConfig(6_000, Spread{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchResult = res
 	}
 }

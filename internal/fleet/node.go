@@ -24,8 +24,9 @@ import (
 // Pressure is a node's load signal as the scheduler sees it: how many
 // container slots exist, how many are running, how deep the start
 // queue is, and whether the node is down (evicted, draining). The
-// control plane rebuilds this view before every placement, so
-// schedulers act on current — not stale — state.
+// control plane writes a node's entry back after every change to its
+// running set, queue or down flag, so schedulers act on current — not
+// stale — state without a per-placement rebuild.
 type Pressure struct {
 	Node       int
 	Slots      int
@@ -58,9 +59,10 @@ type Node interface {
 	Pressure() Pressure
 }
 
-// instance is one placed container's control-plane state.
+// instance is one placed container's control-plane state. A run keeps
+// all of them in one slab, indexed in arrival order; nodes and events
+// refer to an instance by that index.
 type instance struct {
-	seq int
 	// id is the request's causal-tracing identity, minted at the DES
 	// arrival source and carried unchanged across evictions.
 	id trace.RequestID
@@ -80,13 +82,12 @@ type instance struct {
 	bootKind string
 	// reqs is the request count backing demand (the replay work list).
 	reqs int
+	// node is the node it last started on.
 	node int
 	// gen invalidates the in-flight completion event after an
-	// eviction (the DES heap has no cancellation): the event captures
+	// eviction (the DES queue has no cancellation): the event carries
 	// gen at start and fires only if it still matches.
-	gen int
-	// restarts counts evictions survived.
-	restarts int
+	gen int32
 }
 
 // SimNode is the control plane's value-style node: slot and queue
@@ -97,9 +98,12 @@ type SimNode struct {
 	id         int
 	slots      int
 	queueLimit int
-	running    []*instance
-	queue      []*instance
-	down       bool
+	// running and queue hold instance indices. Both live in a fixed
+	// backing (at most slots and queueLimit long), and the queue pops
+	// by shifting in place, so neither ever reallocates.
+	running []int32
+	queue   []int32
+	down    bool
 
 	// Stats accumulated for the per-node report.
 	Starts   int
@@ -130,12 +134,20 @@ func (n *SimNode) Pressure() Pressure {
 	}
 }
 
-// removeRunning drops inst from the running set.
-func (n *SimNode) removeRunning(inst *instance) {
+// removeRunning drops instance inst from the running set.
+func (n *SimNode) removeRunning(inst int32) {
 	for i, r := range n.running {
 		if r == inst {
 			n.running = append(n.running[:i], n.running[i+1:]...)
 			return
 		}
 	}
+}
+
+// popQueue removes and returns the head of the start queue, shifting
+// the rest down in place so the queue keeps its backing.
+func (n *SimNode) popQueue() int32 {
+	head := n.queue[0]
+	n.queue = n.queue[:copy(n.queue, n.queue[1:])]
+	return head
 }
