@@ -43,7 +43,7 @@ func main() {
 	wl := flag.String("workload", "btree", "workload name (see -list)")
 	list := flag.Bool("list", false, "list workloads and exit")
 	dump := flag.Bool("dump", false, "dump the active address space after the run")
-	traceN := flag.Int("trace", 0, "record the flow timeline and print its last N events")
+	traceN := flag.Int("trace", 0, "record flow spans and print the last N top-level flows")
 	faultSeed := flag.Uint64("faults", 0, "run under a deterministic fault plan with this seed (0 = off)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of the run's flow spans to FILE")
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot JSON to FILE")
@@ -128,18 +128,19 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *traceN > 0 {
-		c.K.Trace = trace.New(4096)
-	}
 	// Span and metrics observers are nil-safe no-ops on the virtual
 	// clock: attaching them changes no measured time. All timestamps are
 	// virtual, so the artifacts are byte-identical across runs.
 	var rec *trace.SpanRecorder
 	var reg *metrics.Registry
-	if *traceOut != "" || *metricsOut != "" {
+	if *traceN > 0 || *traceOut != "" || *metricsOut != "" {
 		rec = trace.NewSpanRecorder(c.Clk)
 		reg = metrics.NewRegistry()
-		c.Observe(rec, metrics.NewFlowMetrics(reg, metrics.L("runtime", c.Name)))
+		c.Attach(backends.Observers{
+			Spans: rec,
+			Flow:  metrics.NewFlowMetrics(reg, metrics.L("runtime", c.Name)),
+			Audit: auditRec,
+		})
 	}
 	writeArtifacts := func() {
 		if *traceOut != "" {
@@ -195,7 +196,7 @@ func main() {
 			}
 			if *traceN > 0 {
 				fmt.Println()
-				fmt.Print(c.K.Trace.Render(*traceN))
+				fmt.Print(renderTimeline(rec.Spans(), *traceN))
 			}
 			writeArtifacts()
 			return
@@ -221,7 +222,7 @@ func main() {
 	}
 	if *traceN > 0 {
 		fmt.Println()
-		fmt.Print(c.K.Trace.Render(*traceN))
+		fmt.Print(renderTimeline(rec.Spans(), *traceN))
 	}
 	if *checkpointOut != "" {
 		blob, err := backends.CheckpointBytes(c)
@@ -236,4 +237,25 @@ func main() {
 		fmt.Printf("checkpoint:  %d bytes -> %s\n", len(blob), *checkpointOut)
 	}
 	writeArtifacts()
+}
+
+// renderTimeline formats the last n non-async root spans: one line per
+// top-level flow (syscall, page fault, context switch, timer tick,
+// shootdown, ...) with its virtual start time and duration.
+func renderTimeline(spans []trace.Span, n int) string {
+	var roots []trace.Span
+	for _, s := range spans {
+		if s.Parent == -1 && !s.Async {
+			roots = append(roots, s)
+		}
+	}
+	if len(roots) > n {
+		roots = roots[len(roots)-n:]
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "flow timeline (last %d top-level flows):\n", len(roots))
+	for _, s := range roots {
+		fmt.Fprintf(&b, "  %12v  cpu%d pid %-3d  %-12s %v\n", s.At, s.VCPU, s.PID, s.Phase, s.Dur)
+	}
+	return b.String()
 }

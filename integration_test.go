@@ -110,11 +110,16 @@ func TestIntegrationAllRuntimes(t *testing.T) {
 		Opts backends.Options
 	}{backends.GVisor, backends.Options{}}) {
 		c := backends.MustNew(cfg.Kind, cfg.Opts)
-		c.K.Trace = trace.New(1 << 12)
+		rec := trace.NewSpanRecorder(c.Clk)
+		c.Attach(backends.Observers{Spans: rec})
 		times[c.Name] = mixedWorkload(t, c)
-		// Sanity on the recorded timeline.
-		if sum := c.K.Trace.Summary(); sum[trace.PageFault].Count == 0 || sum[trace.Syscall].Count == 0 {
-			t.Errorf("%s: timeline incomplete: %v", c.Name, sum)
+		// Sanity on the recorded flows.
+		phases := map[string]int{}
+		for _, s := range rec.Spans() {
+			phases[s.Phase]++
+		}
+		if phases["pagefault"] == 0 || phases["syscall"] == 0 {
+			t.Errorf("%s: flows incomplete: %v", c.Name, phases)
 		}
 		// CKI containers must have clean KSM ledgers after all of this.
 		if ksm, _, _, ok := c.CKIInternals(); ok && ksm.Stats.Rejections != 0 {

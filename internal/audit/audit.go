@@ -376,7 +376,7 @@ func UnpackTLBEntry(v uint64) (pfn uint64, writable, user, nx, global, huge bool
 // reads the virtual clock but never advances it.
 type Recorder struct {
 	// Clk stamps events; the recorder follows the machine it is
-	// attached to (Container.AuditTo repoints it), so one recorder can
+	// attached to (Container.Attach repoints it), so one recorder can
 	// span several sequentially-driven machines.
 	Clk *clock.Clock
 	// Meta describes the run for ckireplay -live.

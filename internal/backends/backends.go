@@ -26,7 +26,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/smp"
 	"repro/internal/tlb"
-	"repro/internal/trace"
 )
 
 // Kind selects a container runtime.
@@ -141,9 +140,10 @@ type Container struct {
 	// K is the guest kernel; workloads run against it.
 	K *guest.Kernel
 
-	// Audit is the machine-event recorder attached to this container
-	// (nil when not recording); see AuditTo.
-	Audit *audit.Recorder
+	// obs is what the container is observed with (see Attach); inj is
+	// its fault plan as given to InjectFaults, before audit wrapping.
+	obs Observers
+	inj faults.Injector
 
 	pv backendPV
 	// smp is the machine's multi-vCPU engine (nil on single-core
@@ -287,7 +287,7 @@ func NewOnMachine(m *Machine, kind Kind, opts Options, containerID int) (*Contai
 	// First attachment stage: the CPU/MMU/engine recorders go live before
 	// the boot-time register writes below, so a replay of the log starts
 	// from the same fresh-core state the live machine saw.
-	c.AuditTo(opts.Audit)
+	c.Attach(Observers{Audit: opts.Audit})
 	// Boot runs in host context. CR3 is cleared so the boot flows see
 	// the fresh-core state: on a shared machine the core may still hold
 	// the previously active container's root, whose address space does
@@ -322,7 +322,7 @@ func NewOnMachine(m *Machine, kind Kind, opts Options, containerID int) (*Contai
 	c.K = guest.New(pv, c.CPU, c.Clk, m.Costs, pv.guestMemory(), containerID)
 	// Second stage: the guest kernel and (for CKI) the gate now exist, so
 	// the mediated PTE writes of pv.boot land in the log too.
-	c.AuditTo(opts.Audit)
+	c.Attach(Observers{Audit: opts.Audit})
 	if err := pv.boot(c.K); err != nil {
 		return nil, fmt.Errorf("backends: boot hook for %s: %w", c.Name, err)
 	}
@@ -360,9 +360,10 @@ func (c *Container) Activate() error {
 // Host-level sites on a shared machine affect every co-resident
 // container and are wired separately via Machine.InjectFaults.
 func (c *Container) InjectFaults(inj faults.Injector) {
+	c.inj = inj
 	// Route firings through the audit chokepoint so injected faults are
 	// first-class log events the divergence finder can name.
-	inj = audit.WrapInjector(inj, c.Audit)
+	inj = audit.WrapInjector(inj, c.obs.Audit)
 	c.K.Inj = inj
 	c.K.VIC.Inj = inj
 }
@@ -404,7 +405,6 @@ func (c *Container) MigrateVCPU(v int) error {
 	if v < 0 || v >= c.Opts.NumVCPU {
 		return fmt.Errorf("backends: vCPU %d out of range (%d configured)", v, c.Opts.NumVCPU)
 	}
-	start := c.Clk.Now()
 	c.Clk.Advance(c.Costs.RegsSwap + c.pv.migrationCost())
 	mode := c.CPU.Mode()
 	root, pcid := c.CPU.CR3(), c.CPU.PCID()
@@ -438,10 +438,6 @@ func (c *Container) MigrateVCPU(v int) error {
 		return f
 	}
 	c.CPU.SetMode(mode)
-	c.K.Trace.Record(trace.Event{
-		Kind: trace.Migrate, At: start, Dur: c.Clk.Now() - start,
-		PID: c.K.Cur.PID, VCPU: v,
-	})
 	return nil
 }
 
@@ -484,13 +480,7 @@ func (c *Container) emitShootdown(k *guest.Kernel, spec smp.ShootdownSpec) {
 	}
 	spec.Inj = k.Inj
 	k.Stats.TLBShootdowns++
-	start := c.Clk.Now()
-	lat, err := c.smp.Shootdown(spec)
-	k.Trace.Record(trace.Event{
-		Kind: trace.Shootdown, At: start, Dur: lat,
-		PID: k.Cur.PID, VCPU: c.vcpu,
-	})
-	if err != nil {
+	if _, err := c.smp.Shootdown(spec); err != nil {
 		k.VIC.SetEnabled(false)
 		for i := 0; i < watchdogWedgeTicks; i++ {
 			k.VIC.Post(hw.VectorTimer)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cki"
 	"repro/internal/clock"
 	"repro/internal/faults"
@@ -326,11 +327,14 @@ func TestClusterAddActivates(t *testing.T) {
 }
 
 // TestFaultPlanDeterministicTrace: same seed + plan ⇒ byte-identical
-// virtual-time trace, including injected faults and the panic.
+// virtual-time audit log and span list, including the injected faults;
+// the panic they cause is counted by the kernel.
 func TestFaultPlanDeterministicTrace(t *testing.T) {
-	run := func() string {
-		c := MustNew(CKI, Options{HostFrames: 1 << 14, SegmentFrames: 2048})
-		c.K.Trace = trace.New(8192)
+	run := func() (string, *Container) {
+		rec := audit.NewRecorder(nil)
+		c := MustNew(CKI, Options{HostFrames: 1 << 14, SegmentFrames: 2048, Audit: rec})
+		spans := trace.NewSpanRecorder(c.Clk)
+		c.Attach(Observers{Spans: spans, Audit: rec})
 		c.InjectFaults(faults.NewPlan(0xc0ffee,
 			faults.Rule{Site: faults.VirtioKick, Every: 3},
 			faults.Rule{Site: faults.FrameAlloc, Every: 7},
@@ -339,13 +343,27 @@ func TestFaultPlanDeterministicTrace(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			_ = smallWork(c)
 		}
-		return c.Clk.Now().String() + "\n" + c.K.Trace.Render(0)
+		var b strings.Builder
+		b.WriteString(c.Clk.Now().String() + "\n")
+		for _, e := range rec.Events() {
+			b.WriteString(e.String() + "\n")
+		}
+		js, err := trace.SpansJSON(spans.Spans())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(js)
+		return b.String(), c
 	}
-	a, b := run(), run()
-	if a != b {
+	a, c := run()
+	if b, _ := run(); a != b {
 		t.Fatalf("same seed produced different traces:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-	if !strings.Contains(a, "inject") || !strings.Contains(a, "panic") {
-		t.Errorf("trace missing fault events:\n%s", a)
+	if !strings.Contains(a, audit.EvInjected.String()) {
+		t.Error("audit log missing injected-fault events")
+	}
+	if !c.K.Died() || c.K.Stats.Panics != 1 || c.K.Stats.InjectedFaults == 0 {
+		t.Errorf("died=%v panics=%d injected=%d, want a panic caused by injected faults",
+			c.K.Died(), c.K.Stats.Panics, c.K.Stats.InjectedFaults)
 	}
 }

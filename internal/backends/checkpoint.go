@@ -51,8 +51,8 @@ func snapConfig(c *Container) snapshot.Config {
 }
 
 // OptionsFromConfig rebuilds boot options from a snapshot header. The
-// audit recorder is not part of the snapshot; the restorer attaches its
-// own if it wants a log of the restored machine.
+// audit recorder is not part of the snapshot; a supervisor's warm
+// restore boots with the dead container's (see restore).
 func OptionsFromConfig(cfg snapshot.Config) Options {
 	return Options{
 		Nested:            cfg.Nested,
@@ -269,7 +269,15 @@ func CheckpointBytes(c *Container) ([]byte, error) {
 // state is verified against the snapshot's canonical fingerprint before
 // the container is handed back.
 func Restore(m *Machine, snap *snapshot.Snapshot) (*Container, error) {
+	return restore(m, snap, nil)
+}
+
+// restore is Restore booting the twin with the audit recorder rec
+// attached, exactly as a cold boot with Options.Audit would: on a shared
+// machine a nil rec would detach the co-resident containers' log.
+func restore(m *Machine, snap *snapshot.Snapshot, rec *audit.Recorder) (*Container, error) {
 	opts := OptionsFromConfig(snap.Config)
+	opts.Audit = rec
 	c, err := NewOnMachine(m, Kind(snap.Config.Kind), opts, snap.ContainerID)
 	if err != nil {
 		return nil, fmt.Errorf("backends: restore boot: %w", err)

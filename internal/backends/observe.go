@@ -7,16 +7,41 @@ import (
 )
 
 // This file wires the deterministic observability layer into a booted
-// container: one call attaches (or detaches) the span recorder and flow
-// histograms at every instrumented layer, and one call harvests the
-// accumulated counters into a metrics registry. Both observers are
-// nil-safe no-ops that never advance the virtual clock, so observed and
-// unobserved runs take byte-identical virtual time.
+// container: one call attaches (or detaches) every observer at every
+// instrumented layer, and one call harvests the accumulated counters
+// into a metrics registry. All observers are nil-safe no-ops that never
+// advance the virtual clock, so observed and unobserved runs take
+// byte-identical virtual time.
 
-// Observe attaches rec and fm to the guest kernel, the SMP engine and —
-// for CKI — the KSM call gate and switcher. Passing nil detaches them.
-func (c *Container) Observe(rec *trace.SpanRecorder, fm *metrics.FlowMetrics) {
-	if rec != nil {
+// Observers is everything that can watch a container. The zero value
+// observes nothing.
+type Observers struct {
+	// Spans records hierarchical flow spans (guest kernel, SMP engine,
+	// CKI call gate).
+	Spans *trace.SpanRecorder
+	// Flow feeds the per-container latency histograms.
+	Flow *metrics.FlowMetrics
+	// Audit records the machine-event log (CPU, MMU, SMP engine and its
+	// vCPUs, guest kernel, CKI call gate).
+	Audit *audit.Recorder
+}
+
+// Attach wires o into every instrumented layer of the container — the
+// CPU, the MMU, the SMP engine and each of its vCPUs, the guest kernel
+// and (for CKI) the call gate — replacing what was attached before;
+// Attach(Observers{}) detaches. The container remembers o, and a
+// supervisor restart attaches it to the replacement. The CPU, MMU and
+// engine are machine-wide: on a shared machine they report to the most
+// recent attachment.
+//
+// The audit recorder's clock is repointed at this machine, so one
+// recorder can follow sequentially driven machines. NewOnMachine
+// attaches Options.Audit before the boot register writes and again once
+// the guest kernel exists, so a boot-attached log replays to the exact
+// live machine state.
+func (c *Container) Attach(o Observers) {
+	c.obs = o
+	if rec := o.Spans; rec != nil {
 		rec.Runtime = c.Name
 		rec.Container = c.K.ContainerID
 		rec.VCPUFn = func() int { return c.vcpu }
@@ -27,53 +52,25 @@ func (c *Container) Observe(rec *trace.SpanRecorder, fm *metrics.FlowMetrics) {
 			return 0
 		}
 	}
-	c.K.Spans = rec
-	c.K.Met = fm
+	if o.Audit != nil {
+		o.Audit.Clk = c.Clk
+	}
+	c.CPU.Audit = o.Audit
+	c.MMU.Audit = o.Audit
+	o.Audit.EmitTLBConfig(c.MMU.TLB, c.vcpu)
 	if c.smp != nil {
-		c.smp.Rec = rec
-		if fm != nil {
-			c.smp.ShootdownLat = fm.ShootdownLat
-		} else {
-			c.smp.ShootdownLat = nil
-		}
-	}
-	if b, ok := c.pv.(*ckiPV); ok {
-		b.gate.Rec = rec
-	}
-}
-
-// AuditTo attaches the machine-event recorder at every instrumented
-// layer of this container — the CPU, the MMU, the SMP engine and all
-// its vCPUs, the guest kernel, and (for CKI) the call gate — and
-// repoints the recorder's clock at this machine, so one recorder can
-// follow sequentially-driven machines. Passing nil detaches. Like
-// Observe, attachment never advances the virtual clock; a run with a
-// recorder takes byte-identical virtual time to a run without one.
-//
-// NewOnMachine calls AuditTo twice when Options.Audit is set (before
-// the boot register writes and again once the guest kernel exists), so
-// a boot-attached log replays to the exact live machine state.
-func (c *Container) AuditTo(rec *audit.Recorder) {
-	c.Audit = rec
-	if rec != nil {
-		rec.Clk = c.Clk
-	}
-	c.CPU.Audit = rec
-	c.MMU.Audit = rec
-	rec.EmitTLBConfig(c.MMU.TLB, c.vcpu)
-	if c.smp != nil {
-		c.smp.Audit = rec
+		c.smp.Rec, c.smp.Flow, c.smp.Audit = o.Spans, o.Flow, o.Audit
 		for _, v := range c.smp.VCPUs {
-			v.CPU.Audit = rec
-			v.MMU.Audit = rec
-			rec.EmitTLBConfig(v.MMU.TLB, v.ID)
+			v.CPU.Audit = o.Audit
+			v.MMU.Audit = o.Audit
+			o.Audit.EmitTLBConfig(v.MMU.TLB, v.ID)
 		}
 	}
 	if c.K != nil {
-		c.K.Audit = rec
+		c.K.Spans, c.K.Met, c.K.Audit = o.Spans, o.Flow, o.Audit
 	}
 	if b, ok := c.pv.(*ckiPV); ok {
-		b.gate.Audit = rec
+		b.gate.Rec, b.gate.Audit = o.Spans, o.Audit
 	}
 }
 
@@ -81,11 +78,11 @@ func (c *Container) AuditTo(rec *audit.Recorder) {
 // virtualized runtime in the audit log (reason codes in audit's
 // VMExit* constants).
 func (c *Container) auditVMExit(reason uint64) {
-	c.Audit.Emit(audit.EvVMExit, c.vcpu, c.CPU.PCID(), reason, 0, 0)
+	c.obs.Audit.Emit(audit.EvVMExit, c.vcpu, c.CPU.PCID(), reason, 0, 0)
 }
 
 func (c *Container) auditVMEntry(reason uint64) {
-	c.Audit.Emit(audit.EvVMEntry, c.vcpu, c.CPU.PCID(), reason, 0, 0)
+	c.obs.Audit.Emit(audit.EvVMEntry, c.vcpu, c.CPU.PCID(), reason, 0, 0)
 }
 
 // CollectMetrics harvests the container's accumulated counters — guest

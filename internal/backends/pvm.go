@@ -226,7 +226,7 @@ func (b *pvmPV) WritePTE(k *guest.Kernel, as *guest.AddrSpace, level int, va uin
 	switch {
 	case leaf && v.Present():
 		b.c.MMU.TLB.FlushPage(as.PCID, va)
-		b.c.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
+		b.c.obs.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
 		if v.Huge() {
 			seg, err := b.c.HostMem.AllocSegment(mem.HugePageSize/mem.PageSize, b.id)
 			if err != nil {
@@ -248,7 +248,7 @@ func (b *pvmPV) WritePTE(k *guest.Kernel, as *guest.AddrSpace, level int, va uin
 				return err
 			}
 			b.c.MMU.TLB.FlushPage(as.PCID, va)
-			b.c.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
+			b.c.obs.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
 		}
 	}
 	return nil
@@ -258,7 +258,7 @@ func (b *pvmPV) FlushPage(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 	// The flush rides on the PTE-update hypercall the guest already
 	// issued; the host invalidates the shadow translation.
 	b.c.MMU.TLB.FlushPage(as.PCID, va)
-	b.c.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
+	b.c.obs.Audit.Emit(audit.EvTLBFlushPage, b.c.vcpu, as.PCID, va, 0, 0)
 }
 
 func (b *pvmPV) SwitchAS(k *guest.Kernel, as *guest.AddrSpace) error {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/guest"
+	"repro/internal/snapshot"
 )
 
 // The cluster supervisor: per-container health probing, a virtual-time
@@ -102,7 +103,6 @@ type ContainerHealth struct {
 	downAt   clock.Time
 	backoff  clock.Time
 	retryAt  clock.Time
-	inj      faults.Injector
 	lastSnap []byte
 }
 
@@ -136,7 +136,7 @@ func NewSupervisor(cl *Cluster, pol RestartPolicy) *Supervisor {
 	}
 	s := &Supervisor{Cl: cl, Policy: pol}
 	for _, c := range cl.Containers {
-		h := &ContainerHealth{Name: c.Name, Kind: c.Kind, backoff: pol.InitialBackoff, inj: c.K.Inj}
+		h := &ContainerHealth{Name: c.Name, Kind: c.Kind, backoff: pol.InitialBackoff}
 		s.Health = append(s.Health, h)
 		c.K.EnablePreemption(pol.WatchdogSlice)
 	}
@@ -274,7 +274,10 @@ func (s *Supervisor) escalate(i int) {
 }
 
 // tryRestart replaces a dead container once its backoff has expired.
-// Returns true when the replacement is serving.
+// The replacement boots with the dead container's options, audit log
+// included, on both the warm and the cold path, and inherits its
+// observers and fault plan. Returns true when the replacement is
+// serving.
 func (s *Supervisor) tryRestart(i int) bool {
 	h := s.Health[i]
 	if h.GaveUp {
@@ -302,9 +305,12 @@ func (s *Supervisor) tryRestart(i int) bool {
 	warm := false
 	var c *Container
 	if s.Policy.WarmRestart && len(h.lastSnap) > 0 {
-		restored, err := RestoreBytes(s.Cl.M, h.lastSnap)
+		snap, err := snapshot.Decode(h.lastSnap)
 		if err == nil {
-			c, warm = restored, true
+			c, err = restore(s.Cl.M, snap, old.Opts.Audit)
+		}
+		if err == nil {
+			warm = true
 		} else {
 			// Torn write, bit rot, or a restore failure: degrade to a
 			// cold restart. The checksum turned the damage into a clean
@@ -335,7 +341,8 @@ func (s *Supervisor) tryRestart(i int) bool {
 	}
 	s.Cl.Containers[i] = c
 	s.Cl.active = i
-	c.InjectFaults(h.inj)
+	c.Attach(old.obs)
+	c.InjectFaults(old.inj)
 	c.K.EnablePreemption(s.Policy.WatchdogSlice)
 	h.Restarts++
 	h.TotalDowntime += s.Cl.M.Clk.Now() - h.downAt

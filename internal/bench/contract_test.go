@@ -172,6 +172,10 @@ func TestSLOReportShape(t *testing.T) {
 			}
 		},
 		"a short burn curve": func(r *SLOReport) { r.Rows[2].BurnCurve = r.Rows[2].BurnCurve[1:] },
+		"a replay alert bundle without spans": func(r *SLOReport) {
+			r.Rows[0].Bundles[2].Spans, r.Rows[0].Bundles[2].Events = 0, 0
+		},
+		"a replay watchdog bundle without events": func(r *SLOReport) { r.Rows[3].Bundles[1].Events = 0 },
 	})
 }
 

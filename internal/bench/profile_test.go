@@ -275,7 +275,7 @@ func TestSpanTreesAccountForAllVirtualTime(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := backends.MustNew(cfg.kind, cfg.opts)
 			rec := trace.NewSpanRecorder(c.Clk)
-			c.Observe(rec, nil)
+			c.Attach(backends.Observers{Spans: rec})
 			// Warm first-touch state off the measurement.
 			c.K.Getpid()
 			rec.Reset()
@@ -322,7 +322,7 @@ func TestGetpidSpanMatchesCalibratedFlow(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := backends.MustNew(cfg.kind, backends.Options{})
 			rec := trace.NewSpanRecorder(c.Clk)
-			c.Observe(rec, nil)
+			c.Attach(backends.Observers{Spans: rec})
 			c.K.Getpid()
 			rec.Reset()
 			start := c.Clk.Now()

@@ -595,7 +595,9 @@ func (rep *SLOReport) WriteTable(w io.Writer) error {
 // positive detection latency and resolved after the nodes returned, the
 // burn curve has a point per tick, and the machine replay crashed at
 // least twice, raised node alerts, and dumped both an alert bundle and
-// a watchdog bundle carrying real spans and audit events.
+// a watchdog bundle carrying real spans and audit events. Only the
+// first bundle, the fleet-level page, may lack spans and events: the
+// storm cell's flight recorder watches no machine.
 func (rep *SLOReport) Invariants() error {
 	if len(rep.Rows) != len(fleetSpecs()) {
 		return fmt.Errorf("slo: %d rows, want %d", len(rep.Rows), len(fleetSpecs()))
@@ -627,14 +629,15 @@ func (rep *SLOReport) Invariants() error {
 				r.Runtime, r.ReplayCrashes, len(r.NodeAlerts))
 		}
 		reasons := map[string]int{}
-		for _, d := range r.Bundles {
+		for i, d := range r.Bundles {
 			reasons[d.Reason]++
-			if d.Series == 0 || d.FNV == 0 || (d.Reason == "watchdog" && (d.Spans == 0 || d.Events == 0)) {
+			if d.Series == 0 || d.FNV == 0 || (i > 0 && (d.Spans == 0 || d.Events == 0)) {
 				return fmt.Errorf("slo: %s: empty %s bundle %+v", r.Runtime, d.Reason, d)
 			}
 		}
-		if reasons["alert"] == 0 || reasons["watchdog"] == 0 {
-			return fmt.Errorf("slo: %s: bundle reasons %v, want both alert and watchdog", r.Runtime, reasons)
+		if len(r.Bundles) != 3 || r.Bundles[0].Reason != "alert" || reasons["watchdog"] != 1 {
+			return fmt.Errorf("slo: %s: bundle reasons %v, want the fleet page, then the replay's watchdog and alert",
+				r.Runtime, reasons)
 		}
 	}
 	return nil

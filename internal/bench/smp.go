@@ -185,7 +185,7 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 			sr = trace.NewSpanRecorder(c.Clk)
 			fm := metrics.NewFlowMetrics(cellReg,
 				metrics.L("runtime", c.Name), metrics.L("vcpus", itoa(n)))
-			c.Observe(sr, fm)
+			c.Attach(backends.Observers{Spans: sr, Flow: fm, Audit: opts.Audit})
 			run = &SMPRun{Runtime: c.Name, VCPUs: n}
 			runs[ci] = run
 		}

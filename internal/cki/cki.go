@@ -122,6 +122,10 @@ type KSM struct {
 	// leafMaps reverse-maps a frame to the leaf slots mapping it, so
 	// declaring a PTP can retrofit KeyPTP onto existing mappings.
 	leafMaps map[mem.PFN][]pagetable.Slot
+	// hugeLeaves maps each slot holding a 2 MiB leaf to the leaf's base
+	// frame: leafMaps is keyed by base, and a declare must also find the
+	// huge leaves covering its frame from below.
+	hugeLeaves map[pagetable.Slot]mem.PFN
 	// copies maps each declared top-level PTP to its per-vCPU copies.
 	copies map[mem.PFN][]mem.PFN
 
@@ -169,6 +173,7 @@ func NewKSM(m *mem.PhysMem, costs *clock.Costs, containerID, numVCPU int) (*KSM,
 		PCID:        uint16(containerID + 1),
 		ptps:        make(map[mem.PFN]*ptpDesc),
 		leafMaps:    make(map[mem.PFN][]pagetable.Slot),
+		hugeLeaves:  make(map[pagetable.Slot]mem.PFN),
 		copies:      make(map[mem.PFN][]mem.PFN),
 		IDT:         &hw.IDT{},
 	}

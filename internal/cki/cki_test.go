@@ -340,6 +340,49 @@ func TestDeclareRetrofitsKeyOnExistingMapping(t *testing.T) {
 	}
 }
 
+// TestDeclareRetrofitsKeyOnCoveringHugeLeaf pins invariant 2 for huge
+// leaves: when a frame covered by an existing writable 2 MiB leaf (not
+// its base) is declared a PTP, that leaf must get KeyPTP, or the guest
+// could rewrite the PTP through it.
+func TestDeclareRetrofitsKeyOnCoveringHugeLeaf(t *testing.T) {
+	f := newFixture(t)
+	pd, err := f.ksm.AllocGuestFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ksm.DeclarePTP(pd, pagetable.LevelPD); err != nil {
+		t.Fatal(err)
+	}
+	// The 2 MiB window right after the PD frame is delegated guest data.
+	base := pd + 1
+	leaf := pagetable.Make(base, pagetable.FlagPresent|pagetable.FlagUser|
+		pagetable.FlagWritable|pagetable.FlagNX|pagetable.FlagHuge, 0)
+	if err := f.ksm.WritePTE(pagetable.LevelPD, pd, 0, leaf); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ksm.DeclarePTP(base+7, pagetable.LevelPT); err != nil {
+		t.Fatal(err)
+	}
+	if e := pagetable.ReadEntry(f.m, pd, 0); e.PKey() != KeyPTP {
+		t.Fatalf("covering huge leaf pkey = %d, want KeyPTP; the guest can rewrite PTP %#x",
+			e.PKey(), uint64(base+7))
+	}
+	auditKSM(t, f)
+
+	// Once the leaf is replaced, a later declare inside its old window
+	// must leave the slot's new occupant (a table link) alone.
+	link := pagetable.Make(base+7, pagetable.FlagPresent|pagetable.FlagWritable|pagetable.FlagUser, 0)
+	if err := f.ksm.WritePTE(pagetable.LevelPD, pd, 0, link); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ksm.DeclarePTP(base+9, pagetable.LevelPT); err != nil {
+		t.Fatal(err)
+	}
+	if e := pagetable.ReadEntry(f.m, pd, 0); e != link {
+		t.Errorf("declare rewrote the table link %#x to %#x", uint64(link), uint64(e))
+	}
+}
+
 func TestLoadCR3Validation(t *testing.T) {
 	f := newFixture(t)
 	top := f.buildGuestTable(t)

@@ -40,12 +40,15 @@ func (k *KSM) DeclarePTP(pfn mem.PFN, level int) error {
 		}
 	}
 	k.ptps[pfn] = &ptpDesc{level: level}
-	// Invariant 2: retrofit KeyPTP onto any existing guest mapping of
-	// this frame, making it read-only under PKRSGuest.
+	// Invariant 2: retrofit KeyPTP onto every existing guest mapping of
+	// this frame, making it read-only under PKRSGuest: the leaves based
+	// at it, and the 2 MiB leaves whose range covers it from below.
 	for _, slot := range k.leafMaps[pfn] {
-		e := pagetable.ReadEntry(k.Mem, slot.PTP, slot.Index)
-		if e.Present() && e.PFN() == pfn {
-			pagetable.WriteEntry(k.Mem, slot.PTP, slot.Index, e.WithPKey(KeyPTP))
+		k.keyPTP(slot)
+	}
+	for slot, base := range k.hugeLeaves {
+		if pfn > base && pfn-base < hugeFrames {
+			k.keyPTP(slot)
 		}
 	}
 	if level == pagetable.LevelPML4 {
@@ -80,6 +83,16 @@ func (k *KSM) buildTopCopies(top mem.PFN) error {
 	return nil
 }
 
+// keyPTP retrofits KeyPTP onto the leaf in slot.
+func (k *KSM) keyPTP(slot pagetable.Slot) {
+	if e := pagetable.ReadEntry(k.Mem, slot.PTP, slot.Index); e.Present() {
+		pagetable.WriteEntry(k.Mem, slot.PTP, slot.Index, e.WithPKey(KeyPTP))
+	}
+}
+
+// hugeFrames is how many frames a 2 MiB leaf covers.
+const hugeFrames = mem.HugePageSize / mem.PageSize
+
 // Reserved PML4 slots (shared with package guest's layout).
 const (
 	KSMPML4Slot     = 510
@@ -91,7 +104,7 @@ const (
 func framesOf(e pagetable.PTE, level int) []mem.PFN {
 	base := e.PFN()
 	if level == pagetable.LevelPD && e.Huge() {
-		out := make([]mem.PFN, mem.HugePageSize/mem.PageSize)
+		out := make([]mem.PFN, hugeFrames)
 		for i := range out {
 			out[i] = base + mem.PFN(i)
 		}
@@ -160,7 +173,7 @@ func (k *KSM) WritePTE(level int, ptp mem.PFN, idx int, v pagetable.PTE) error {
 	old := pagetable.ReadEntry(k.Mem, ptp, idx)
 	if old.Present() {
 		if isLeaf(old, level) {
-			k.dropLeafMap(old.PFN(), pagetable.Slot{PTP: ptp, Index: idx})
+			k.dropLeafMap(old.PFN(), pagetable.Slot{PTP: ptp, Index: idx}, level)
 		} else if child, ok := k.ptps[old.PFN()]; ok {
 			child.refs--
 		}
@@ -170,7 +183,11 @@ func (k *KSM) WritePTE(level int, ptp mem.PFN, idx int, v pagetable.PTE) error {
 	pagetable.WriteEntry(k.Mem, ptp, idx, v)
 	if v.Present() {
 		if isLeaf(v, level) {
-			k.leafMaps[v.PFN()] = append(k.leafMaps[v.PFN()], pagetable.Slot{PTP: ptp, Index: idx})
+			slot := pagetable.Slot{PTP: ptp, Index: idx}
+			k.leafMaps[v.PFN()] = append(k.leafMaps[v.PFN()], slot)
+			if level == pagetable.LevelPD {
+				k.hugeLeaves[slot] = v.PFN()
+			}
 		} else {
 			k.ptps[v.PFN()].refs++
 		}
@@ -221,7 +238,9 @@ func (k *KSM) verifyLeaf(v pagetable.PTE, level int) (pagetable.PTE, error) {
 	return v, nil
 }
 
-func (k *KSM) dropLeafMap(f mem.PFN, slot pagetable.Slot) {
+// dropLeafMap forgets the leaf in slot (of a PTP at level), based at
+// frame f.
+func (k *KSM) dropLeafMap(f mem.PFN, slot pagetable.Slot, level int) {
 	slots := k.leafMaps[f]
 	for i, s := range slots {
 		if s == slot {
@@ -231,6 +250,9 @@ func (k *KSM) dropLeafMap(f mem.PFN, slot pagetable.Slot) {
 	}
 	if len(k.leafMaps[f]) == 0 {
 		delete(k.leafMaps, f)
+	}
+	if level == pagetable.LevelPD {
+		delete(k.hugeLeaves, slot)
 	}
 }
 
@@ -326,7 +348,7 @@ func (k *KSM) retireTree(ptp mem.PFN) error {
 			continue
 		}
 		if isLeaf(e, desc.level) {
-			k.dropLeafMap(e.PFN(), pagetable.Slot{PTP: ptp, Index: i})
+			k.dropLeafMap(e.PFN(), pagetable.Slot{PTP: ptp, Index: i}, desc.level)
 		} else if child, ok := k.ptps[e.PFN()]; ok {
 			child.refs--
 			if err := k.retireTree(e.PFN()); err != nil {

@@ -171,9 +171,12 @@ type ReplayHooks struct {
 type ReplayRound struct {
 	// Round is the round index within the current supervise attempt
 	// (it resets when a stalled attempt re-runs).
-	Round    int
-	Clk      *clock.Clock
-	Sup      *backends.Supervisor
+	Round int
+	Clk   *clock.Clock
+	Sup   *backends.Supervisor
+	// Recorder is trimmed after every round: it retains only the spans
+	// recorded since the previous OnRound, so poll it with a Len cursor
+	// (SpansFrom) rather than reading Spans at the end.
 	Recorder *trace.SpanRecorder
 	Audit    *audit.Recorder
 	Metrics  *metrics.Registry
@@ -202,15 +205,19 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 	cl := n.Cl
 
 	// Per-node observers: every span carries the node ID, every metric
-	// series the node label, so fleet-wide artifacts fold per node.
+	// series the node label, so fleet-wide artifacts fold per node. The
+	// supervisor carries each container's observers across restarts.
 	reg := metrics.NewRegistry()
 	nodeLabel := metrics.NodeLabel(w.Node)
 	sr := trace.NewSpanRecorder(cl.M.Clk)
 	sr.Node = w.Node
 	for _, c := range cl.Containers {
-		fm := metrics.NewFlowMetrics(reg,
-			metrics.L("container", metrics.IntStr(c.K.ContainerID)), nodeLabel)
-		c.Observe(sr, fm)
+		c.Attach(backends.Observers{
+			Spans: sr,
+			Flow: metrics.NewFlowMetrics(reg,
+				metrics.L("container", metrics.IntStr(c.K.ContainerID)), nodeLabel),
+			Audit: hooks.Audit,
+		})
 	}
 
 	rounds := (w.Requests + w.Containers - 1) / w.Containers
@@ -273,6 +280,10 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 					Recorder: sr, Audit: hooks.Audit, Metrics: reg,
 				})
 			}
+			// Only the span count reaches the digest, and OnRound has
+			// polled what it needs: drop the round's spans so a node
+			// replays in bounded memory.
+			sr.Trim()
 		}
 	}
 

@@ -188,9 +188,6 @@ type Kernel struct {
 
 	Stats Stats
 
-	// Trace, when non-nil, records the flow timeline (see -trace on
-	// cmd/ckirun). A nil ring is a no-op.
-	Trace *trace.Ring
 	// Spans, when non-nil, records hierarchical phase spans for cycle
 	// attribution; Met, when non-nil, feeds the flow histograms. Both
 	// are nil-safe and never advance the clock, so enabling them does
@@ -391,15 +388,3 @@ func (k *Kernel) SpanBegin(name string) int { return k.Spans.Begin(name) }
 
 // SpanEnd closes a span opened with SpanBegin.
 func (k *Kernel) SpanEnd(id int) { k.Spans.End(id) }
-
-// record emits a trace event spanning [start, now).
-func (k *Kernel) record(kind trace.Kind, start clock.Time) {
-	if k.Trace == nil {
-		return
-	}
-	pid := 0
-	if k.Cur != nil {
-		pid = k.Cur.PID
-	}
-	k.Trace.Record(trace.Event{At: start, Dur: k.Clk.Now() - start, Kind: kind, PID: pid, VCPU: k.VCPU})
-}

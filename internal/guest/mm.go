@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/pagetable"
-	"repro/internal/trace"
 )
 
 // Virtual address layout of a guest process (48-bit canonical).
@@ -480,13 +479,11 @@ func (k *Kernel) touch(va uint64, acc mmu.Access) error {
 				// handler never returns (no FaultExit).
 				k.panicDoubleFault()
 				k.Spans.End(pf)
-				k.record(trace.PageFault, start)
 				return EKERNELDIED
 			}
 			err := k.HandleUserFault(p, va, acc == mmu.Write)
 			k.PV.FaultExit(k)
 			k.Spans.End(pf)
-			k.record(trace.PageFault, start)
 			k.Met.ObservePageFault(k.Clk.Now() - start)
 			if err != nil {
 				if k.dead {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
-	"repro/internal/trace"
 )
 
 // The guest-kernel panic path. A fatal fault (unhandled kernel #PF,
@@ -29,7 +28,6 @@ func (k *Kernel) Panic(reason string) {
 	k.dead = true
 	k.panicMsg = reason
 	k.Stats.Panics++
-	k.record(trace.Panic, k.Clk.Now())
 	// Nothing in this container runs again: drop the run queue and park
 	// the vCPU in user mode so the host scheduler regains the core.
 	k.runq = nil
@@ -56,7 +54,6 @@ func (k *Kernel) fire(site faults.Site) bool {
 		return false
 	}
 	k.Stats.InjectedFaults++
-	k.record(trace.FaultInject, k.Clk.Now())
 	return true
 }
 

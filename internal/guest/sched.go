@@ -6,7 +6,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hw"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // Process lifecycle and scheduling. Context switches go through the
@@ -279,12 +278,8 @@ func (k *Kernel) pickNext() *Proc {
 // switchTo performs the context switch to p: scheduler pick, register
 // state swap, and the runtime's address-space switch.
 func (k *Kernel) switchTo(p *Proc) error {
-	start := k.Clk.Now()
 	span := k.Spans.Begin("ctx_switch")
-	defer func() {
-		k.Spans.End(span)
-		k.record(trace.CtxSwitch, start)
-	}()
+	defer k.Spans.End(span)
 	k.Phase("sched_pick", costSchedPick)
 	k.Phase("regs_save", costRegsSave)
 	prev := k.Cur
@@ -360,10 +355,8 @@ func (k *Kernel) maybePreempt() {
 		return
 	}
 	k.Stats.TimerTicks++
-	start := k.Clk.Now()
 	span := k.Spans.Begin("timer_tick")
 	k.PV.DeliverTimerIRQ(k)
-	k.record(trace.TimerTick, start)
 	if err := k.reschedule(); err != nil {
 		panic(fmt.Sprintf("guest: tick reschedule: %v", err))
 	}

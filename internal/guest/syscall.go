@@ -4,7 +4,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/mmu"
-	"repro/internal/trace"
 )
 
 // The syscall layer. Every call runs the runtime's entry flow, the
@@ -24,7 +23,6 @@ func (k *Kernel) syscall(body func() (uint64, error)) (uint64, error) {
 	span := k.Spans.Begin("syscall")
 	done := func() {
 		k.Spans.End(span)
-		k.record(trace.Syscall, start)
 		k.Met.ObserveSyscall(k.Clk.Now() - start)
 	}
 	k.PV.SyscallEnter(k)
@@ -358,7 +356,6 @@ func (k *Kernel) Hypercall(nr int, args ...uint64) (uint64, error) {
 	span := k.Spans.Begin("hypercall")
 	r, err := k.PV.Hypercall(k, nr, args...)
 	k.Spans.End(span)
-	k.record(trace.Hypercall, start)
 	k.Met.ObserveHypercall(k.Clk.Now() - start)
 	return r, err
 }

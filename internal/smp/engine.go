@@ -103,9 +103,8 @@ type Engine struct {
 	// Audit, when non-nil, records IPI and shootdown-protocol events
 	// into the machine audit log. Nil-safe; never advances the clock.
 	Audit *audit.Recorder
-	// ShootdownLat, when non-nil, observes per-shootdown initiator
-	// latency.
-	ShootdownLat *metrics.Histogram
+	// Flow, when non-nil, observes per-shootdown initiator latency.
+	Flow *metrics.FlowMetrics
 
 	// unackedBuf is the reused target scratch buffer for Shootdown; the
 	// engine runs on one goroutine, so a single buffer keeps the
@@ -368,7 +367,7 @@ func (e *Engine) finish(span int, start clock.Time, spec ShootdownSpec, unacked 
 	e.Stats.Shootdowns++
 	lat := e.Clk.Now() - start
 	e.Stats.TotalLatency += lat
-	e.ShootdownLat.Observe(lat)
+	e.Flow.ObserveShootdown(lat)
 	e.Audit.Emit(audit.EvShootdown, spec.Initiator, spec.PCID, uint64(lat), uint64(len(unacked)), 0)
 	if len(unacked) > 0 {
 		e.Stats.HungInitiators++

@@ -65,3 +65,27 @@ func BenchmarkSpanEmission(b *testing.B) {
 		}
 	})
 }
+
+// TestTrimmedRecorderAllocs pins the bounded-memory replay pattern at
+// zero allocations: recording a round of spans, polling past them and
+// trimming reuses the same buffer forever.
+func TestTrimmedRecorderAllocs(t *testing.T) {
+	clk := new(clock.Clock)
+	r := NewSpanRecorder(clk)
+	round := func() {
+		for i := 0; i < 16; i++ {
+			id := r.Begin("syscall")
+			clk.Advance(100)
+			r.End(r.Begin("gate_call"))
+			r.End(id)
+		}
+		r.Trim()
+	}
+	round() // size the buffers once
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("record+trim round allocs/op = %v, want 0", n)
+	}
+	if r.Len() != 1002*32 { // one sizing round, one warm-up, 1000 measured
+		t.Errorf("Len = %d, want every span counted", r.Len())
+	}
+}

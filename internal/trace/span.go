@@ -1,3 +1,9 @@
+// Package trace records what the simulated machine did, in virtual
+// time: hierarchical phase spans of guest-kernel and monitor flows
+// (SpanRecorder; folded, ranked and exported as Chrome traces) and the
+// fleet's per-request segment waterfalls (RequestRecorder). Recording
+// never advances the clock, so traced and untraced runs take
+// byte-identical virtual time.
 package trace
 
 import (
@@ -47,8 +53,12 @@ type SpanRecorder struct {
 	VCPUFn func() int
 	PIDFn  func() int
 
+	// spans holds the retained spans; spans[0] has ID base. Trim
+	// advances base, so IDs, Parent links and Len keep counting as if
+	// nothing had been dropped.
 	spans []Span
 	stack []int
+	base  int
 }
 
 // NewSpanRecorder creates a recorder reading timestamps from clk.
@@ -66,7 +76,7 @@ func (r *SpanRecorder) Begin(phase string) int {
 	if n := len(r.stack); n > 0 {
 		parent = r.stack[n-1]
 	}
-	id := len(r.spans)
+	id := r.base + len(r.spans)
 	s := Span{ID: id, Parent: parent, Phase: phase, At: r.Clk.Now(), Node: r.Node}
 	if r.VCPUFn != nil {
 		s.VCPU = r.VCPUFn()
@@ -90,7 +100,8 @@ func (r *SpanRecorder) End(id int) {
 	for len(r.stack) > 0 {
 		top := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]
-		r.spans[top].Dur = now - r.spans[top].At
+		s := &r.spans[top-r.base]
+		s.Dur = now - s.At
 		if top == id {
 			return
 		}
@@ -105,7 +116,7 @@ func (r *SpanRecorder) EmitAt(phase string, at, dur clock.Time, vcpu, parent int
 	if r == nil {
 		return -1
 	}
-	id := len(r.spans)
+	id := r.base + len(r.spans)
 	r.spans = append(r.spans, Span{
 		ID: id, Parent: parent, Phase: phase, At: at, Dur: dur,
 		VCPU: vcpu, Node: r.Node, Async: true,
@@ -113,7 +124,8 @@ func (r *SpanRecorder) EmitAt(phase string, at, dur clock.Time, vcpu, parent int
 	return id
 }
 
-// Spans returns the recorded spans in creation order (a copy).
+// Spans returns the retained spans in creation order (a copy): every
+// span since the last Trim.
 func (r *SpanRecorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -121,25 +133,43 @@ func (r *SpanRecorder) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// SpansFrom returns a copy of the spans recorded at index n and later.
+// SpansFrom returns a copy of the retained spans with ID n and later.
 // Telemetry pollers use it as an incremental cursor: remember Len(),
 // then fetch only what arrived since.
 func (r *SpanRecorder) SpansFrom(n int) []Span {
-	if r == nil || n >= len(r.spans) {
+	if r == nil || n >= r.Len() {
 		return nil
 	}
-	if n < 0 {
-		n = 0
+	if n < r.base {
+		n = r.base
 	}
-	return append([]Span(nil), r.spans[n:]...)
+	return append([]Span(nil), r.spans[n-r.base:]...)
 }
 
-// Len reports the number of recorded spans.
+// Len reports the number of spans ever recorded, trimmed ones included:
+// it is the ID the next span will get.
 func (r *SpanRecorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.spans)
+	return r.base + len(r.spans)
+}
+
+// Trim drops every retained span older than the oldest still-open one,
+// keeping the buffer's capacity, so a long run whose readers only poll
+// new spans (SpansFrom with a Len cursor) records in bounded memory.
+// IDs, Parent links and Len are unaffected: a trimmed recorder yields
+// exactly the spans an untrimmed one would from the cursor on.
+func (r *SpanRecorder) Trim() {
+	if r == nil {
+		return
+	}
+	keep := r.Len()
+	if len(r.stack) > 0 {
+		keep = r.stack[0] // the stack holds open IDs in ascending order
+	}
+	r.spans = r.spans[:copy(r.spans, r.spans[keep-r.base:])]
+	r.base = keep
 }
 
 // Reserve ensures room for n more spans without reallocating, so a
@@ -160,6 +190,7 @@ func (r *SpanRecorder) Reset() {
 	}
 	r.spans = r.spans[:0]
 	r.stack = r.stack[:0]
+	r.base = 0
 }
 
 // SpansJSON renders spans as deterministic indented JSON.

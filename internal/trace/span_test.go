@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,6 +120,61 @@ func TestEmitAtIsAsync(t *testing.T) {
 	// Async spans never count toward attributed root time.
 	if got := RootTotal(spans); got != 100 {
 		t.Errorf("RootTotal = %v, want 100 (async excluded)", got)
+	}
+}
+
+// A trimmed recorder is indistinguishable from an untrimmed one through
+// its cursor API: the same IDs, Parent links and Len, and the same
+// SpansFrom answers for every cursor at or past the trim point. A span
+// left open across a Trim is retained and closes with its full
+// duration.
+func TestTrimMatchesUntrimmed(t *testing.T) {
+	full, trimmed := NewSpanRecorder(&clock.Clock{}), NewSpanRecorder(&clock.Clock{})
+	both := func(f func(r *SpanRecorder) int) {
+		t.Helper()
+		if a, b := f(full), f(trimmed); a != b {
+			t.Fatalf("recorders diverged: %d vs %d", a, b)
+		}
+	}
+	cursor := 0
+	var held int
+	for round := 0; round < 12; round++ {
+		if round%4 == 1 {
+			both(func(r *SpanRecorder) int { return r.Begin("held") })
+			held = full.Len() - 1
+		}
+		both(func(r *SpanRecorder) int {
+			root := r.Begin("syscall")
+			r.Clk.Advance(3)
+			inner := r.Begin("gate_call")
+			r.EmitAt("remote", r.Clk.Now(), 2, 1, inner)
+			r.Clk.Advance(2)
+			r.End(inner)
+			r.End(root)
+			return root
+		})
+		if round%4 == 2 {
+			both(func(r *SpanRecorder) int { r.End(held); return r.Len() })
+		}
+		if full.Len() != trimmed.Len() {
+			t.Fatalf("round %d: Len %d vs %d", round, full.Len(), trimmed.Len())
+		}
+		got, want := trimmed.SpansFrom(cursor), full.SpansFrom(cursor)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: SpansFrom(%d)\n got %+v\nwant %+v", round, cursor, got, want)
+		}
+		if ret := trimmed.Spans(); len(ret) > 0 &&
+			!reflect.DeepEqual(ret, full.Spans()[full.Len()-len(ret):]) {
+			t.Fatalf("round %d: retained spans are not the untrimmed suffix", round)
+		}
+		cursor = trimmed.Len()
+		trimmed.Trim()
+		if n := len(trimmed.Spans()); round%4 == 1 && n == 0 {
+			t.Fatalf("round %d: Trim dropped the open span", round)
+		}
+	}
+	if trimmed.SpansFrom(0) != nil || len(trimmed.Spans()) != 0 {
+		t.Errorf("closed spans survived the final Trim: %+v", trimmed.Spans())
 	}
 }
 

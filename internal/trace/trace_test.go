@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/backends"
@@ -12,37 +11,23 @@ import (
 	"repro/internal/trace"
 )
 
-func TestRingBounds(t *testing.T) {
-	r := trace.New(4)
-	for i := 0; i < 10; i++ {
-		r.Record(trace.Event{At: clock.Time(i), Kind: trace.Syscall})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	// Oldest first, last four survive.
-	for i, e := range evs {
-		if e.At != clock.Time(6+i) {
-			t.Errorf("event %d At = %d, want %d", i, e.At, 6+i)
+// phaseStats counts the non-async spans per phase and sums their
+// durations.
+func phaseStats(spans []trace.Span) (map[string]int, map[string]clock.Time) {
+	n, total := map[string]int{}, map[string]clock.Time{}
+	for _, s := range spans {
+		if !s.Async {
+			n[s.Phase]++
+			total[s.Phase] += s.Dur
 		}
 	}
-	if r.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", r.Dropped())
-	}
-}
-
-func TestNilRingIsNoOp(t *testing.T) {
-	var r *trace.Ring
-	r.Record(trace.Event{}) // must not panic
-	if r.Events() != nil || r.Dropped() != 0 {
-		t.Error("nil ring returned data")
-	}
+	return n, total
 }
 
 func TestGuestFlowsRecorded(t *testing.T) {
 	c := backends.MustNew(backends.CKI, backends.Options{})
-	c.K.Trace = trace.New(512)
+	rec := trace.NewSpanRecorder(c.Clk)
+	c.Attach(backends.Observers{Spans: rec})
 	k := c.K
 	k.Getpid()
 	addr, err := k.MmapCall(4*mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
@@ -58,40 +43,38 @@ func TestGuestFlowsRecorded(t *testing.T) {
 	if err := k.Yield(); err != nil {
 		t.Fatal(err)
 	}
-	sum := c.K.Trace.Summary()
-	if sum[trace.Syscall].Count < 4 {
-		t.Errorf("syscalls recorded = %d, want >= 4", sum[trace.Syscall].Count)
+	n, total := phaseStats(rec.Spans())
+	if n["syscall"] < 4 {
+		t.Errorf("syscalls recorded = %d, want >= 4", n["syscall"])
 	}
-	if sum[trace.PageFault].Count != 4 {
-		t.Errorf("pagefaults recorded = %d, want 4", sum[trace.PageFault].Count)
+	if n["pagefault"] != 4 {
+		t.Errorf("pagefaults recorded = %d, want 4", n["pagefault"])
 	}
-	if sum[trace.CtxSwitch].Count == 0 {
+	if n["ctx_switch"] == 0 {
 		t.Error("no context switch recorded")
 	}
 	// Durations are positive and the syscall total is plausible
 	// (getpid ≈ 90ns each at minimum).
-	if sum[trace.Syscall].Total < 90*clock.Nanosecond {
-		t.Errorf("syscall total %v too small", sum[trace.Syscall].Total)
-	}
-	out := c.K.Trace.Render(10)
-	for _, want := range []string{"flow timeline", "pagefault", "syscall"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
+	if total["syscall"] < 90*clock.Nanosecond {
+		t.Errorf("syscall total %v too small", total["syscall"])
 	}
 }
 
 func TestTimelineOrdered(t *testing.T) {
 	c := backends.MustNew(backends.RunC, backends.Options{})
-	c.K.Trace = trace.New(128)
+	rec := trace.NewSpanRecorder(c.Clk)
+	c.Attach(backends.Observers{Spans: rec})
 	for i := 0; i < 20; i++ {
 		c.K.Getpid()
 	}
 	var last clock.Time
-	for i, e := range c.K.Trace.Events() {
-		if e.At < last {
-			t.Fatalf("event %d out of order: %v < %v", i, e.At, last)
+	for i, s := range rec.Spans() {
+		if s.At < last {
+			t.Fatalf("span %d out of order: %v < %v", i, s.At, last)
 		}
-		last = e.At
+		last = s.At
+	}
+	if rec.Len() < 20 {
+		t.Errorf("recorded %d spans for 20 syscalls", rec.Len())
 	}
 }
