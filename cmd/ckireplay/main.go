@@ -211,7 +211,7 @@ func runLive(log *audit.Log, jsonOut bool) {
 	case "ckirun":
 		reliveCkirun(log.Meta, rec)
 	case "smp":
-		if _, err := bench.RunSMPAudited(log.Meta.Scale, log.Meta.Seed, rec); err != nil {
+		if _, err := bench.RunSMPAuditedParallel(log.Meta.Scale, log.Meta.Seed, rec, 1); err != nil {
 			fatalf("relive smp: %v", err)
 		}
 	default:

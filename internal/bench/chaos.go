@@ -86,6 +86,26 @@ func chaosWork(c *backends.Container) error {
 	return nil
 }
 
+// runtimeSpec is one point on an experiment's runtime axis.
+type runtimeSpec struct {
+	kind backends.Kind
+	opts backends.Options
+}
+
+// runtimeSpecs is the runtime axis of the chaos, snapshot and fleet
+// family experiments: every runtime, sized for many small co-resident
+// containers (one machine hosts a whole row, or a replayed node's
+// slots).
+func runtimeSpecs() []runtimeSpec {
+	return []runtimeSpec{
+		{backends.RunC, backends.Options{}},
+		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
+		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
+		{backends.CKI, backends.Options{SegmentFrames: 1 << 11}},
+		{backends.GVisor, backends.Options{}},
+	}
+}
+
 // RunChaos executes the chaos experiment and returns the survival
 // report. Deterministic: same seed and scale, same report.
 func RunChaos(scale int, seed uint64) (*ChaosSurvival, error) {
@@ -93,16 +113,7 @@ func RunChaos(scale int, seed uint64) (*ChaosSurvival, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 2048}},
-		{backends.GVisor, backends.Options{}},
-	}
+	specs := runtimeSpecs()
 	plans := make([]*faults.Plan, len(specs))
 	for i, s := range specs {
 		c, err := cl.Add(s.kind, s.opts)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // The fleet experiment: datacenter-scale serving. A calibration pass
@@ -112,12 +111,6 @@ type FleetReport struct {
 	// part of the report JSON, so the committed artifact bytes do not
 	// depend on whether scraping was on.
 	Timeline *telemetry.Store `json:"-"`
-
-	// RequestTraces holds one request recorder per grid cell (cell
-	// order) when FleetOpts.TraceRequests was set. Like Timeline it is
-	// not part of the report JSON: recording every request's lifecycle
-	// leaves the committed artifact bytes unchanged (a test pins this).
-	RequestTraces []*trace.RequestRecorder `json:"-"`
 }
 
 // FleetOpts parameterizes the experiment; zero values mean the
@@ -141,29 +134,6 @@ type FleetOpts struct {
 	// merged timeline via FleetReport.Timeline. Pure observation: the
 	// report rows are byte-identical with or without it.
 	ScrapeInterval clock.Time
-	// TraceRequests, when set, attaches a request recorder to every
-	// grid cell and exposes them via FleetReport.RequestTraces. Pure
-	// like ScrapeInterval: the report JSON bytes do not change.
-	TraceRequests bool
-}
-
-// fleetSpecs is the runtime axis: every runtime, sized for many small
-// co-resident containers (the replay stage shares one machine per
-// node).
-func fleetSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 1 << 11}},
-		{backends.GVisor, backends.Options{}},
-	}
 }
 
 // fleetCalibrate measures one runtime's cost model on a real machine:
@@ -209,7 +179,7 @@ func fleetCalibrate(kind backends.Kind, opts backends.Options) (fleet.RuntimeCos
 // out across host cores, and tabulates the cost models for the report.
 // exp prefixes errors with the calling experiment.
 func fleetCalibrateAll(exp string, parallel int) ([]fleet.RuntimeCosts, []FleetCalibration, error) {
-	specs := fleetSpecs()
+	specs := runtimeSpecs()
 	costs := make([]fleet.RuntimeCosts, len(specs))
 	table := make([]FleetCalibration, len(specs))
 	err := RunIndexed(parallel, len(specs), func(i int) error {
@@ -392,7 +362,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := fleetSpecs()
+	specs := runtimeSpecs()
 
 	// Stage 1 — calibration: one real container per runtime.
 	costs, cal, err := fleetCalibrateAll("fleet", o.Parallel)
@@ -428,10 +398,6 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	if o.ScrapeInterval > 0 {
 		stores = make([]*telemetry.Store, nGrid)
 	}
-	var recs []*trace.RequestRecorder
-	if o.TraceRequests {
-		recs = make([]*trace.RequestRecorder, nGrid)
-	}
 	// The replayed segment is the storm cell (last segment) under the
 	// last scheduler in the axis; its cell keeps the per-node stats.
 	replaySeg, replaySched := nSegs-1, len(scheds)-1
@@ -451,10 +417,6 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 				metrics.L("sched", scheds[sj].Name()))
 			cfg.ScrapeEvery = o.ScrapeInterval
 			stores[ci] = store
-		}
-		if o.TraceRequests {
-			recs[ci] = trace.NewRequestRecorder()
-			cfg.Requests = recs[ci]
 		}
 		res, err := fleet.Run(cfg)
 		if err != nil {
@@ -503,7 +465,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		if stat.Crashed {
 			w.Crashes = 2
 		}
-		art, err := fleet.ReplayNode(w, specs[ri].kind, specs[ri].opts)
+		art, err := fleet.ReplayNode(w, specs[ri].kind, specs[ri].opts, nil)
 		if err != nil {
 			return fmt.Errorf("fleet: replay %s node %d: %w", cal[ri].Runtime, stat.Node, err)
 		}
@@ -524,7 +486,6 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		}
 		rep.Timeline = merged
 	}
-	rep.RequestTraces = recs
 	return rep, nil
 }
 
@@ -570,7 +531,7 @@ func (rep *FleetReport) WriteTable(w io.Writer) error {
 // rejects (backpressure), storm rows that evict and restore warm without
 // losing track of an eviction, and a replay digest per storm node.
 func (rep *FleetReport) Invariants() error {
-	nRT := len(fleetSpecs())
+	nRT := len(runtimeSpecs())
 	if rep.Nodes != fleetDefaultNodes || rep.SlotsPerNode != fleetSlotsPerNode ||
 		!slices.Equal(rep.Schedulers, fleet.SchedulerNames()) {
 		return fmt.Errorf("fleet: %d nodes x %d slots, schedulers %v; want %d x %d, %v",

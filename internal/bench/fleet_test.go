@@ -54,7 +54,7 @@ func TestFleetTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != len(fleetSpecs()) {
+	if len(rep.Rows) != len(runtimeSpecs()) {
 		t.Fatalf("got %d rows, want one trace row per runtime", len(rep.Rows))
 	}
 	for _, r := range rep.Rows {

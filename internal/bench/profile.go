@@ -12,11 +12,12 @@ import (
 )
 
 // Cycle-attribution profiles over the SMP experiment: the same seeded
-// runs as RunSMP, with the span recorder and metrics registry attached.
-// Because both observers are nil-safe no-ops on the virtual clock, the
-// profiled report is identical — byte for byte — to the plain one; the
-// profile adds the per-phase decomposition (Table-2 style), the folded
-// stacks, the Chrome trace and the metrics snapshot on top.
+// runs as RunSMPParallel, with the span recorder and metrics registry
+// attached. Because both observers are nil-safe no-ops on the virtual
+// clock, the profiled report is identical — byte for byte — to the
+// plain one; the profile adds the per-phase decomposition (Table-2
+// style), the folded stacks, the Chrome trace and the metrics snapshot
+// on top.
 
 // SMPRun is the span capture of one (runtime, vCPU count) bench run.
 type SMPRun struct {
@@ -106,15 +107,11 @@ func ParseSMPProfile(b []byte) (*SMPProfile, error) {
 	return p, nil
 }
 
-// RunSMPProfiled runs the SMP experiment with observability attached.
-func RunSMPProfiled(scale int, seed uint64) (*SMPProfile, error) {
-	return RunSMPProfiledParallel(scale, seed, 1)
-}
-
-// RunSMPProfiledParallel is RunSMPProfiled with parallel cell
-// execution: each cell captures spans and metrics into its own
-// recorder and registry, and the per-cell results are assembled in
-// cell order, so the profile is byte-identical for any parallel value.
+// RunSMPProfiledParallel runs the SMP experiment with observability
+// attached, cells fanned out to at most parallel goroutines: each cell
+// captures spans and metrics into its own recorder and registry, and
+// the per-cell results are assembled in cell order, so the profile is
+// byte-identical for any parallel value.
 func RunSMPProfiledParallel(scale int, seed uint64, parallel int) (*SMPProfile, error) {
 	prof := &SMPProfile{reg: metrics.NewRegistry()}
 	rep, err := runSMP(scale, seed, prof, nil, parallel)
@@ -275,7 +272,7 @@ func (p *SMPProfile) WriteMetricsProm(w io.Writer) error {
 // per-phase attribution, with the exact-sum verification as the pass
 // criterion.
 func ExtBreakdown(scale int, w io.Writer) error {
-	prof, err := RunSMPProfiled(scale, SMPSeed)
+	prof, err := RunSMPProfiledParallel(scale, SMPSeed, 1)
 	if err != nil {
 		return err
 	}

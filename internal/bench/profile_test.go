@@ -30,15 +30,15 @@ func reportBytes(t *testing.T, rep *SMPReport) []byte {
 // and the span accounting must balance exactly against both the
 // published report and the SMP engine's own statistics.
 func TestSMPProfile(t *testing.T) {
-	plain, err := RunSMP(1, SMPSeed)
+	plain, err := RunSMPParallel(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := RunSMPProfiled(1, SMPSeed)
+	prof, err := RunSMPProfiledParallel(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof2, err := RunSMPProfiled(1, SMPSeed)
+	prof2, err := RunSMPProfiledParallel(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,13 +175,10 @@ type ServerlessReport struct {
 	Rows         []ServerlessRow         `json:"rows"`
 }
 
-// serverlessSpecs is fleetSpecs with the TLB pinned small, so the lazy
-// prefetch set is a strict subset of the heap on every runtime.
-func serverlessSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	specs := fleetSpecs()
+// serverlessSpecs is runtimeSpecs with the TLB pinned small, so the
+// lazy prefetch set is a strict subset of the heap on every runtime.
+func serverlessSpecs() []runtimeSpec {
+	specs := runtimeSpecs()
 	for i := range specs {
 		specs[i].opts.TLBEntries = serverlessTLBEntries
 	}

@@ -350,36 +350,34 @@ func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts
 	prevCrashes := 0
 	var crashG, mttrG *metrics.Gauge
 	nodeLb := metrics.NodeLabel(stat.Node)
-	art, err := fleet.ReplayNodeHooked(w, kind, bopts, fleet.ReplayHooks{
-		Audit: ar,
-		OnRound: func(r fleet.ReplayRound) {
-			fr.Poll(r.Recorder, ar)
-			if crashG == nil {
-				crashG = r.Metrics.Gauge("node_crashes", "supervisor-recorded kernel panics", nodeLb)
-				mttrG = r.Metrics.Gauge("node_mttr_ns", "mean time to recovery (ns)", nodeLb)
+	bopts.Audit = ar
+	art, err := fleet.ReplayNode(w, kind, bopts, func(r fleet.ReplayRound) {
+		fr.Poll(r.Recorder, ar)
+		if crashG == nil {
+			crashG = r.Metrics.Gauge("node_crashes", "supervisor-recorded kernel panics", nodeLb)
+			mttrG = r.Metrics.Gauge("node_mttr_ns", "mean time to recovery (ns)", nodeLb)
+		}
+		crashes, restarts := 0, 0
+		var downtime clock.Time
+		for _, h := range r.Sup.Health {
+			crashes += h.Crashes
+			restarts += h.Restarts
+			downtime += h.TotalDowntime
+		}
+		crashG.Set(float64(crashes))
+		if restarts > 0 {
+			mttrG.Set(float64(downtime/clock.Time(restarts)) / float64(clock.Nanosecond))
+		}
+		nodeStore.Scrape(r.Metrics, r.Clk.Now())
+		nodeEng.Step(nodeStore, r.Clk.Now())
+		if crashes > prevCrashes {
+			if watchdogBundle == nil {
+				// The supervisor just declared a container dead:
+				// dump the postmortem before the next round runs.
+				watchdogBundle = fr.Dump("watchdog", r.Clk.Now(), nil, nodeStore, sloBundleRadius)
 			}
-			crashes, restarts := 0, 0
-			var downtime clock.Time
-			for _, h := range r.Sup.Health {
-				crashes += h.Crashes
-				restarts += h.Restarts
-				downtime += h.TotalDowntime
-			}
-			crashG.Set(float64(crashes))
-			if restarts > 0 {
-				mttrG.Set(float64(downtime/clock.Time(restarts)) / float64(clock.Nanosecond))
-			}
-			nodeStore.Scrape(r.Metrics, r.Clk.Now())
-			nodeEng.Step(nodeStore, r.Clk.Now())
-			if crashes > prevCrashes {
-				if watchdogBundle == nil {
-					// The supervisor just declared a container dead:
-					// dump the postmortem before the next round runs.
-					watchdogBundle = fr.Dump("watchdog", r.Clk.Now(), nil, nodeStore, sloBundleRadius)
-				}
-				prevCrashes = crashes
-			}
-		},
+			prevCrashes = crashes
+		}
 	})
 	if err != nil {
 		return row, nil, nil, fmt.Errorf("slo: replay %s node %d: %w", name, stat.Node, err)
@@ -462,7 +460,7 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 	if nodes == 0 {
 		nodes = sloNodes
 	}
-	specs := fleetSpecs()
+	specs := runtimeSpecs()
 	costs, cal, err := fleetCalibrateAll("slo", o.Parallel)
 	if err != nil {
 		return nil, err
@@ -599,8 +597,8 @@ func (rep *SLOReport) WriteTable(w io.Writer) error {
 // first bundle, the fleet-level page, may lack spans and events: the
 // storm cell's flight recorder watches no machine.
 func (rep *SLOReport) Invariants() error {
-	if len(rep.Rows) != len(fleetSpecs()) {
-		return fmt.Errorf("slo: %d rows, want %d", len(rep.Rows), len(fleetSpecs()))
+	if len(rep.Rows) != len(runtimeSpecs()) {
+		return fmt.Errorf("slo: %d rows, want %d", len(rep.Rows), len(runtimeSpecs()))
 	}
 	for _, r := range rep.Rows {
 		if r.DetectionNs <= 0 || r.Rejected == 0 || r.Evicted == 0 {

@@ -71,32 +71,21 @@ func smpRequest(k *guest.Kernel) error {
 	return nil
 }
 
-// RunSMP executes the SMP experiment. Deterministic: same scale, same
-// report, byte for byte.
-func RunSMP(scale int, seed uint64) (*SMPReport, error) {
-	return runSMP(scale, seed, nil, nil, 1)
-}
-
-// RunSMPParallel is RunSMP with the grid cells fanned out to at most
-// parallel goroutines. The report is byte-identical for any parallel
-// value.
+// RunSMPParallel executes the SMP experiment with the grid cells fanned
+// out to at most parallel goroutines. Deterministic: same scale and
+// seed, same report, byte for byte, for any parallel value.
 func RunSMPParallel(scale int, seed uint64, parallel int) (*SMPReport, error) {
 	return runSMP(scale, seed, nil, nil, parallel)
 }
 
-// RunSMPAudited runs the experiment with a machine-event recorder
-// attached at boot to every container in the matrix. The recorder is
-// clock-neutral, so the report matches RunSMP byte for byte; the log
-// spans all (runtime, vCPU) configurations in experiment order.
-func RunSMPAudited(scale int, seed uint64, rec *audit.Recorder) (*SMPReport, error) {
-	return RunSMPAuditedParallel(scale, seed, rec, 1)
-}
-
-// RunSMPAuditedParallel is RunSMPAudited with parallel cell execution:
-// every cell boots with its own recorder and the per-cell logs are
-// concatenated in cell order, which reproduces the sequential log
-// byte for byte (TLB-config dedup is per-machine, and machines are
-// never shared across cells).
+// RunSMPAuditedParallel runs the experiment with a machine-event
+// recorder attached at boot to every container in the matrix. The
+// recorder is clock-neutral, so the report matches RunSMPParallel byte
+// for byte. Every cell boots with its own recorder and the per-cell
+// logs are concatenated in cell order, so the log spans all (runtime,
+// vCPU) configurations in experiment order for any parallel value
+// (TLB-config dedup is per-machine, and machines are never shared
+// across cells).
 func RunSMPAuditedParallel(scale int, seed uint64, rec *audit.Recorder, parallel int) (*SMPReport, error) {
 	if rec != nil {
 		rec.Meta = audit.Meta{Kind: "smp", Seed: seed, Scale: scale}
@@ -105,14 +94,8 @@ func RunSMPAuditedParallel(scale int, seed uint64, rec *audit.Recorder, parallel
 }
 
 // smpSpecs is the runtime axis of the SMP grid.
-func smpSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
+func smpSpecs() []runtimeSpec {
+	return []runtimeSpec{
 		{backends.RunC, backends.Options{}},
 		{backends.HVM, backends.Options{GuestFrames: 1 << 13}},
 		{backends.PVM, backends.Options{GuestFrames: 1 << 13}},

@@ -9,7 +9,7 @@ import (
 // smpJSON runs the SMP experiment at scale 1 and encodes its report.
 func smpJSON(t *testing.T) []byte {
 	t.Helper()
-	rep, err := RunSMP(1, SMPSeed)
+	rep, err := RunSMPParallel(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

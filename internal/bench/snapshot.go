@@ -93,23 +93,6 @@ func (r *SnapshotReport) CheckpointBlob(runtime string) []byte {
 	return nil
 }
 
-// snapshotSpecs mirrors the chaos experiment's runtime grid.
-func snapshotSpecs() []struct {
-	kind backends.Kind
-	opts backends.Options
-} {
-	return []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.PVM, backends.Options{GuestFrames: 1 << 12}},
-		{backends.CKI, backends.Options{SegmentFrames: 2048}},
-		{backends.GVisor, backends.Options{}},
-	}
-}
-
 // snapshotState builds checkpointable guest state: a dirty file in the
 // tmpfs and a persistent heap mapping with every page faulted in dirty.
 func snapshotState(k *guest.Kernel, pages int) error {
@@ -316,7 +299,7 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 // same scale and interval, byte-identical report and checkpoint blobs
 // for any parallel value.
 func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
-	specs := snapshotSpecs()
+	specs := runtimeSpecs()
 	rep := &SnapshotReport{
 		Scale:    scale,
 		Interval: interval,
@@ -375,9 +358,9 @@ func (rep *SnapshotReport) WriteTable(w io.Writer) error {
 // converged pre-copy with nonzero downtime — and the robustness claim,
 // warm MTTR strictly below cold on CKI and PVM, which restore warm.
 func (rep *SnapshotReport) Invariants() error {
-	if len(rep.Rows) != len(snapshotSpecs()) || len(rep.blobs) != len(rep.Rows) {
+	if len(rep.Rows) != len(runtimeSpecs()) || len(rep.blobs) != len(rep.Rows) {
 		return fmt.Errorf("snapshot: %d rows and %d checkpoint images, want %d of each",
-			len(rep.Rows), len(rep.blobs), len(snapshotSpecs()))
+			len(rep.Rows), len(rep.blobs), len(runtimeSpecs()))
 	}
 	for i, r := range rep.Rows {
 		if r.CheckpointB == 0 || r.ResidentPages == 0 {

@@ -207,8 +207,9 @@ type tailCell struct {
 	rate float64
 }
 
-// runTailCell executes one cell: the storm (or calm-baseline) scenario
-// with a request recorder and an exemplar-enabled probe attached.
+// runTailCell executes one cell: the storm scenario with a request
+// recorder and an exemplar-enabled probe attached, or its calm
+// baseline.
 func runTailCell(o TailOpts, nodes, ri int, name string, costs fleet.RuntimeCosts, storm bool) (*tailCell, error) {
 	lifetime := costs.Boot + clock.Time(tailMeanReqs)*costs.Service
 	capacity := float64(nodes*tailSlotsPerNode) / lifetime.Seconds()
@@ -227,6 +228,10 @@ func runTailCell(o TailOpts, nodes, ri int, name string, costs fleet.RuntimeCost
 		Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
 		Seed: seed, Sched: sched,
 	}
+	// Only the storm cell is attributed: tailRow reads just the calm
+	// baseline's result, so the calm cell runs unobserved.
+	var rec *trace.RequestRecorder
+	var probe *telemetry.FleetProbe
 	if storm {
 		cfg.SnapshotAge = lifetime / 4
 		cfg.EvictAt = horizon / 2
@@ -235,17 +240,21 @@ func runTailCell(o TailOpts, nodes, ri int, name string, costs fleet.RuntimeCost
 			cfg.EvictNodes = 1
 		}
 		cfg.DownFor = horizon / 8
+		rec = trace.NewRequestRecorder()
+		cfg.Requests = rec
+		probe = telemetry.NewFleetProbe(metrics.NewRegistry(), nil, nil, metrics.L("runtime", name))
+		probe.EnableExemplars()
+		cfg.Observe = probe
 	}
-	rec := trace.NewRequestRecorder()
-	cfg.Requests = rec
-	probe := telemetry.NewFleetProbe(metrics.NewRegistry(), nil, nil, metrics.L("runtime", name))
-	probe.EnableExemplars()
-	cfg.Observe = probe
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tail: %s: %w", name, err)
 	}
-	return &tailCell{res: res, rec: rec, ex: probe.LatencyExemplars(), cfg: cfg, rate: rate}, nil
+	cell := &tailCell{res: res, rec: rec, cfg: cfg, rate: rate}
+	if probe != nil {
+		cell.ex = probe.LatencyExemplars()
+	}
+	return cell, nil
 }
 
 // tailPair is one completed request as the extractor sees it.
@@ -504,7 +513,7 @@ func (rep *TailReport) WriteTable(w io.Writer) error {
 // resolves to one of them, and the paired storm tax is non-negative at
 // the far tail.
 func (rep *TailReport) Invariants() error {
-	if want := len(fleetSpecs()); len(rep.Rows) != want || len(rep.Calibration) != want {
+	if want := len(runtimeSpecs()); len(rep.Rows) != want || len(rep.Calibration) != want {
 		return fmt.Errorf("tail: %d rows / %d calibrations, want %d", len(rep.Rows), len(rep.Calibration), want)
 	}
 	conserves := func(c TailComponents) bool {

@@ -122,9 +122,6 @@ func (s *Sim) At(t clock.Time, fire func(now clock.Time)) { s.ev.At(t, fire) }
 // After schedules fire after delay d.
 func (s *Sim) After(d clock.Time, fire func(now clock.Time)) { s.ev.At(s.ev.now+d, fire) }
 
-// Grow reserves room for n more pending events (Queue.Grow).
-func (s *Sim) Grow(n int) { s.ev.Grow(n) }
-
 // Run processes events until the horizon (or the queue drains).
 func (s *Sim) Run(horizon clock.Time) {
 	for {

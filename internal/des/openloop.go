@@ -252,99 +252,3 @@ func (d DiurnalTrace) Arrivals() []Arrival {
 	}
 	return out
 }
-
-// OpenLoop is the single-queue open-loop service model: Servers
-// concurrent workers draining a FIFO queue fed by an arrival stream
-// the service does not control. QueueLimit is the admission bound —
-// an arrival that finds the queue full is rejected immediately
-// (backpressure), never silently absorbed. The zero QueueLimit means
-// unbounded queueing (the textbook M/M/c, which under overload grows
-// without limit — exactly the failure mode the bound exists to
-// surface).
-type OpenLoop struct {
-	Servers    int
-	QueueLimit int
-	Service    ServiceModel
-	Arrivals   []Arrival
-	Horizon    clock.Time
-	// Observe, when non-nil, sees each completed request's latency
-	// (arrival to completion). Pure observation: attaching it changes
-	// no result.
-	Observe func(latency clock.Time)
-}
-
-// OpenLoopResult accounts for every arrival: Arrived = Completed +
-// Rejected + Queued + InService (the conservation law the unit tests
-// pin).
-type OpenLoopResult struct {
-	Arrived   int
-	Completed int
-	Rejected  int
-	// Queued and InService count work still in the system at the
-	// horizon.
-	Queued    int
-	InService int
-	// MaxQueue is the high-water queue depth.
-	MaxQueue    int
-	MeanLatency clock.Time
-	// TotalBusy accumulates server-busy virtual time (utilization =
-	// TotalBusy / (Servers * Horizon)).
-	TotalBusy clock.Time
-}
-
-// Run drives the open loop to the horizon.
-func (ol OpenLoop) Run() OpenLoopResult {
-	s := &Sim{}
-	res := OpenLoopResult{}
-	var (
-		queue    fifo
-		busy     int
-		totalLat clock.Time
-	)
-	var dispatch func(now clock.Time)
-	dispatch = func(now clock.Time) {
-		for busy < ol.Servers && queue.n > 0 {
-			arrived := queue.pop()
-			busy++
-			st := ol.Service(queue.n + 1)
-			res.TotalBusy += st
-			s.After(st, func(now clock.Time) {
-				busy--
-				res.Completed++
-				lat := now - arrived
-				totalLat += lat
-				if ol.Observe != nil {
-					ol.Observe(lat)
-				}
-				dispatch(now)
-			})
-		}
-	}
-	// Every arrival is pending at once, plus at most one completion
-	// per server.
-	s.Grow(len(ol.Arrivals) + ol.Servers)
-	for _, a := range ol.Arrivals {
-		if a.At >= ol.Horizon {
-			break
-		}
-		s.At(a.At, func(now clock.Time) {
-			res.Arrived++
-			if ol.QueueLimit > 0 && queue.n >= ol.QueueLimit && busy >= ol.Servers {
-				res.Rejected++
-				return
-			}
-			queue.push(now)
-			if queue.n > res.MaxQueue {
-				res.MaxQueue = queue.n
-			}
-			dispatch(now)
-		})
-	}
-	s.Run(ol.Horizon)
-	res.Queued = queue.n
-	res.InService = busy
-	if res.Completed > 0 {
-		res.MeanLatency = totalLat / clock.Time(res.Completed)
-	}
-	return res
-}

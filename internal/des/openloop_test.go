@@ -206,102 +206,3 @@ func TestParseRateTraceMalformed(t *testing.T) {
 		t.Fatalf("tab-separated segment parsed wrong: %+v", segs)
 	}
 }
-
-// TestOpenLoopConservation pins the conservation law on both an
-// underloaded and an overloaded open loop: every arrival is exactly
-// one of completed, rejected, queued, or in service.
-func TestOpenLoopConservation(t *testing.T) {
-	h := 10 * clock.Millisecond
-	service := func(int) clock.Time { return 8 * clock.Microsecond }
-	for _, tc := range []struct {
-		name string
-		rate float64
-	}{
-		// 4 servers at 8µs/req serve 500k/s; drive half and 3x that.
-		{"underload", 250_000},
-		{"overload", 1_500_000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ol := OpenLoop{
-				Servers:    4,
-				QueueLimit: 32,
-				Service:    service,
-				Arrivals:   PoissonArrivals(123, tc.rate, h),
-				Horizon:    h,
-			}
-			res := ol.Run()
-			if res.Arrived == 0 {
-				t.Fatalf("no arrivals")
-			}
-			if got := res.Completed + res.Rejected + res.Queued + res.InService; got != res.Arrived {
-				t.Fatalf("conservation broken: %d arrived != %d accounted (completed %d + rejected %d + queued %d + in-service %d)",
-					res.Arrived, got, res.Completed, res.Rejected, res.Queued, res.InService)
-			}
-			if res.Queued > ol.QueueLimit {
-				t.Fatalf("queue %d exceeded the admission bound %d", res.Queued, ol.QueueLimit)
-			}
-			if res.MaxQueue > ol.QueueLimit {
-				t.Fatalf("high-water queue %d exceeded the admission bound %d", res.MaxQueue, ol.QueueLimit)
-			}
-			if tc.name == "underload" && res.Rejected != 0 {
-				t.Fatalf("underloaded loop rejected %d arrivals", res.Rejected)
-			}
-			if tc.name == "overload" {
-				if res.Rejected == 0 {
-					t.Fatalf("overloaded loop rejected nothing: backpressure missing")
-				}
-				// Goodput saturates at roughly the service capacity.
-				cap := 4.0 / (8e-6)
-				got := float64(res.Completed) / h.Seconds()
-				if got > 1.05*cap {
-					t.Fatalf("completed %v/s exceeds capacity %v/s", got, cap)
-				}
-			}
-		})
-	}
-}
-
-// TestOpenLoopObserverNeutral: attaching the latency observer changes
-// no result (the same zero-cost contract every observer in the
-// simulator honors).
-func TestOpenLoopObserverNeutral(t *testing.T) {
-	h := 5 * clock.Millisecond
-	base := OpenLoop{
-		Servers:    2,
-		QueueLimit: 16,
-		Service:    func(b int) clock.Time { return clock.Time(b) * clock.Microsecond },
-		Arrivals:   PoissonArrivals(77, 400_000, h),
-		Horizon:    h,
-	}
-	plain := base.Run()
-	seen := 0
-	base.Observe = func(clock.Time) { seen++ }
-	observed := base.Run()
-	base.Observe = nil
-	if plain != observed {
-		t.Fatalf("observer changed the result: %+v vs %+v", plain, observed)
-	}
-	if seen != observed.Completed {
-		t.Fatalf("observer saw %d latencies, want %d", seen, observed.Completed)
-	}
-}
-
-// TestOpenLoopUnboundedQueue: with no admission bound, overload piles
-// up in the queue instead of rejecting — the failure mode the bound
-// exists to surface.
-func TestOpenLoopUnboundedQueue(t *testing.T) {
-	h := 5 * clock.Millisecond
-	ol := OpenLoop{
-		Servers:  2,
-		Service:  func(int) clock.Time { return 10 * clock.Microsecond },
-		Arrivals: PoissonArrivals(3, 2_000_000, h),
-		Horizon:  h,
-	}
-	res := ol.Run()
-	if res.Rejected != 0 {
-		t.Fatalf("unbounded queue rejected %d", res.Rejected)
-	}
-	if res.Queued < 100 {
-		t.Fatalf("expected a deep backlog under 10x overload, got %d", res.Queued)
-	}
-}

@@ -7,13 +7,13 @@
 // The control plane is split from the data plane the way a container
 // daemon splits its scheduler from its runtimes: placement, queueing,
 // admission control, and eviction run in one deterministic
-// discrete-event simulation over cheap value-style node states, while
-// per-node machine truth — real guest kernels booting, serving, and
-// warm-restarting under the supervisor — is replayed per node behind
-// the same Node interface. Because every node's machine is a fully
-// isolated simulation, replay shards across host cores (one node per
-// worker) and streams per-node artifacts instead of holding the whole
-// fleet in memory.
+// discrete-event simulation over cheap value-style node states
+// (SimNode), while per-node machine truth — real guest kernels
+// booting, serving, and warm-restarting under the supervisor — is
+// replayed one node at a time by ReplayNode. Because every node's
+// machine is a fully isolated simulation, replay shards across host
+// cores (one node per worker) and streams per-node artifacts instead of
+// holding the whole fleet in memory.
 package fleet
 
 import (
@@ -49,14 +49,6 @@ func (p Pressure) Admittable() bool {
 		return false
 	}
 	return p.Running < p.Slots || p.Queued < p.QueueLimit
-}
-
-// Node is the fleet's unit of capacity, implemented both by the
-// control plane's cheap SimNode values and by MachineNode, which wraps
-// a real internal/backends machine for per-node replay.
-type Node interface {
-	ID() int
-	Pressure() Pressure
 }
 
 // instance is one placed container's control-plane state. A run keeps
@@ -113,16 +105,7 @@ type SimNode struct {
 	Crashed  bool
 }
 
-// NewSimNode creates a node with the given slot count and admission
-// bound.
-func NewSimNode(id, slots, queueLimit int) *SimNode {
-	return &SimNode{id: id, slots: slots, queueLimit: queueLimit}
-}
-
-// ID implements Node.
-func (n *SimNode) ID() int { return n.id }
-
-// Pressure implements Node.
+// Pressure is the node's load signal as the scheduler sees it.
 func (n *SimNode) Pressure() Pressure {
 	return Pressure{
 		Node:       n.id,

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"repro/internal/audit"
 	"repro/internal/backends"
 	"repro/internal/clock"
 	"repro/internal/guest"
@@ -16,9 +15,9 @@ import (
 // The data plane: per-node machine replay. The control-plane DES
 // decides who ran where; this file makes one node of that decision
 // real — a backends machine hosting the node's container slots under
-// the PR-1 supervisor (watchdog, capped backoff, frame reclamation)
-// with PR-6 warm restarts (periodic snapshots, checksum-verified
-// restore, cold fallback), serving the request volume the control
+// the supervisor (watchdog, capped backoff, frame reclamation) with
+// warm restarts (periodic snapshots, checksum-verified restore, cold
+// fallback), serving the request volume the control
 // plane assigned to the node. Every node is a fully isolated
 // simulation on its own virtual clock, so nodes shard across host
 // cores (bench/parallel.RunIndexed) and each node's artifacts are
@@ -60,36 +59,6 @@ type NodeArtifact struct {
 	Spans      int    `json:"spans"`
 }
 
-// MachineNode wraps a real backends machine as a fleet node: the
-// node's container slots are co-resident containers on one shared
-// machine, supervised through crashes and restarts.
-type MachineNode struct {
-	id   int
-	Kind backends.Kind
-	Cl   *backends.Cluster
-	Sup  *backends.Supervisor
-}
-
-// ID implements Node.
-func (m *MachineNode) ID() int { return m.id }
-
-// Pressure implements Node: a machine node's slots are its booted
-// containers, all running (the replay drives them saturated; queueing
-// happens in the control plane).
-func (m *MachineNode) Pressure() Pressure {
-	running := 0
-	for _, c := range m.Cl.Containers {
-		if !c.K.Died() {
-			running++
-		}
-	}
-	return Pressure{
-		Node:    m.id,
-		Slots:   len(m.Cl.Containers),
-		Running: running,
-	}
-}
-
 // replayRequest is one served request: map a page, touch it, retire
 // it, compute — the same shape the SMP experiment's closed loop uses,
 // touching the syscall, page-fault, and mediated-PTE paths.
@@ -118,14 +87,14 @@ func fnv64a(data []byte) uint64 {
 	return h
 }
 
-// NewMachineNode boots a node: a shared machine with w.Containers
+// bootNode boots a node: a shared machine with w.Containers
 // co-resident containers of the given runtime under a warm-restart
 // supervisor (snapshot every healthy round, restore on death,
 // checksum-verified with cold fallback).
-func NewMachineNode(w NodeWork, kind backends.Kind, opts backends.Options) (*MachineNode, error) {
+func bootNode(w NodeWork, kind backends.Kind, opts backends.Options) (*backends.Cluster, *backends.Supervisor, error) {
 	cl, err := backends.NewCluster(1 << 16)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Fleet containers are small and co-resident: unless the caller
 	// sized them, shrink the per-container memory footprint so a node
@@ -136,37 +105,19 @@ func NewMachineNode(w NodeWork, kind backends.Kind, opts backends.Options) (*Mac
 	if opts.SegmentFrames == 0 {
 		opts.SegmentFrames = 1 << 11
 	}
-	n := &MachineNode{id: w.Node, Kind: kind, Cl: cl}
 	for i := 0; i < w.Containers; i++ {
 		if _, err := cl.Add(kind, opts); err != nil {
-			return nil, fmt.Errorf("fleet: node %d: boot container %d: %w", w.Node, i+1, err)
+			return nil, nil, fmt.Errorf("fleet: node %d: boot container %d: %w", w.Node, i+1, err)
 		}
 	}
 	pol := backends.DefaultRestartPolicy()
 	pol.SnapshotInterval = 1
 	pol.WarmRestart = true
-	n.Sup = backends.NewSupervisor(cl, pol)
-	return n, nil
+	return cl, backends.NewSupervisor(cl, pol), nil
 }
 
-// ReplayHooks are optional observation points on a node replay. All of
-// it follows the zero-cost observer contract: the zero value changes
-// nothing, and the hooks never advance the node's clock, so a hooked
-// replay produces the same NodeArtifact as a plain one (pinned by a
-// test).
-type ReplayHooks struct {
-	// Audit, when non-nil, records the node's machine events (the
-	// recorder is attached to every container, surviving supervisor
-	// restarts).
-	Audit *audit.Recorder
-	// OnRound, when non-nil, runs after every supervised round — the
-	// flight recorder's poll point and the telemetry scrape point for
-	// machine replays.
-	OnRound func(ReplayRound)
-}
-
-// ReplayRound is the state handed to ReplayHooks.OnRound after each
-// supervised round. Everything is live (not a copy): read, don't
+// ReplayRound is the state ReplayNode hands its onRound callback after
+// each supervised round. Everything is live (not a copy): read, don't
 // mutate.
 type ReplayRound struct {
 	// Round is the round index within the current supervise attempt
@@ -175,38 +126,35 @@ type ReplayRound struct {
 	Clk   *clock.Clock
 	Sup   *backends.Supervisor
 	// Recorder is trimmed after every round: it retains only the spans
-	// recorded since the previous OnRound, so poll it with a Len cursor
+	// recorded since the previous onRound, so poll it with a Len cursor
 	// (SpansFrom) rather than reading Spans at the end.
 	Recorder *trace.SpanRecorder
-	Audit    *audit.Recorder
 	Metrics  *metrics.Registry
 }
 
 // ReplayNode executes one node's assignment on a real machine and
-// returns its digest. Deterministic: the node is an isolated
-// simulation on its own virtual clock, so the same work yields the
-// same artifact bytes on any host scheduling.
-func ReplayNode(w NodeWork, kind backends.Kind, opts backends.Options) (*NodeArtifact, error) {
-	return ReplayNodeHooked(w, kind, opts, ReplayHooks{})
-}
-
-// ReplayNodeHooked is ReplayNode with observation hooks attached.
-func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hooks ReplayHooks) (*NodeArtifact, error) {
+// returns its digest. opts.Audit, when non-nil, records the node's
+// machine events from boot on (the supervisor carries it across
+// restarts). onRound, when non-nil, runs after every supervised round —
+// the flight recorder's poll point and the telemetry scrape point for
+// machine replays. Neither observer advances the node's clock, so an
+// observed replay yields the same artifact as a plain one (pinned by a
+// test). Deterministic: the node is an isolated simulation on its own
+// virtual clock, so the same work yields the same artifact bytes on any
+// host scheduling.
+func ReplayNode(w NodeWork, kind backends.Kind, opts backends.Options, onRound func(ReplayRound)) (*NodeArtifact, error) {
 	if w.Containers <= 0 {
 		w.Containers = 1
 	}
-	if hooks.Audit != nil {
-		opts.Audit = hooks.Audit
-	}
-	n, err := NewMachineNode(w, kind, opts)
+	cl, sup, err := bootNode(w, kind, opts)
 	if err != nil {
 		return nil, err
 	}
-	cl := n.Cl
 
 	// Per-node observers: every span carries the node ID, every metric
-	// series the node label, so fleet-wide artifacts fold per node. The
-	// supervisor carries each container's observers across restarts.
+	// series the node label, so fleet-wide artifacts fold per node.
+	// Attach replaces what boot attached, so opts.Audit goes in again.
+	// The supervisor carries each container's observers across restarts.
 	reg := metrics.NewRegistry()
 	nodeLabel := metrics.NodeLabel(w.Node)
 	sr := trace.NewSpanRecorder(cl.M.Clk)
@@ -216,7 +164,7 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 			Spans: sr,
 			Flow: metrics.NewFlowMetrics(reg,
 				metrics.L("container", metrics.IntStr(c.K.ContainerID)), nodeLabel),
-			Audit: hooks.Audit,
+			Audit: opts.Audit,
 		})
 	}
 
@@ -258,7 +206,7 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 	// Crashed containers sit out restart backoff, so a round can serve
 	// fewer turns than it has slots; keep running supervised rounds
 	// until the node's full assignment is served. Rounds run one
-	// Supervise call at a time so OnRound fires between them —
+	// Supervise call at a time so onRound fires between them —
 	// Supervise's loop carries no cross-round state beyond what the
 	// supervisor itself holds, so this is step-for-step identical to
 	// one Supervise(rounds) call.
@@ -269,18 +217,18 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 		}
 		for r := 0; r < rounds; r++ {
 			round := r
-			if err := n.Sup.Supervise(1, func(_ int, c *backends.Container) error {
+			if err := sup.Supervise(1, func(_ int, c *backends.Container) error {
 				return fn(round, c)
 			}); err != nil {
 				return nil, fmt.Errorf("fleet: node %d replay: %w", w.Node, err)
 			}
-			if hooks.OnRound != nil {
-				hooks.OnRound(ReplayRound{
-					Round: round, Clk: cl.M.Clk, Sup: n.Sup,
-					Recorder: sr, Audit: hooks.Audit, Metrics: reg,
+			if onRound != nil {
+				onRound(ReplayRound{
+					Round: round, Clk: cl.M.Clk, Sup: sup,
+					Recorder: sr, Metrics: reg,
 				})
 			}
-			// Only the span count reaches the digest, and OnRound has
+			// Only the span count reaches the digest, and onRound has
 			// polled what it needs: drop the round's spans so a node
 			// replays in bounded memory.
 			sr.Trim()
@@ -299,7 +247,7 @@ func ReplayNodeHooked(w NodeWork, kind backends.Kind, opts backends.Options, hoo
 		art.Runtime = c.Name
 		c.CollectMetrics(reg, nodeLabel, metrics.L("container", metrics.IntStr(c.K.ContainerID)))
 	}
-	for _, h := range n.Sup.Health {
+	for _, h := range sup.Health {
 		art.WarmRestores += h.WarmRestores
 		art.ColdRestarts += h.ColdRestarts
 	}

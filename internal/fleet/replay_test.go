@@ -13,7 +13,7 @@ import (
 // the supervisor's warm-restart path — and the digest is deterministic.
 func TestReplayNode(t *testing.T) {
 	w := NodeWork{Node: 3, Containers: 4, Requests: 40, Crashes: 2}
-	art, err := ReplayNode(w, backends.CKI, backends.Options{})
+	art, err := ReplayNode(w, backends.CKI, backends.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestReplayNode(t *testing.T) {
 		t.Fatalf("empty metrics fingerprint")
 	}
 
-	again, err := ReplayNode(w, backends.CKI, backends.Options{})
+	again, err := ReplayNode(w, backends.CKI, backends.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestReplayNodeAcrossRuntimes(t *testing.T) {
 	w := NodeWork{Node: 1, Containers: 2, Requests: 8}
 	seen := map[uint64]string{}
 	for _, k := range []backends.Kind{backends.RunC, backends.HVM, backends.PVM, backends.CKI, backends.GVisor} {
-		art, err := ReplayNode(w, k, backends.Options{})
+		art, err := ReplayNode(w, k, backends.Options{}, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -78,34 +78,13 @@ func TestReplayNodeAcrossRuntimes(t *testing.T) {
 	}
 }
 
-// TestMachineNodePressure: a machine node exposes the same pressure
-// signal shape the control plane's SimNode does.
-func TestMachineNodePressure(t *testing.T) {
-	n, err := NewMachineNode(NodeWork{Node: 5, Containers: 3}, backends.RunC, backends.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := n.Pressure()
-	if p.Node != 5 || p.Slots != 3 || p.Running != 3 {
-		t.Fatalf("pressure = %+v", p)
-	}
-	if n.ID() != 5 {
-		t.Fatalf("ID() = %d", n.ID())
-	}
-	var asNode Node = n
-	var asSim Node = NewSimNode(5, 3, 8)
-	if asNode.ID() != asSim.ID() {
-		t.Fatalf("interface disagreement")
-	}
-}
-
-// TestReplayNodeHooked: hooks are pure — a hooked replay (audit
-// recorder attached, per-round callback) produces the identical
-// NodeArtifact a plain one does, while the hooks see every round and
-// the audit log fills.
-func TestReplayNodeHooked(t *testing.T) {
+// TestReplayNodeObserversPure: observers are pure — a replay with an
+// audit recorder attached through Options.Audit and a per-round
+// callback produces the identical NodeArtifact a plain one does, while
+// the callback sees every round and the audit log fills.
+func TestReplayNodeObserversPure(t *testing.T) {
 	w := NodeWork{Node: 3, Containers: 4, Requests: 40, Crashes: 2}
-	plain, err := ReplayNode(w, backends.CKI, backends.Options{})
+	plain, err := ReplayNode(w, backends.CKI, backends.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,31 +92,28 @@ func TestReplayNodeHooked(t *testing.T) {
 	rounds := 0
 	crashesSeen := 0
 	prevCrashes := 0
-	hooked, err := ReplayNodeHooked(w, backends.CKI, backends.Options{}, ReplayHooks{
-		Audit: rec,
-		OnRound: func(r ReplayRound) {
-			rounds++
-			if r.Clk == nil || r.Sup == nil || r.Recorder == nil || r.Metrics == nil {
-				t.Fatalf("round state incomplete: %+v", r)
-			}
-			total := 0
-			for _, h := range r.Sup.Health {
-				total += h.Crashes
-			}
-			if total > prevCrashes {
-				crashesSeen++
-			}
-			prevCrashes = total
-		},
+	observed, err := ReplayNode(w, backends.CKI, backends.Options{Audit: rec}, func(r ReplayRound) {
+		rounds++
+		if r.Clk == nil || r.Sup == nil || r.Recorder == nil || r.Metrics == nil {
+			t.Fatalf("round state incomplete: %+v", r)
+		}
+		total := 0
+		for _, h := range r.Sup.Health {
+			total += h.Crashes
+		}
+		if total > prevCrashes {
+			crashesSeen++
+		}
+		prevCrashes = total
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, hooked) {
-		t.Fatalf("hooks changed the artifact:\n%+v\nvs\n%+v", plain, hooked)
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatalf("observers changed the artifact:\n%+v\nvs\n%+v", plain, observed)
 	}
 	if rounds == 0 {
-		t.Fatalf("OnRound never ran")
+		t.Fatalf("onRound never ran")
 	}
 	if rec.Len() == 0 {
 		t.Fatalf("audit recorder attached but empty")
@@ -145,6 +121,6 @@ func TestReplayNodeHooked(t *testing.T) {
 	// The per-round crash watch (the watchdog-trip detector the flight
 	// recorder uses) saw both injected panics.
 	if crashesSeen < w.Crashes {
-		t.Fatalf("round hook saw %d crash rounds, want >= %d", crashesSeen, w.Crashes)
+		t.Fatalf("round callback saw %d crash rounds, want >= %d", crashesSeen, w.Crashes)
 	}
 }
