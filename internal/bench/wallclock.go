@@ -252,6 +252,21 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 		}),
 	)
 
+	// Physical-memory word access: every page-table walk step and every
+	// KSM entry check is one ReadWord. The 64 frames span every chunk of
+	// a host-sized memory.
+	pm := mem.New(1 << 16)
+	for p := mem.PFN(1); p < 1<<16; p += 1 << 10 {
+		pm.WriteWord(p.Addr(), uint64(p))
+	}
+	var word uint64
+	rep.Benches = append(rep.Benches, runBench("mem/read_word", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			word += pm.ReadWord(mem.PFN(1+(i%64)<<10).Addr() + uint64(i%mem.WordsPerPage)*8)
+		}
+	}))
+
 	// Audit record emission (reserved recorder) and nil-observer span
 	// emission — the two per-event observability costs.
 	rep.Benches = append(rep.Benches,
@@ -295,6 +310,22 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 			encBuf = snapshot.EncodeTo(snap, encBuf[:0])
 		}
 	}))
+	// The KSM's per-vCPU top-copy re-verification, run on every remote
+	// leg of a CKI shootdown.
+	ksm, _, _, _ := sc.CKIInternals()
+	var refreshErr error
+	rep.Benches = append(rep.Benches, runBench("ksm/refresh_top_copy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ksm.RefreshTopCopy(sc.K.Cur.AS.Root, 0); err != nil {
+				refreshErr = err
+				return
+			}
+		}
+	}))
+	if refreshErr != nil {
+		return nil, fmt.Errorf("wallclock: refresh top copy: %w", refreshErr)
+	}
 	ps := snapshot.NewPageStore(mem.New(1 << 12))
 	const storeDigests = 512
 	for d := uint64(0); d < storeDigests; d++ {
@@ -430,7 +461,8 @@ func (rep *WallclockReport) Invariants() error {
 	for _, name := range []string{
 		"shootdown/8vcpu", "tlb/lookup_hit", "tlb/insert_evict",
 		"tlb/flush_page_reinsert", "audit/record", "trace/span_nil",
-		"snapshot/encode_to", "pagestore/lookup",
+		"snapshot/encode_to", "pagestore/lookup", "mem/read_word",
+		"ksm/refresh_top_copy",
 	} {
 		e, ok := byName[name]
 		if !ok || e.AllocsPerOp != 0 {

@@ -27,7 +27,7 @@ type fixture struct {
 
 const testContainer = 3
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	m := mem.New(4096)
 	costs := clock.DefaultCosts()
@@ -53,7 +53,7 @@ func newFixture(t *testing.T) *fixture {
 
 // buildGuestTable declares a top-level PTP and loads its per-vCPU copy,
 // leaving the CPU in deprivileged guest state.
-func (f *fixture) buildGuestTable(t *testing.T) mem.PFN {
+func (f *fixture) buildGuestTable(t testing.TB) mem.PFN {
 	t.Helper()
 	top, err := f.ksm.AllocGuestFrame()
 	if err != nil {
@@ -80,7 +80,7 @@ func (f *fixture) buildGuestTable(t *testing.T) mem.PFN {
 
 // mapUserPage maps one user page at va through the KSM, building
 // intermediate PTPs, and returns the data frame.
-func (f *fixture) mapUserPage(t *testing.T, top mem.PFN, va uint64) mem.PFN {
+func (f *fixture) mapUserPage(t testing.TB, top mem.PFN, va uint64) mem.PFN {
 	t.Helper()
 	data, err := f.ksm.AllocGuestFrame()
 	if err != nil {

@@ -307,17 +307,15 @@ func (k *KSM) RefreshTopCopy(top mem.PFN, vcpu int) (int, error) {
 	if !ok || desc.level != pagetable.LevelPML4 {
 		return 0, ErrNotTopLevel
 	}
-	const ad = pagetable.FlagAccessed | pagetable.FlagDirty
-	c := k.copies[top][vcpu]
+	const ad = uint64(pagetable.FlagAccessed | pagetable.FlagDirty)
+	master, cp := k.Mem.Page(top), k.Mem.Page(k.copies[top][vcpu])
 	fixed := 0
-	for i := 0; i < mem.WordsPerPage; i++ {
+	for i, want := range master {
 		if i == KSMPML4Slot || i == PerVCPUPML4Slot {
 			continue
 		}
-		want := pagetable.ReadEntry(k.Mem, top, i)
-		got := pagetable.ReadEntry(k.Mem, c, i)
-		if got&^ad != want&^ad {
-			pagetable.WriteEntry(k.Mem, c, i, want|got&ad)
+		if got := cp[i]; got&^ad != want&^ad {
+			cp[i] = want | got&ad
 			fixed++
 		}
 	}

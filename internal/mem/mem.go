@@ -17,6 +17,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/faults"
 )
@@ -72,13 +73,39 @@ var (
 	ErrNotAllocated = errors.New("mem: frame not allocated")
 )
 
+// Frames are tracked in chunks of chunkFrames consecutive frames, found
+// by indexing a directory with PFN >> chunkShift. A chunk is allocated
+// the first time any of its frames is allocated or written, so New
+// costs one directory slice however many frames the machine has.
+const (
+	chunkShift  = 11
+	chunkFrames = 1 << chunkShift
+	chunkMask   = chunkFrames - 1
+)
+
+// chunk holds the allocation state and the contents of chunkFrames
+// frames. A frame's tag encodes allocation and ownership in one word
+// whose zero value means free: 0 is free, owner+2 is allocated to
+// owner, so an allocation for NoOwner is tagged 1.
+type chunk struct {
+	tag   [chunkFrames]int32
+	pages [chunkFrames]*Page
+}
+
+// tagOf encodes owner as an allocated frame's tag. Owners are NoOwner
+// or non-negative and fit in an int32.
+func tagOf(owner int) int32 {
+	if owner < NoOwner || owner > math.MaxInt32-2 {
+		panic(fmt.Sprintf("mem: owner %d out of range", owner))
+	}
+	return int32(owner + 2)
+}
+
 // PhysMem is the physical memory of one simulated machine. It is not
 // safe for concurrent use; the simulator is single-threaded per machine.
 type PhysMem struct {
-	frames    int
-	pages     map[PFN]*Page
-	allocated []bool
-	owner     []int32
+	frames int
+	dir    []*chunk
 	// nextFree is a rotating scan cursor for single-frame allocation.
 	nextFree PFN
 	// segCursor is a bump cursor for contiguous segment allocation; the
@@ -101,17 +128,30 @@ func New(frames int) *PhysMem {
 	}
 	m := &PhysMem{
 		frames:    frames,
-		pages:     make(map[PFN]*Page),
-		allocated: make([]bool, frames),
-		owner:     make([]int32, frames),
+		dir:       make([]*chunk, (frames+chunkMask)>>chunkShift),
 		nextFree:  1,
 		segCursor: PFN(frames),
 	}
-	for i := range m.owner {
-		m.owner[i] = NoOwner
-	}
-	m.allocated[0] = true // reserve frame 0
+	m.chunk(0).tag[0] = tagOf(NoOwner) // reserve frame 0
 	return m
+}
+
+// chunk returns the chunk holding frame p, allocating it on first use.
+func (m *PhysMem) chunk(p PFN) *chunk {
+	c := m.dir[p>>chunkShift]
+	if c == nil {
+		c = new(chunk)
+		m.dir[p>>chunkShift] = c
+	}
+	return c
+}
+
+// tag returns frame p's tag; p must be in range.
+func (m *PhysMem) tag(p PFN) int32 {
+	if c := m.dir[p>>chunkShift]; c != nil {
+		return c.tag[p&chunkMask]
+	}
+	return 0
 }
 
 // Frames returns the total number of frames.
@@ -125,6 +165,7 @@ func (m *PhysMem) Alloc(owner int) (PFN, error) {
 	if m.Inj != nil && m.Inj.Fire(faults.HostAlloc) {
 		return 0, ErrOutOfMemory
 	}
+	t := tagOf(owner)
 	for scanned := 0; scanned < m.frames; scanned++ {
 		p := m.nextFree
 		m.nextFree++
@@ -134,9 +175,8 @@ func (m *PhysMem) Alloc(owner int) (PFN, error) {
 		if p >= m.segCursor { // inside the segment region
 			continue
 		}
-		if !m.allocated[p] {
-			m.allocated[p] = true
-			m.owner[p] = int32(owner)
+		if m.tag(p) == 0 {
+			m.chunk(p).tag[p&chunkMask] = t
 			m.inUse++
 			return p, nil
 		}
@@ -153,17 +193,17 @@ func (m *PhysMem) AllocSegment(n, owner int) (Segment, error) {
 	if m.segCursor < PFN(n)+1 {
 		return Segment{}, ErrFragmented
 	}
+	t := tagOf(owner)
 	base := m.segCursor - PFN(n)
 	// Ensure the run is genuinely free (the single-frame allocator never
 	// strays above segCursor, but a prior Free could have been misused).
 	for p := base; p < m.segCursor; p++ {
-		if m.allocated[p] {
+		if m.tag(p) != 0 {
 			return Segment{}, ErrFragmented
 		}
 	}
 	for p := base; p < m.segCursor; p++ {
-		m.allocated[p] = true
-		m.owner[p] = int32(owner)
+		m.chunk(p).tag[p&chunkMask] = t
 	}
 	m.inUse += n
 	m.segCursor = base
@@ -175,12 +215,12 @@ func (m *PhysMem) Free(p PFN) error {
 	if p == 0 || p >= PFN(m.frames) {
 		return ErrOutOfRange
 	}
-	if !m.allocated[p] {
+	c := m.dir[p>>chunkShift]
+	if c == nil || c.tag[p&chunkMask] == 0 {
 		return ErrDoubleFree
 	}
-	m.allocated[p] = false
-	m.owner[p] = NoOwner
-	delete(m.pages, p)
+	c.tag[p&chunkMask] = 0
+	c.pages[p&chunkMask] = nil
 	m.inUse--
 	return nil
 }
@@ -192,16 +232,21 @@ func (m *PhysMem) Free(p PFN) error {
 // cycles do not exhaust the contiguous-delegation space.
 func (m *PhysMem) FreeOwned(owner int) int {
 	n := 0
-	for p := PFN(1); p < PFN(m.frames); p++ {
-		if m.allocated[p] && int(m.owner[p]) == owner {
-			m.allocated[p] = false
-			m.owner[p] = NoOwner
-			delete(m.pages, p)
+	for ci, c := range m.dir {
+		if c == nil {
+			continue
+		}
+		for i, t := range c.tag {
+			if t == 0 || int(t)-2 != owner || (ci == 0 && i == 0) {
+				continue
+			}
+			c.tag[i] = 0
+			c.pages[i] = nil
 			m.inUse--
 			n++
 		}
 	}
-	for m.segCursor < PFN(m.frames) && !m.allocated[m.segCursor] {
+	for m.segCursor < PFN(m.frames) && m.tag(m.segCursor) == 0 {
 		m.segCursor++
 	}
 	return n
@@ -212,12 +257,15 @@ func (m *PhysMem) Owner(p PFN) int {
 	if p >= PFN(m.frames) {
 		return NoOwner
 	}
-	return int(m.owner[p])
+	if t := m.tag(p); t != 0 {
+		return int(t) - 2
+	}
+	return NoOwner
 }
 
 // Allocated reports whether frame p is currently allocated.
 func (m *PhysMem) Allocated(p PFN) bool {
-	return p < PFN(m.frames) && m.allocated[p]
+	return p < PFN(m.frames) && m.tag(p) != 0
 }
 
 // Page returns the backing contents of frame p, materializing them on
@@ -227,10 +275,11 @@ func (m *PhysMem) Page(p PFN) *Page {
 	if p >= PFN(m.frames) {
 		panic(fmt.Sprintf("mem: PFN %#x out of range", uint64(p)))
 	}
-	pg := m.pages[p]
+	c := m.chunk(p)
+	pg := c.pages[p&chunkMask]
 	if pg == nil {
 		pg = new(Page)
-		m.pages[p] = pg
+		c.pages[p&chunkMask] = pg
 	}
 	return pg
 }
@@ -242,7 +291,11 @@ func (m *PhysMem) ReadWord(pa uint64) uint64 {
 	if pfn >= PFN(m.frames) {
 		panic(fmt.Sprintf("mem: physical read at %#x out of range", pa))
 	}
-	pg := m.pages[pfn]
+	c := m.dir[pfn>>chunkShift]
+	if c == nil {
+		return 0
+	}
+	pg := c.pages[pfn&chunkMask]
 	if pg == nil {
 		return 0
 	}
