@@ -84,7 +84,8 @@ func run(t *testing.T, args ...string) (int, string) {
 func attrFixture(t *testing.T) string {
 	t.Helper()
 	rep := &bench.TailReport{
-		Seed: 1, Nodes: 2, SlotsPerNode: 1, Sched: "spread",
+		FleetShape: bench.FleetShape{Seed: 1, Nodes: 2, SlotsPerNode: 1},
+		Sched:      "spread",
 		Rows: []bench.TailRow{{
 			Runtime: "RunC", Completed: 1, StormStartNs: 100, StormEndNs: 200,
 			Quantiles: []bench.TailQuantile{

@@ -100,7 +100,8 @@ func tailFixture(t *testing.T) (string, string) {
 	t.Helper()
 	const id = "00000000000000ab"
 	rep := &bench.TailReport{
-		Seed: 1, Scale: 1, Nodes: 2, SlotsPerNode: 1, QueueLimit: 1, MeanReqs: 1, Sched: "spread",
+		FleetShape: bench.FleetShape{Seed: 1, Scale: 1, Nodes: 2, SlotsPerNode: 1, QueueLimit: 1, MeanReqs: 1},
+		Sched:      "spread",
 		Rows: []bench.TailRow{{
 			Runtime: "RunC", Completed: 1,
 			Quantiles: []bench.TailQuantile{

@@ -79,6 +79,59 @@ func committed[T any](t *testing.T, path string) func() *T {
 	}
 }
 
+// TestFleetArtifactsRoundTrip: the four fleet-family artifacts decode
+// into their reports (ckimon and ckitrace read them back) and re-encode
+// byte for byte, and each decoded header is the experiment's committed
+// FleetShape.
+func TestFleetArtifactsRoundTrip(t *testing.T) {
+	check := func(path string, rep Report, got, want FleetShape) {
+		t.Helper()
+		var b bytes.Buffer
+		if err := WriteJSON(rep, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), readCommitted(t, path)) {
+			t.Errorf("%s does not re-encode byte for byte after decoding", path)
+		}
+		if got != want {
+			t.Errorf("%s: header %+v, want %+v", path, got, want)
+		}
+	}
+	fl := committed[FleetReport](t, "BENCH_fleet.json")()
+	check("BENCH_fleet.json", fl, fl.FleetShape, fleetGrid.at(1, 0))
+	slo := committed[SLOReport](t, "BENCH_slo.json")()
+	check("BENCH_slo.json", slo, slo.FleetShape, sloFleet.at(1, 0))
+	tail := committed[TailReport](t, "BENCH_tail.json")()
+	check("BENCH_tail.json", tail, tail.FleetShape, tailFleet.at(1, 0))
+	sl := committed[ServerlessReport](t, "BENCH_serverless.json")()
+	check("BENCH_serverless.json", sl, sl.FleetShape, serverlessFleet.at(1, 0))
+}
+
+// TestFleetZeroOpts: zero-valued options mean the committed defaults
+// (scale 1, the committed fleet size), so each fleet-family experiment
+// run from its zero Opts reproduces its committed artifact.
+func TestFleetZeroOpts(t *testing.T) {
+	runs := map[string]func() (Report, error){
+		"BENCH_fleet.json":      func() (Report, error) { return RunFleet(FleetOpts{Parallel: DefaultParallel()}) },
+		"BENCH_slo.json":        func() (Report, error) { return RunSLO(SLOOpts{Parallel: DefaultParallel()}) },
+		"BENCH_tail.json":       func() (Report, error) { return RunTail(TailOpts{Parallel: DefaultParallel()}) },
+		"BENCH_serverless.json": func() (Report, error) { return RunServerless(ServerlessOpts{Parallel: DefaultParallel()}) },
+	}
+	for path, run := range runs {
+		rep, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var b bytes.Buffer
+		if err := WriteJSON(rep, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), readCommitted(t, path)) {
+			t.Errorf("a zero-options run differs from the committed %s", path)
+		}
+	}
+}
+
 // checkShape asserts that a fresh report satisfies its Invariants and
 // that every named mutation of a fresh report violates them: the
 // invariants catch what they claim to.

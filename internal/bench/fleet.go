@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 // The fleet experiment: datacenter-scale serving. A calibration pass
@@ -34,14 +35,77 @@ import (
 // derived per-cell seed.
 const FleetSeed = 0xf1ee7
 
+// FleetShape sizes the cells of a fleet-family experiment (fleet, slo,
+// tail, serverless): the simulated fleet, its admission bound, the mean
+// per-container request demand, and the seed and scale the cells derive
+// from. One value heads the report (embedded, so its fields encode
+// first) and configures every cell, so the two cannot disagree; its
+// methods are the only place a cell's lifetime, capacity, horizon and
+// eviction storm are computed.
+type FleetShape struct {
+	Seed         uint64 `json:"seed"`
+	Scale        int    `json:"scale"`
+	Nodes        int    `json:"nodes"`
+	SlotsPerNode int    `json:"slots_per_node"`
+	QueueLimit   int    `json:"queue_limit"`
+	MeanReqs     int    `json:"mean_reqs"`
+}
+
+// at is the shape of one run: scale at least 1, and the fleet resized
+// when nodes overrides it.
+func (s FleetShape) at(scale, nodes int) FleetShape {
+	s.Scale = max(scale, 1)
+	if nodes != 0 {
+		s.Nodes = nodes
+	}
+	return s
+}
+
+// lifetime is one container's nominal slot occupancy: a boot plus
+// MeanReqs requests.
+func (s FleetShape) lifetime(costs fleet.RuntimeCosts) clock.Time {
+	return costs.Boot + clock.Time(s.MeanReqs)*costs.Service
+}
+
+// capacity is the arrival rate (arrivals/sec) at which the fleet is
+// nominally saturated.
+func (s FleetShape) capacity(costs fleet.RuntimeCosts) float64 {
+	return float64(s.Nodes*s.SlotsPerNode) / s.lifetime(costs).Seconds()
+}
+
+// horizon sizes a cell so it carries perScale arrivals per scale unit
+// at the given rate.
+func (s FleetShape) horizon(perScale int, rate float64) clock.Time {
+	return clock.Time(float64(perScale*s.Scale) / rate * float64(clock.Second))
+}
+
+// cell assembles one cell's control-plane config.
+func (s FleetShape) cell(costs fleet.RuntimeCosts, seed uint64, arrivals []des.Arrival,
+	horizon clock.Time, sched fleet.Scheduler) fleet.Config {
+	return fleet.Config{
+		Nodes: s.Nodes, SlotsPerNode: s.SlotsPerNode, QueueLimit: s.QueueLimit,
+		Costs: costs, MeanReqs: s.MeanReqs,
+		Arrivals: arrivals, Horizon: horizon,
+		Seed: seed, Sched: sched,
+	}
+}
+
+// storm turns cfg into an eviction-storm cell: evict nodes (at least
+// one) go down at virtual time at for down, and containers snapshot
+// every quarter lifetime so the evicted ones can restore warm.
+func (s FleetShape) storm(cfg *fleet.Config, evict int, at, down clock.Time) {
+	cfg.SnapshotAge = s.lifetime(cfg.Costs) / 4
+	cfg.EvictAt = at
+	cfg.EvictNodes = max(evict, 1)
+	cfg.DownFor = down
+}
+
+// fleetGrid is the committed fleet experiment's shape: 50 nodes x 4
+// slots, a per-node admission bound of 16, and a mean demand of 8
+// requests per container.
+var fleetGrid = FleetShape{Seed: FleetSeed, Nodes: 50, SlotsPerNode: 4, QueueLimit: 16, MeanReqs: 8}
+
 const (
-	// fleetDefaultNodes x fleetSlotsPerNode is the simulated fleet.
-	fleetDefaultNodes = 50
-	fleetSlotsPerNode = 4
-	// fleetQueueLimit is the per-node admission bound.
-	fleetQueueLimit = 16
-	// fleetMeanReqs is the mean per-container request demand.
-	fleetMeanReqs = 8
 	// fleetCalibReqs sizes the calibration service-time window.
 	fleetCalibReqs = 16
 	// fleetReplayNodes is how many of the storm cell's nodes the replay
@@ -72,12 +136,9 @@ type FleetCalibration struct {
 	WarmRestoreNs float64 `json:"warm_restore_ns"`
 }
 
-// FleetRow is one (runtime, scheduler, load segment) measurement.
-type FleetRow struct {
-	Runtime       string  `json:"runtime"`
-	Sched         string  `json:"sched"`
-	Load          string  `json:"load"`
-	OfferedPerSec float64 `json:"offered_per_sec"`
+// FleetTails is one cell's volume, goodput and arrival-to-completion
+// latency tails.
+type FleetTails struct {
 	Arrived       int     `json:"arrived"`
 	Completed     int     `json:"completed"`
 	Rejected      int     `json:"rejected"`
@@ -87,24 +148,42 @@ type FleetRow struct {
 	P99Ms         float64 `json:"p99_ms"`
 	P999Ms        float64 `json:"p999_ms"`
 	MaxQueue      int     `json:"max_queue"`
-	Evicted       int     `json:"evicted,omitempty"`
-	WarmRestores  int     `json:"warm_restores,omitempty"`
-	ColdRedos     int     `json:"cold_redos,omitempty"`
+}
+
+// fleetTails tabulates a cell's result over its horizon.
+func fleetTails(res *fleet.Result, horizon clock.Time) FleetTails {
+	ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
+	return FleetTails{
+		Arrived: res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
+		GoodputPerSec: res.Goodput(horizon),
+		MeanMs:        ms(res.MeanLatency()),
+		P50Ms:         ms(res.Quantile(0.5)),
+		P99Ms:         ms(res.Quantile(0.99)),
+		P999Ms:        ms(res.Quantile(0.999)),
+		MaxQueue:      res.MaxQueue,
+	}
+}
+
+// FleetRow is one (runtime, scheduler, load segment) measurement.
+type FleetRow struct {
+	Runtime       string  `json:"runtime"`
+	Sched         string  `json:"sched"`
+	Load          string  `json:"load"`
+	OfferedPerSec float64 `json:"offered_per_sec"`
+	FleetTails
+	Evicted      int `json:"evicted,omitempty"`
+	WarmRestores int `json:"warm_restores,omitempty"`
+	ColdRedos    int `json:"cold_redos,omitempty"`
 }
 
 // FleetReport is the whole experiment (the committed BENCH_fleet
 // artifact).
 type FleetReport struct {
-	Seed         uint64               `json:"seed"`
-	Scale        int                  `json:"scale"`
-	Nodes        int                  `json:"nodes"`
-	SlotsPerNode int                  `json:"slots_per_node"`
-	QueueLimit   int                  `json:"queue_limit"`
-	MeanReqs     int                  `json:"mean_reqs"`
-	Schedulers   []string             `json:"schedulers"`
-	Calibration  []FleetCalibration   `json:"calibration"`
-	Rows         []FleetRow           `json:"rows"`
-	Replay       []fleet.NodeArtifact `json:"replay"`
+	FleetShape
+	Schedulers  []string             `json:"schedulers"`
+	Calibration []FleetCalibration   `json:"calibration"`
+	Rows        []FleetRow           `json:"rows"`
+	Replay      []fleet.NodeArtifact `json:"replay"`
 
 	// Timeline is the merged per-cell time-series store when
 	// FleetOpts.ScrapeInterval was set (ckibench -slo-out); it is not
@@ -118,7 +197,7 @@ type FleetReport struct {
 type FleetOpts struct {
 	Scale    int
 	Parallel int
-	// Nodes overrides the fleet size (default fleetDefaultNodes).
+	// Nodes overrides the fleet size (default fleetGrid.Nodes).
 	Nodes int
 	// Sched restricts the run to one scheduler ("" = all).
 	Sched string
@@ -148,13 +227,13 @@ func fleetCalibrate(kind backends.Kind, opts backends.Options) (fleet.RuntimeCos
 	}
 	costs.Boot = c.Clk.Now()
 	for i := 0; i < 4; i++ {
-		if err := smpRequest(c.K); err != nil {
+		if err := workloads.PageRequest(c.K); err != nil {
 			return costs, "", err
 		}
 	}
 	t0 := c.Clk.Now()
 	for i := 0; i < fleetCalibReqs; i++ {
-		if err := smpRequest(c.K); err != nil {
+		if err := workloads.PageRequest(c.K); err != nil {
 			return costs, "", err
 		}
 	}
@@ -214,16 +293,10 @@ type fleetSegment struct {
 	storm bool
 }
 
-// fleetHorizon sizes a segment so it carries ~fleetArrivalsPerCell
-// arrivals per scale unit at the given rate.
-func fleetHorizon(scale int, rate float64) clock.Time {
-	n := float64(fleetArrivalsPerCell * scale)
-	return clock.Time(n / rate * float64(clock.Second))
-}
-
 // fleetSegments builds the load axis for one runtime's capacity
-// (arrivals/sec at which the fleet is nominally saturated).
-func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
+// (arrivals/sec at which the fleet is nominally saturated). Every
+// segment carries ~fleetArrivalsPerCell arrivals per scale unit.
+func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegment, error) {
 	if o.TraceFile != "" {
 		f, err := os.Open(o.TraceFile)
 		if err != nil {
@@ -253,7 +326,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 	}
 	if o.ArrivalRate > 0 {
 		rate := o.ArrivalRate
-		h := fleetHorizon(o.Scale, rate)
+		h := shape.horizon(fleetArrivalsPerCell, rate)
 		return []fleetSegment{{
 			label: "custom", offered: rate,
 			build: func(seed uint64) ([]des.Arrival, clock.Time) {
@@ -264,7 +337,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 	var out []fleetSegment
 	for _, mult := range fleetLoadPoints {
 		rate := mult * capacity
-		h := fleetHorizon(o.Scale, rate)
+		h := shape.horizon(fleetArrivalsPerCell, rate)
 		out = append(out, fleetSegment{
 			label: fmt.Sprintf("%.2fx", mult), offered: rate,
 			build: func(seed uint64) ([]des.Arrival, clock.Time) {
@@ -273,7 +346,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 		})
 	}
 	// Bursty diurnal trace: trough at 0.4x, peak near 1.4x capacity.
-	dh := fleetHorizon(o.Scale, 0.9*capacity)
+	dh := shape.horizon(fleetArrivalsPerCell, 0.9*capacity)
 	base := 0.4 * capacity
 	out = append(out, fleetSegment{
 		label: "diurnal", offered: 0.9 * capacity,
@@ -287,7 +360,7 @@ func fleetSegments(o FleetOpts, capacity float64) ([]fleetSegment, error) {
 		},
 	})
 	// Eviction storm at steady 0.8x load.
-	sh := fleetHorizon(o.Scale, 0.8*capacity)
+	sh := shape.horizon(fleetArrivalsPerCell, 0.8*capacity)
 	srate := 0.8 * capacity
 	out = append(out, fleetSegment{
 		label: "storm", offered: srate, storm: true,
@@ -319,28 +392,17 @@ func fleetSchedulers(name string) ([]fleet.Scheduler, error) {
 }
 
 // fleetCellConfig assembles the control-plane config for one grid
-// cell. The arrival and demand seeds derive from (runtime, segment)
-// only — both schedulers see the identical offered stream, so their
-// rows are directly comparable.
-func fleetCellConfig(o FleetOpts, nodes int, costs fleet.RuntimeCosts,
+// cell; the storm segment evicts a tenth of the nodes halfway through.
+// The arrival and demand seeds derive from (runtime, segment) only —
+// both schedulers see the identical offered stream, so their rows are
+// directly comparable.
+func fleetCellConfig(shape FleetShape, costs fleet.RuntimeCosts,
 	ri, si int, seg fleetSegment, sched fleet.Scheduler) fleet.Config {
-	seed := faults.Child(FleetSeed, ri*64+si)
+	seed := faults.Child(shape.Seed, ri*64+si)
 	arrivals, horizon := seg.build(seed)
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: fleetSlotsPerNode, QueueLimit: fleetQueueLimit,
-		Costs: costs, MeanReqs: fleetMeanReqs,
-		Arrivals: arrivals, Horizon: horizon,
-		Seed: seed, Sched: sched,
-	}
+	cfg := shape.cell(costs, seed, arrivals, horizon, sched)
 	if seg.storm {
-		lifetime := costs.Boot + clock.Time(fleetMeanReqs)*costs.Service
-		cfg.SnapshotAge = lifetime / 4
-		cfg.EvictAt = horizon / 2
-		cfg.EvictNodes = nodes / 10
-		if cfg.EvictNodes < 1 {
-			cfg.EvictNodes = 1
-		}
-		cfg.DownFor = horizon / 8
+		shape.storm(&cfg, shape.Nodes/10, horizon/2, horizon/8)
 	}
 	return cfg
 }
@@ -348,16 +410,7 @@ func fleetCellConfig(o FleetOpts, nodes int, costs fleet.RuntimeCosts,
 // RunFleet executes the fleet experiment. Deterministic: the same
 // opts produce the same report, byte for byte, for any Parallel.
 func RunFleet(o FleetOpts) (*FleetReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = fleetDefaultNodes
-	}
+	shape := fleetGrid.at(o.Scale, o.Nodes)
 	scheds, err := fleetSchedulers(o.Sched)
 	if err != nil {
 		return nil, err
@@ -370,11 +423,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		return nil, err
 	}
 
-	rep := &FleetReport{
-		Seed: FleetSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: fleetSlotsPerNode, QueueLimit: fleetQueueLimit,
-		MeanReqs: fleetMeanReqs, Calibration: cal,
-	}
+	rep := &FleetReport{FleetShape: shape, Calibration: cal}
 	for _, s := range scheds {
 		rep.Schedulers = append(rep.Schedulers, s.Name())
 	}
@@ -383,9 +432,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 	// (runtime, segment, scheduler) fleet.
 	segsPerRT := make([][]fleetSegment, len(specs))
 	for ri := range specs {
-		lifetime := costs[ri].Boot + clock.Time(fleetMeanReqs)*costs[ri].Service
-		capacity := float64(nodes*fleetSlotsPerNode) / lifetime.Seconds()
-		segs, err := fleetSegments(o, capacity)
+		segs, err := fleetSegments(o, shape, shape.capacity(costs[ri]))
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +455,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		si := ci / len(scheds) % nSegs
 		sj := ci % len(scheds)
 		seg := segsPerRT[ri][si]
-		cfg := fleetCellConfig(o, nodes, costs[ri], ri, si, seg, scheds[sj])
+		cfg := fleetCellConfig(shape, costs[ri], ri, si, seg, scheds[sj])
 		if o.ScrapeInterval > 0 {
 			store := telemetry.NewStore(o.ScrapeInterval, 0)
 			cfg.Observe = telemetry.NewFleetProbe(metrics.NewRegistry(), store, nil,
@@ -422,17 +469,10 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		if err != nil {
 			return fmt.Errorf("fleet: %s/%s/%s: %w", cal[ri].Runtime, scheds[sj].Name(), seg.label, err)
 		}
-		ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 		rows[ci] = FleetRow{
 			Runtime: cal[ri].Runtime, Sched: scheds[sj].Name(), Load: seg.label,
 			OfferedPerSec: seg.offered,
-			Arrived:       res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
-			GoodputPerSec: res.Goodput(cfg.Horizon),
-			MeanMs:        ms(res.MeanLatency()),
-			P50Ms:         ms(res.Quantile(0.5)),
-			P99Ms:         ms(res.Quantile(0.99)),
-			P999Ms:        ms(res.Quantile(0.999)),
-			MaxQueue:      res.MaxQueue,
+			FleetTails:    fleetTails(res, cfg.Horizon),
 			Evicted:       res.Evicted,
 			WarmRestores:  res.WarmRestores,
 			ColdRedos:     res.ColdRedos,
@@ -459,7 +499,7 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		}
 		w := fleet.NodeWork{
 			Node:       stat.Node,
-			Containers: fleetSlotsPerNode,
+			Containers: shape.SlotsPerNode,
 			Requests:   reqs,
 		}
 		if stat.Crashed {
@@ -532,10 +572,10 @@ func (rep *FleetReport) WriteTable(w io.Writer) error {
 // losing track of an eviction, and a replay digest per storm node.
 func (rep *FleetReport) Invariants() error {
 	nRT := len(runtimeSpecs())
-	if rep.Nodes != fleetDefaultNodes || rep.SlotsPerNode != fleetSlotsPerNode ||
+	if want := fleetGrid.at(rep.Scale, 0); rep.FleetShape != want ||
 		!slices.Equal(rep.Schedulers, fleet.SchedulerNames()) {
-		return fmt.Errorf("fleet: %d nodes x %d slots, schedulers %v; want %d x %d, %v",
-			rep.Nodes, rep.SlotsPerNode, rep.Schedulers, fleetDefaultNodes, fleetSlotsPerNode, fleet.SchedulerNames())
+		return fmt.Errorf("fleet: shape %+v, schedulers %v; want %+v, %v",
+			rep.FleetShape, rep.Schedulers, want, fleet.SchedulerNames())
 	}
 	if len(rep.Calibration) != nRT {
 		return fmt.Errorf("fleet: %d calibration rows, want %d", len(rep.Calibration), nRT)

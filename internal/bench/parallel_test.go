@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/backends"
+	"repro/internal/workloads"
 )
 
 // The byte-identity contract: every artifact a grid experiment emits —
@@ -244,7 +245,7 @@ func BenchmarkSMPCell(b *testing.B) {
 			b.Fatalf("boot %v x2: %v", s.kind, err)
 		}
 		for i := 0; i < 4; i++ {
-			if err := smpRequest(c.K); err != nil {
+			if err := workloads.PageRequest(c.K); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,7 +257,7 @@ func BenchmarkSMPCell(b *testing.B) {
 					if err := c.MigrateVCPU(v); err != nil {
 						b.Fatal(err)
 					}
-					if err := smpRequest(c.K); err != nil {
+					if err := workloads.PageRequest(c.K); err != nil {
 						b.Fatal(err)
 					}
 				}

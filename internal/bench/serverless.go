@@ -58,17 +58,18 @@ const (
 	serverlessSiblings   = 4
 	serverlessChurnForks = 24
 	serverlessIDPool     = 9
-	// The fleet stage: churn cells are sized like the fleet experiment
-	// but short-lived (MeanReqs) and moderately loaded, so the tails
-	// isolate instantiation cost rather than queueing collapse.
-	serverlessNodes        = 50
-	serverlessSlotsPerNode = 4
-	serverlessQueueLimit   = 16
-	serverlessMeanReqs     = 2
-	serverlessLoad         = 0.5
+	// serverlessLoad is the fleet stage's offered load as a fraction of
+	// nominal capacity.
+	serverlessLoad = 0.5
 	// serverlessArrivalsPerCell sizes the horizon per scale unit.
 	serverlessArrivalsPerCell = 2000
 )
+
+// serverlessFleet is the committed fleet stage's shape: churn cells
+// are sized like the fleet experiment but short-lived (MeanReqs) and
+// moderately loaded (serverlessLoad), so the tails isolate
+// instantiation cost rather than queueing collapse.
+var serverlessFleet = FleetShape{Seed: ServerlessSeed, Nodes: 50, SlotsPerNode: 4, QueueLimit: 16, MeanReqs: 2}
 
 // serverlessModes is the instantiation-mode axis of the fleet stage.
 var serverlessModes = []string{"cold", "eager", "cow", "lazy"}
@@ -78,7 +79,7 @@ var serverlessModes = []string{"cold", "eager", "cow", "lazy"}
 type ServerlessOpts struct {
 	Scale    int
 	Parallel int
-	// Nodes overrides the fleet size (default serverlessNodes).
+	// Nodes overrides the fleet size (default serverlessFleet.Nodes).
 	Nodes int
 	// ChurnRate, when > 0, replaces the load-derived per-runtime
 	// arrival rate of the fleet stage with this absolute rate
@@ -140,15 +141,7 @@ type ServerlessRow struct {
 	Runtime       string  `json:"runtime"`
 	Mode          string  `json:"mode"`
 	OfferedPerSec float64 `json:"offered_per_sec"`
-	Arrived       int     `json:"arrived"`
-	Completed     int     `json:"completed"`
-	Rejected      int     `json:"rejected"`
-	GoodputPerSec float64 `json:"goodput_per_sec"`
-	MeanMs        float64 `json:"mean_ms"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	P999Ms        float64 `json:"p999_ms"`
-	MaxQueue      int     `json:"max_queue"`
+	FleetTails
 	// Attribution over every completed request (exact: the three
 	// shares sum to 100% of completed latency, conservation-checked
 	// per request).
@@ -160,19 +153,14 @@ type ServerlessRow struct {
 // ServerlessReport is the whole experiment (the committed
 // BENCH_serverless artifact).
 type ServerlessReport struct {
-	Seed         uint64                  `json:"seed"`
-	Scale        int                     `json:"scale"`
-	Nodes        int                     `json:"nodes"`
-	SlotsPerNode int                     `json:"slots_per_node"`
-	QueueLimit   int                     `json:"queue_limit"`
-	MeanReqs     int                     `json:"mean_reqs"`
-	Sched        string                  `json:"sched"`
-	HeapPages    int                     `json:"heap_pages"`
-	HotPages     int                     `json:"hot_pages"`
-	TLBEntries   int                     `json:"tlb_entries"`
-	Calibration  []ServerlessCalibration `json:"calibration"`
-	Churn        []ServerlessChurn       `json:"churn"`
-	Rows         []ServerlessRow         `json:"rows"`
+	FleetShape
+	Sched       string                  `json:"sched"`
+	HeapPages   int                     `json:"heap_pages"`
+	HotPages    int                     `json:"hot_pages"`
+	TLBEntries  int                     `json:"tlb_entries"`
+	Calibration []ServerlessCalibration `json:"calibration"`
+	Churn       []ServerlessChurn       `json:"churn"`
+	Rows        []ServerlessRow         `json:"rows"`
 }
 
 // serverlessSpecs is runtimeSpecs with the TLB pinned small, so the
@@ -429,34 +417,20 @@ func serverlessCellCosts(cal *serverlessCosts, mode string) (fleet.RuntimeCosts,
 
 // serverlessAttribution decomposes every completed request's latency
 // into queue, instantiation (boot, fork, warm restore, storm redo) and
-// service time, conservation-checked per request.
+// service time, conservation-checked per request by tailComponents.
 func serverlessAttribution(name string, rec *trace.RequestRecorder) (queuePs, bootPs, servicePs int64, err error) {
 	for _, id := range rec.Requests() {
 		segs := rec.Segments(id)
-		last := segs[len(segs)-1]
-		if !last.Terminal() || last.Kind != trace.SegComplete {
+		if segs[len(segs)-1].Kind != trace.SegComplete {
 			continue
 		}
-		total, cerr := trace.Conserve(segs)
-		if cerr != nil {
-			return 0, 0, 0, fmt.Errorf("serverless: %s: %w", name, cerr)
+		c, err := tailComponents(segs)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("serverless: %s: %w", name, err)
 		}
-		var q, b, s int64
-		for _, seg := range segs {
-			switch seg.Kind {
-			case trace.SegQueue:
-				q += int64(seg.Dur)
-			case trace.SegBoot, trace.SegForkBoot, trace.SegWarmRestore, trace.SegStormRedo:
-				b += int64(seg.Dur)
-			case trace.SegService:
-				s += int64(seg.Dur)
-			}
-		}
-		if q+b+s != int64(total) {
-			return 0, 0, 0, fmt.Errorf("serverless: %s: request %s components sum to %d ps, latency is %d ps",
-				name, id, q+b+s, int64(total))
-		}
-		queuePs, bootPs, servicePs = queuePs+q, bootPs+b, servicePs+s
+		queuePs += c.QueuePs
+		bootPs += c.BootPs + c.WarmRestorePs + c.StormRedoPs
+		servicePs += c.ServicePs
 	}
 	return queuePs, bootPs, servicePs, nil
 }
@@ -477,21 +451,8 @@ func serverlessFleetModes(sel string) ([]string, error) {
 // RunServerless executes the serverless experiment. Deterministic: the
 // same opts produce the same report, byte for byte, for any Parallel.
 func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = serverlessNodes
-	}
+	shape := serverlessFleet.at(o.Scale, o.Nodes)
 	modes, err := serverlessFleetModes(o.ForkMode)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := fleet.SchedulerByName("spread")
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +461,7 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 	// Stage 1 — calibration plus the churn loop, one cell per runtime.
 	cals := make([]*serverlessCosts, len(specs))
 	err = RunIndexed(o.Parallel, len(specs), func(i int) error {
-		cal, err := serverlessCalibrate(o.Scale, specs[i].kind, specs[i].opts)
+		cal, err := serverlessCalibrate(shape.Scale, specs[i].kind, specs[i].opts)
 		if err != nil {
 			return fmt.Errorf("serverless: calibrate %v: %w", specs[i].kind, err)
 		}
@@ -512,10 +473,8 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 	}
 
 	rep := &ServerlessReport{
-		Seed: ServerlessSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: serverlessSlotsPerNode, QueueLimit: serverlessQueueLimit,
-		MeanReqs: serverlessMeanReqs, Sched: sched.Name(),
-		HeapPages: serverlessHeapPages * o.Scale, HotPages: serverlessHotPages,
+		FleetShape: shape, Sched: fleet.Spread{}.Name(),
+		HeapPages: serverlessHeapPages * shape.Scale, HotPages: serverlessHotPages,
 		TLBEntries: serverlessTLBEntries,
 	}
 	ns := func(t clock.Time) float64 { return float64(t) / float64(clock.Nanosecond) }
@@ -546,22 +505,16 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 		// Rate and horizon derive from the cold cost model for every
 		// mode: the comparison holds offered load fixed and lets the
 		// instantiation path move the tail.
-		lifetime := cal.cold + clock.Time(serverlessMeanReqs)*cal.invoke
-		rate := serverlessLoad * float64(nodes*serverlessSlotsPerNode) / lifetime.Seconds()
+		rate := serverlessLoad * shape.capacity(fleet.RuntimeCosts{Boot: cal.cold, Service: cal.invoke})
 		if o.ChurnRate > 0 {
 			rate = o.ChurnRate
 		}
-		horizon := clock.Time(float64(serverlessArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
-		seed := faults.Child(ServerlessSeed, ri)
+		horizon := shape.horizon(serverlessArrivalsPerCell, rate)
+		seed := faults.Child(shape.Seed, ri)
 		rec := trace.NewRequestRecorder()
-		cfg := fleet.Config{
-			Nodes: nodes, SlotsPerNode: serverlessSlotsPerNode,
-			QueueLimit: serverlessQueueLimit, Costs: costs,
-			MeanReqs: serverlessMeanReqs,
-			Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-			Seed: seed, Sched: sched,
-			ForkBoots: forkBoots, Requests: rec,
-		}
+		cfg := shape.cell(costs, seed, des.PoissonArrivals(seed, rate, horizon), horizon, fleet.Spread{})
+		cfg.ForkBoots = forkBoots
+		cfg.Requests = rec
 		res, err := fleet.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("serverless: %s/%s: %w", cal.name, mode, err)
@@ -570,7 +523,6 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 		if err != nil {
 			return err
 		}
-		ms := func(t clock.Time) float64 { return float64(t) / float64(clock.Millisecond) }
 		pct := func(part int64) float64 {
 			if total := q + b + s; total > 0 {
 				return 100 * float64(part) / float64(total)
@@ -579,14 +531,8 @@ func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
 		}
 		rows[ci] = ServerlessRow{
 			Runtime: cal.name, Mode: mode, OfferedPerSec: rate,
-			Arrived: res.Arrived, Completed: res.Completed, Rejected: res.Rejected,
-			GoodputPerSec: res.Goodput(cfg.Horizon),
-			MeanMs:        ms(res.MeanLatency()),
-			P50Ms:         ms(res.Quantile(0.5)),
-			P99Ms:         ms(res.Quantile(0.99)),
-			P999Ms:        ms(res.Quantile(0.999)),
-			MaxQueue:      res.MaxQueue,
-			QueuePct:      pct(q), BootPct: pct(b), ServicePct: pct(s),
+			FleetTails: fleetTails(res, cfg.Horizon),
+			QueuePct:   pct(q), BootPct: pct(b), ServicePct: pct(s),
 		}
 		return nil
 	})

@@ -34,26 +34,21 @@ import (
 // seeds.
 const SLOSeed = 0x510b4a1
 
+// sloFleet is the committed slo experiment's shape: 20 nodes x 4 slots,
+// with a queue limit tighter than the fleet experiment's so overload
+// turns into rejections quickly.
+var sloFleet = FleetShape{Seed: SLOSeed, Nodes: 20, SlotsPerNode: 4, QueueLimit: 8, MeanReqs: 8}
+
 const (
-	// sloNodes x sloSlotsPerNode is the simulated fleet; the queue
-	// limit is tighter than the fleet experiment's so overload turns
-	// into rejections quickly.
-	sloNodes        = 20
-	sloSlotsPerNode = 4
-	sloQueueLimit   = 8
-	sloMeanReqs     = 8
 	// sloArrivalsPerCell sizes the horizon per scale unit.
 	sloArrivalsPerCell = 4000
 	// sloLoad is the offered load as a fraction of nominal capacity:
-	// high enough that losing sloEvictFrac of the nodes is a hard
-	// overload, low enough that the healthy fleet rarely rejects.
+	// high enough that losing three fifths of the nodes to the storm is
+	// a hard overload, low enough that the healthy fleet rarely rejects.
 	sloLoad = 0.9
 	// sloTicks is the default scrape count per cell (the scrape
 	// interval is horizon/sloTicks unless overridden).
 	sloTicks = 120
-	// sloEvictNum/sloEvictDen: the storm takes 3/5 of the nodes down.
-	sloEvictNum = 3
-	sloEvictDen = 5
 	// sloReplayMaxReqs bounds the machine replay's request volume.
 	sloReplayMaxReqs = 256
 	// sloBundleRadius is how many trailing scrape windows a postmortem
@@ -69,7 +64,7 @@ const (
 type SLOOpts struct {
 	Scale    int
 	Parallel int
-	// Nodes overrides the fleet size (default sloNodes).
+	// Nodes overrides the fleet size (default sloFleet.Nodes).
 	Nodes int
 	// ScrapeInterval overrides the per-cell scrape interval (default
 	// horizon/sloTicks, so every runtime gets the same tick count).
@@ -148,15 +143,10 @@ type SLORow struct {
 // SLOReport is the whole experiment (the committed BENCH_slo
 // artifact).
 type SLOReport struct {
-	Seed         uint64             `json:"seed"`
-	Scale        int                `json:"scale"`
-	Nodes        int                `json:"nodes"`
-	SlotsPerNode int                `json:"slots_per_node"`
-	QueueLimit   int                `json:"queue_limit"`
-	MeanReqs     int                `json:"mean_reqs"`
-	Sched        string             `json:"sched"`
-	Calibration  []FleetCalibration `json:"calibration"`
-	Rows         []SLORow           `json:"rows"`
+	FleetShape
+	Sched       string             `json:"sched"`
+	Calibration []FleetCalibration `json:"calibration"`
+	Rows        []SLORow           `json:"rows"`
 
 	// FullBundles and Timelines carry the cells' postmortem bundles
 	// and time-series stores for the -bundle-out / -slo-out writers;
@@ -225,39 +215,26 @@ func bundleDigest(b *telemetry.Bundle) (SLOBundleDigest, error) {
 	}, nil
 }
 
-// sloCell runs one runtime's storm cell plus its machine replay.
-func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts,
+// sloCell runs one runtime's storm cell plus its machine replay. The
+// storm takes three fifths of the nodes down at horizon/3 for a quarter
+// of the horizon.
+func sloCell(o SLOOpts, shape FleetShape, ri int, name string, costs fleet.RuntimeCosts,
 	kind backends.Kind, bopts backends.Options) (SLORow, []SLONamedBundle, *telemetry.Store, error) {
 	var row SLORow
 	var bundles []SLONamedBundle
 
-	lifetime := costs.Boot + clock.Time(sloMeanReqs)*costs.Service
-	capacity := float64(nodes*sloSlotsPerNode) / lifetime.Seconds()
-	rate := sloLoad * capacity
-	horizon := clock.Time(float64(sloArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
+	rate := sloLoad * shape.capacity(costs)
+	horizon := shape.horizon(sloArrivalsPerCell, rate)
 	interval := o.ScrapeInterval
 	if interval <= 0 {
 		interval = horizon / sloTicks
 	}
-	seed := faults.Child(SLOSeed, ri)
-	sched, err := fleet.SchedulerByName("spread")
-	if err != nil {
-		return row, nil, nil, err
-	}
+	seed := faults.Child(shape.Seed, ri)
+	cfg := shape.cell(costs, seed, des.PoissonArrivals(seed, rate, horizon), horizon, fleet.Spread{})
+	shape.storm(&cfg, shape.Nodes*3/5, horizon/3, horizon/4)
+	cfg.ScrapeEvery = interval
 
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: sloSlotsPerNode, QueueLimit: sloQueueLimit,
-		Costs: costs, MeanReqs: sloMeanReqs,
-		Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-		Seed: seed, Sched: sched,
-		SnapshotAge: lifetime / 4,
-		EvictAt:     horizon / 3,
-		EvictNodes:  nodes * sloEvictNum / sloEvictDen,
-		DownFor:     horizon / 4,
-		ScrapeEvery: interval,
-	}
-
-	p99CeilNs := 8 * float64(lifetime) / float64(clock.Nanosecond)
+	p99CeilNs := 8 * float64(shape.lifetime(costs)) / float64(clock.Nanosecond)
 	eng, err := telemetry.NewEngine(sloSpecs(name, p99CeilNs))
 	if err != nil {
 		return row, nil, nil, err
@@ -326,7 +303,7 @@ func sloCell(o SLOOpts, nodes int, ri int, name string, costs fleet.RuntimeCosts
 	if reqs > sloReplayMaxReqs {
 		reqs = sloReplayMaxReqs
 	}
-	w := fleet.NodeWork{Node: stat.Node, Containers: sloSlotsPerNode, Requests: reqs, Crashes: 2}
+	w := fleet.NodeWork{Node: stat.Node, Containers: shape.SlotsPerNode, Requests: reqs, Crashes: 2}
 
 	ar := audit.NewRecorder(nil)
 	fr := telemetry.NewFlightRecorder(0, 0)
@@ -450,33 +427,20 @@ func sloWindows(st *telemetry.Store, name string) []SLOWindow {
 // RunSLO executes the slo experiment. Deterministic: the same opts
 // produce the same report, byte for byte, for any Parallel.
 func RunSLO(o SLOOpts) (*SLOReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = sloNodes
-	}
+	shape := sloFleet.at(o.Scale, o.Nodes)
 	specs := runtimeSpecs()
 	costs, cal, err := fleetCalibrateAll("slo", o.Parallel)
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &SLOReport{
-		Seed: SLOSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: sloSlotsPerNode, QueueLimit: sloQueueLimit,
-		MeanReqs: sloMeanReqs, Sched: "spread", Calibration: cal,
-	}
+	rep := &SLOReport{FleetShape: shape, Sched: fleet.Spread{}.Name(), Calibration: cal}
 
 	rows := make([]SLORow, len(specs))
 	cellBundles := make([][]SLONamedBundle, len(specs))
 	stores := make([]*telemetry.Store, len(specs))
 	err = RunIndexed(o.Parallel, len(specs), func(ri int) error {
-		row, bundles, store, err := sloCell(o, nodes, ri, cal[ri].Runtime, costs[ri], specs[ri].kind, specs[ri].opts)
+		row, bundles, store, err := sloCell(o, shape, ri, cal[ri].Runtime, costs[ri], specs[ri].kind, specs[ri].opts)
 		if err != nil {
 			return err
 		}

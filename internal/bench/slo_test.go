@@ -58,3 +58,28 @@ func TestSLOExperiment(t *testing.T) {
 		t.Errorf("wrote %d bundle files, want %d", bundles, len(seq.FullBundles))
 	}
 }
+
+// TestStormAtOneNode: the eviction storm fires at any fleet size. The
+// storm fractions (three fifths for slo, a quarter for tail) round to
+// zero nodes on a one-node fleet, so FleetShape.storm clamps them to
+// one and every row still evicts.
+func TestStormAtOneNode(t *testing.T) {
+	slo, err := RunSLO(SLOOpts{Parallel: DefaultParallel(), Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range slo.Rows {
+		if r.Evicted == 0 {
+			t.Errorf("slo: %s: the 1-node storm evicted nothing", r.Runtime)
+		}
+	}
+	tail, err := RunTail(TailOpts{Parallel: DefaultParallel(), Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tail.Rows {
+		if r.Evicted == 0 {
+			t.Errorf("tail: %s: the 1-node storm evicted nothing", r.Runtime)
+		}
+	}
+}

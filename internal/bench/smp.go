@@ -8,11 +8,9 @@ import (
 	"repro/internal/backends"
 	"repro/internal/clock"
 	"repro/internal/des"
-	"repro/internal/guest"
-	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/mmu"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // The SMP experiment: every runtime booted at 1/2/4/8 vCPUs on the
@@ -51,24 +49,6 @@ type SMPReport struct {
 	Seed   uint64   `json:"seed"`
 	Rounds int      `json:"rounds"`
 	Rows   []SMPRow `json:"rows"`
-}
-
-// smpRequest is one closed-loop request: map a page, touch it, retire
-// it. The munmap of the resident page is what forces a shootdown on a
-// multi-vCPU container.
-func smpRequest(k *guest.Kernel) error {
-	addr, err := k.MmapCall(mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
-	if err != nil {
-		return err
-	}
-	if err := k.TouchRange(addr, mem.PageSize, mmu.Write); err != nil {
-		return err
-	}
-	if err := k.MunmapCall(addr, mem.PageSize); err != nil {
-		return err
-	}
-	k.Compute(clock.FromNanos(800))
-	return nil
 }
 
 // RunSMPParallel executes the SMP experiment with the grid cells fanned
@@ -174,7 +154,7 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 		}
 		// Warm the allocator and page tables off the clock reading.
 		for i := 0; i < 4; i++ {
-			if err := smpRequest(c.K); err != nil {
+			if err := workloads.PageRequest(c.K); err != nil {
 				return err
 			}
 		}
@@ -183,7 +163,7 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 			// Base per-request service time, free of shootdowns.
 			start := c.Clk.Now()
 			for i := 0; i < smpServiceReqs; i++ {
-				if err := smpRequest(c.K); err != nil {
+				if err := workloads.PageRequest(c.K); err != nil {
 					return err
 				}
 			}
@@ -200,7 +180,7 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 				if err := c.MigrateVCPU(v); err != nil {
 					return err
 				}
-				if err := smpRequest(c.K); err != nil {
+				if err := workloads.PageRequest(c.K); err != nil {
 					return err
 				}
 			}

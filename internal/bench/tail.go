@@ -31,21 +31,16 @@ import (
 // seeds.
 const TailSeed = 0x7a11a7
 
+// tailFleet is the committed tail experiment's shape: 20 nodes x 4
+// slots, smaller than the fleet experiment's because the artifact
+// carries per-request detail.
+var tailFleet = FleetShape{Seed: TailSeed, Nodes: 20, SlotsPerNode: 4, QueueLimit: 16, MeanReqs: 8}
+
 const (
-	// tailNodes x tailSlotsPerNode is the simulated fleet (smaller than
-	// the fleet experiment's: the artifact carries per-request detail).
-	tailNodes        = 20
-	tailSlotsPerNode = 4
-	tailQueueLimit   = 16
-	tailMeanReqs     = 8
 	// tailArrivalsPerCell sizes the horizon per scale unit.
 	tailArrivalsPerCell = 4000
 	// tailLoad is the offered load as a fraction of nominal capacity.
 	tailLoad = 0.8
-	// tailEvictDen: the storm takes nodes/tailEvictDen nodes down —
-	// harsher than the fleet experiment so redo segments dominate the
-	// far tail visibly.
-	tailEvictDen = 4
 	// tailTopK is how many of the slowest requests get waterfalls (on
 	// top of every histogram exemplar, which always resolves to one).
 	tailTopK = 3
@@ -56,7 +51,7 @@ const (
 type TailOpts struct {
 	Scale    int
 	Parallel int
-	// Nodes overrides the fleet size (default tailNodes).
+	// Nodes overrides the fleet size (default tailFleet.Nodes).
 	Nodes int
 }
 
@@ -64,6 +59,7 @@ type TailOpts struct {
 // components. All durations are picoseconds — the virtual clock's own
 // unit — because the conservation law is exact: QueuePs + BootPs +
 // WarmRestorePs + ServicePs + StormRedoPs == TotalPs, no rounding.
+// BootPs counts cold boots and fork boots alike.
 type TailComponents struct {
 	QueuePs       int64 `json:"queue_ps"`
 	BootPs        int64 `json:"boot_ps"`
@@ -90,7 +86,7 @@ func tailComponents(segs []trace.Segment) (TailComponents, error) {
 		switch s.Kind {
 		case trace.SegQueue:
 			c.QueuePs += int64(s.Dur)
-		case trace.SegBoot:
+		case trace.SegBoot, trace.SegForkBoot:
 			c.BootPs += int64(s.Dur)
 		case trace.SegWarmRestore:
 			c.WarmRestorePs += int64(s.Dur)
@@ -106,7 +102,7 @@ func tailComponents(segs []trace.Segment) (TailComponents, error) {
 	}
 	c.TotalPs = int64(total)
 	if sum := c.QueuePs + c.BootPs + c.WarmRestorePs + c.ServicePs + c.StormRedoPs; sum != c.TotalPs {
-		return c, fmt.Errorf("tail: request %s: components sum to %d ps, latency is %d ps",
+		return c, fmt.Errorf("request %s: components sum to %d ps, latency is %d ps",
 			segs[0].Req, sum, c.TotalPs)
 	}
 	return c, nil
@@ -187,15 +183,10 @@ type TailRow struct {
 // TailReport is the whole experiment (the committed BENCH_tail
 // artifact).
 type TailReport struct {
-	Seed         uint64             `json:"seed"`
-	Scale        int                `json:"scale"`
-	Nodes        int                `json:"nodes"`
-	SlotsPerNode int                `json:"slots_per_node"`
-	QueueLimit   int                `json:"queue_limit"`
-	MeanReqs     int                `json:"mean_reqs"`
-	Sched        string             `json:"sched"`
-	Calibration  []FleetCalibration `json:"calibration"`
-	Rows         []TailRow          `json:"rows"`
+	FleetShape
+	Sched       string             `json:"sched"`
+	Calibration []FleetCalibration `json:"calibration"`
+	Rows        []TailRow          `json:"rows"`
 }
 
 // tailCell is one (runtime, storm|calm) simulation's raw outcome.
@@ -209,37 +200,21 @@ type tailCell struct {
 
 // runTailCell executes one cell: the storm scenario with a request
 // recorder and an exemplar-enabled probe attached, or its calm
-// baseline.
-func runTailCell(o TailOpts, nodes, ri int, name string, costs fleet.RuntimeCosts, storm bool) (*tailCell, error) {
-	lifetime := costs.Boot + clock.Time(tailMeanReqs)*costs.Service
-	capacity := float64(nodes*tailSlotsPerNode) / lifetime.Seconds()
-	rate := tailLoad * capacity
-	horizon := clock.Time(float64(tailArrivalsPerCell*o.Scale) / rate * float64(clock.Second))
+// baseline. The storm takes a quarter of the nodes down — harsher than
+// the fleet experiment, so redo segments dominate the far tail visibly.
+func runTailCell(shape FleetShape, ri int, name string, costs fleet.RuntimeCosts, storm bool) (*tailCell, error) {
+	rate := tailLoad * shape.capacity(costs)
+	horizon := shape.horizon(tailArrivalsPerCell, rate)
 	// Storm and calm share the seed: identical arrivals and demands, so
 	// the quantile delta isolates the storm.
-	seed := faults.Child(TailSeed, ri)
-	sched, err := fleet.SchedulerByName("spread")
-	if err != nil {
-		return nil, err
-	}
-	cfg := fleet.Config{
-		Nodes: nodes, SlotsPerNode: tailSlotsPerNode, QueueLimit: tailQueueLimit,
-		Costs: costs, MeanReqs: tailMeanReqs,
-		Arrivals: des.PoissonArrivals(seed, rate, horizon), Horizon: horizon,
-		Seed: seed, Sched: sched,
-	}
+	seed := faults.Child(shape.Seed, ri)
+	cfg := shape.cell(costs, seed, des.PoissonArrivals(seed, rate, horizon), horizon, fleet.Spread{})
 	// Only the storm cell is attributed: tailRow reads just the calm
 	// baseline's result, so the calm cell runs unobserved.
 	var rec *trace.RequestRecorder
 	var probe *telemetry.FleetProbe
 	if storm {
-		cfg.SnapshotAge = lifetime / 4
-		cfg.EvictAt = horizon / 2
-		cfg.EvictNodes = nodes / tailEvictDen
-		if cfg.EvictNodes < 1 {
-			cfg.EvictNodes = 1
-		}
-		cfg.DownFor = horizon / 8
+		shape.storm(&cfg, shape.Nodes/4, horizon/2, horizon/8)
 		rec = trace.NewRequestRecorder()
 		cfg.Requests = rec
 		probe = telemetry.NewFleetProbe(metrics.NewRegistry(), nil, nil, metrics.L("runtime", name))
@@ -392,33 +367,20 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 // RunTail executes the tail experiment. Deterministic: the same opts
 // produce the same report, byte for byte, for any Parallel.
 func RunTail(o TailOpts) (*TailReport, error) {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = tailNodes
-	}
+	shape := tailFleet.at(o.Scale, o.Nodes)
 	costs, cal, err := fleetCalibrateAll("tail", o.Parallel)
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &TailReport{
-		Seed: TailSeed, Scale: o.Scale, Nodes: nodes,
-		SlotsPerNode: tailSlotsPerNode, QueueLimit: tailQueueLimit,
-		MeanReqs: tailMeanReqs, Sched: "spread", Calibration: cal,
-	}
+	rep := &TailReport{FleetShape: shape, Sched: fleet.Spread{}.Name(), Calibration: cal}
 
 	// Two cells per runtime — storm (even) and calm baseline (odd) —
 	// all independent, one fan-out.
 	cells := make([]*tailCell, 2*len(cal))
 	err = RunIndexed(o.Parallel, len(cells), func(ci int) error {
 		ri, storm := ci/2, ci%2 == 0
-		cell, err := runTailCell(o, nodes, ri, cal[ri].Runtime, costs[ri], storm)
+		cell, err := runTailCell(shape, ri, cal[ri].Runtime, costs[ri], storm)
 		if err != nil {
 			return err
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/tlb"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // The wall-clock experiment measures the simulator itself: how fast the
@@ -179,7 +180,7 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 			return nil, fmt.Errorf("wallclock: boot %v x2: %w", s.kind, err)
 		}
 		for i := 0; i < 4; i++ {
-			if err := smpRequest(c2.K); err != nil {
+			if err := workloads.PageRequest(c2.K); err != nil {
 				return nil, err
 			}
 		}
@@ -192,7 +193,7 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 						cellErr = err
 						return
 					}
-					if err := smpRequest(c2.K); err != nil {
+					if err := workloads.PageRequest(c2.K); err != nil {
 						cellErr = err
 						return
 					}

@@ -6,10 +6,9 @@ import (
 	"repro/internal/backends"
 	"repro/internal/clock"
 	"repro/internal/guest"
-	"repro/internal/mem"
 	"repro/internal/metrics"
-	"repro/internal/mmu"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // The data plane: per-node machine replay. The control-plane DES
@@ -57,24 +56,6 @@ type NodeArtifact struct {
 	// stamped with the node ID.
 	MetricsFNV uint64 `json:"metrics_fnv64a"`
 	Spans      int    `json:"spans"`
-}
-
-// replayRequest is one served request: map a page, touch it, retire
-// it, compute — the same shape the SMP experiment's closed loop uses,
-// touching the syscall, page-fault, and mediated-PTE paths.
-func replayRequest(k *guest.Kernel) error {
-	addr, err := k.MmapCall(mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
-	if err != nil {
-		return err
-	}
-	if err := k.TouchRange(addr, mem.PageSize, mmu.Write); err != nil {
-		return err
-	}
-	if err := k.MunmapCall(addr, mem.PageSize); err != nil {
-		return err
-	}
-	k.Compute(clock.FromNanos(800))
-	return nil
 }
 
 // fnv64a hashes a byte slice (per-node artifact fingerprints).
@@ -197,7 +178,7 @@ func ReplayNode(w NodeWork, kind backends.Kind, opts backends.Options, onRound f
 		if served >= w.Requests {
 			return nil
 		}
-		if err := replayRequest(c.K); err != nil {
+		if err := workloads.PageRequest(c.K); err != nil {
 			return err
 		}
 		served++

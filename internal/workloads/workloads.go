@@ -17,6 +17,9 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/clock"
+	"repro/internal/guest"
+	"repro/internal/mem"
+	"repro/internal/mmu"
 )
 
 // Seed makes all workloads deterministic.
@@ -74,6 +77,26 @@ func measure(c *backends.Container, name string, ops int, fn func() error) (Resu
 		Syscalls:   k.Stats.Syscalls - startSys,
 		PageFaults: k.Stats.PageFaults - startPF,
 	}, nil
+}
+
+// PageRequest is one served request: map a page, touch it, retire it,
+// compute. It touches the syscall, page-fault and mediated-PTE paths,
+// and on a multi-vCPU container the munmap of the resident page forces
+// a TLB shootdown. The SMP closed loop, the fleet calibration and the
+// fleet's machine replay all serve this one body.
+func PageRequest(k *guest.Kernel) error {
+	addr, err := k.MmapCall(mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
+	if err != nil {
+		return err
+	}
+	if err := k.TouchRange(addr, mem.PageSize, mmu.Write); err != nil {
+		return err
+	}
+	if err := k.MunmapCall(addr, mem.PageSize); err != nil {
+		return err
+	}
+	k.Compute(clock.FromNanos(800))
+	return nil
 }
 
 // rng returns the deterministic PRNG for a workload.
