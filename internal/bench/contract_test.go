@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -64,6 +65,33 @@ func TestArtifactContracts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPaperGolden renders every paper table and figure except fig2 in
+// the "--- id: title ---" framing of the benchmark's paper workload and
+// compares the bytes with the committed benchmark/golden/paper.txt.
+func TestPaperGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, e := range All() {
+		if e.ID == "fig2" {
+			continue
+		}
+		fmt.Fprintf(&got, "--- %s: %s ---\n", e.ID, e.Title)
+		if err := e.Run(1, &got); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	want := readCommitted(t, "benchmark/golden/paper.txt")
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(g), len(w)); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("paper output differs from benchmark/golden/paper.txt at line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("paper output has %d lines, benchmark/golden/paper.txt has %d", len(g), len(w))
 }
 
 // committed returns a loader that decodes the committed artifact at
