@@ -503,9 +503,11 @@ func (c *Container) DeliverVirtIRQ() {
 // VirtioKick charges one virtio doorbell through the runtime transport.
 func (c *Container) VirtioKick() error { return c.pv.VirtioKick(c.K) }
 
-// AllKinds enumerates the standard comparison set used by the paper's
-// figures: HVM-NST, PVM-NST, RunC, HVM-BM, PVM-BM, CKI (BM and NST are
-// identical for CKI's flows; both labels are produced by the harness).
+// AllKinds enumerates six runtime configurations: HVM-NST, PVM-NST,
+// RunC, HVM-BM, PVM-BM and CKI. The backends tests, the root
+// integration test and examples/quickstart iterate over it. The paper's
+// tables and figures pick their runtimes by label from the bench
+// package's own table instead.
 func AllKinds() []struct {
 	Kind Kind
 	Opts Options

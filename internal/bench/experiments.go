@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/backends"
 	"repro/internal/clock"
@@ -57,24 +58,83 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// standardSet is the comparison set of most figures.
-func standardSet() []struct {
-	Name string
-	Kind backends.Kind
-	Opts backends.Options
-} {
-	return []struct {
-		Name string
-		Kind backends.Kind
-		Opts backends.Options
-	}{
-		{"HVM-NST", backends.HVM, backends.Options{Nested: true}},
-		{"PVM-NST", backends.PVM, backends.Options{Nested: true}},
-		{"RunC", backends.RunC, backends.Options{}},
-		{"HVM-BM", backends.HVM, backends.Options{}},
-		{"PVM-BM", backends.PVM, backends.Options{}},
-		{"CKI", backends.CKI, backends.Options{}},
+// paperRuntimes maps every runtime label the paper's tables and figures
+// print to the configuration it measures. A figure with no nested
+// column prints the label without "-BM", so both spellings name the
+// same configuration.
+var paperRuntimes = map[string]runtimeSpec{
+	"RunC":        {backends.RunC, backends.Options{}},
+	"HVM":         {backends.HVM, backends.Options{}},
+	"HVM-BM":      {backends.HVM, backends.Options{}},
+	"HVM-BM(2M)":  {backends.HVM, backends.Options{EPTHugePages: true}},
+	"HVM-NST":     {backends.HVM, backends.Options{Nested: true}},
+	"PVM":         {backends.PVM, backends.Options{}},
+	"PVM-BM":      {backends.PVM, backends.Options{}},
+	"PVM-NST":     {backends.PVM, backends.Options{Nested: true}},
+	"CKI":         {backends.CKI, backends.Options{}},
+	"CKI-BM":      {backends.CKI, backends.Options{}},
+	"CKI-NST":     {backends.CKI, backends.Options{Nested: true}},
+	"CKI-wo-OPT2": {backends.CKI, backends.Options{WoOPT2: true}},
+	"CKI-wo-OPT3": {backends.CKI, backends.Options{WoOPT3: true}},
+	"gVisor":      {backends.GVisor, backends.Options{}},
+}
+
+// paperRuntime returns the configuration a label names. An unknown
+// label is a programming error.
+func paperRuntime(label string) runtimeSpec {
+	s, ok := paperRuntimes[label]
+	if !ok {
+		panic("bench: no paper runtime labelled " + label)
 	}
+	return s
+}
+
+// boot boots a fresh container of the runtime a label names.
+func boot(label string) *backends.Container { return paperRuntime(label).boot() }
+
+// boot boots a fresh container of this configuration.
+func (s runtimeSpec) boot() *backends.Container { return backends.MustNew(s.kind, s.opts) }
+
+// runGrid runs every app on a fresh container of every labelled
+// runtime: res[i][j] is apps[i] on labels[j].
+func runGrid[A workloads.Runner](apps []A, labels ...string) ([][]workloads.Result, error) {
+	res := make([][]workloads.Result, len(apps))
+	for i, app := range apps {
+		res[i] = make([]workloads.Result, len(labels))
+		for j, label := range labels {
+			r, err := app.Run(boot(label))
+			if err != nil {
+				return nil, err
+			}
+			res[i][j] = r
+		}
+	}
+	return res, nil
+}
+
+// each maps f over a grid row.
+func each(row []workloads.Result, f func(workloads.Result) float64) []float64 {
+	out := make([]float64, len(row))
+	for j, r := range row {
+		out[j] = f(r)
+	}
+	return out
+}
+
+// overMax normalizes vals, in place, to their largest value.
+func overMax(vals []float64) []float64 {
+	m := slices.Max(vals)
+	for j := range vals {
+		vals[j] /= m
+	}
+	return vals
+}
+
+// overheads is each run's time overhead over base, in percent.
+func overheads(base workloads.Result, row []workloads.Result) []float64 {
+	return each(row, func(r workloads.Result) float64 {
+		return 100 * (float64(r.Time)/float64(base.Time) - 1)
+	})
 }
 
 // Fig2 regenerates the CVE classification.
@@ -88,45 +148,26 @@ func Fig2(scale int, w io.Writer) error {
 func Tab2(scale int, w io.Writer) error {
 	t := NewTable("Table 2: container microbenchmarks (ns)",
 		"op", "RunC", "HVM-BM", "PVM-BM", "HVM-NST", "PVM-NST", "CKI", "paper(RunC/HVM/PVM/HVM-NST/PVM-NST)")
-	mk := func(kind backends.Kind, nested bool) *backends.Container {
-		return backends.MustNew(kind, backends.Options{Nested: nested})
-	}
-	cs := []*backends.Container{
-		mk(backends.RunC, false), mk(backends.HVM, false), mk(backends.PVM, false),
-		mk(backends.HVM, true), mk(backends.PVM, true), mk(backends.CKI, false),
-	}
-	sys := make([]float64, len(cs))
-	for i, c := range cs {
-		sys[i] = c.MeasureSyscall().Nanos()
-	}
-	t.Rowf("syscall", "%.0f", append(sys, 0)[:6]...)
-	t.rows[len(t.rows)-1] = append(t.rows[len(t.rows)-1][:7], "93/91/336/91/336")
-
-	pf := make([]float64, len(cs))
-	for i, c := range cs {
+	var sys, pf, hc []float64
+	for _, label := range t.Columns[1:7] {
+		c := boot(label)
+		sys = append(sys, c.MeasureSyscall().Nanos())
 		v, err := c.MeasureFileFault(64)
 		if err != nil {
 			return err
 		}
-		pf[i] = v.Nanos()
-	}
-	t.Rowf("pgfault", "%.0f", pf...)
-	t.rows[len(t.rows)-1] = append(t.rows[len(t.rows)-1][:7], "1000/4347/6727/34050/7346")
-
-	hc := make([]float64, len(cs))
-	for i, c := range cs {
-		if c.Kind == backends.RunC {
-			hc[i] = 0
-			continue
+		pf = append(pf, v.Nanos())
+		var h clock.Time
+		if c.Kind != backends.RunC {
+			if h, err = c.MeasureHypercall(); err != nil {
+				return err
+			}
 		}
-		v, err := c.MeasureHypercall()
-		if err != nil {
-			return err
-		}
-		hc[i] = v.Nanos()
+		hc = append(hc, h.Nanos())
 	}
-	t.Rowf("hypercall", "%.0f", hc...)
-	t.rows[len(t.rows)-1] = append(t.rows[len(t.rows)-1][:7], "-/1088/466/6746/486 (CKI 390)")
+	t.Row(append(cellsf("syscall", "%.0f", sys...), "93/91/336/91/336")...)
+	t.Row(append(cellsf("pgfault", "%.0f", pf...), "1000/4347/6727/34050/7346")...)
+	t.Row(append(cellsf("hypercall", "%.0f", hc...), "-/1088/466/6746/486 (CKI 390)")...)
 	t.Note("pgfault is the lmbench-style file-backed fault; Fig. 10a covers anonymous faults")
 	_, err := t.WriteTo(w)
 	return err
@@ -136,129 +177,76 @@ func Tab2(scale int, w io.Writer) error {
 // the non-CKI runtimes, normalized to the slowest (HVM-NST).
 func Fig4(scale int, w io.Writer) error {
 	return memAppFigure(scale, w, "Figure 4: memory-intensive latency (normalized, no CKI)",
-		[]string{"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM"})
+		"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM")
 }
 
 // Fig12 regenerates the evaluation figure with CKI included.
 func Fig12(scale int, w io.Writer) error {
 	if err := memAppFigure(scale, w, "Figure 12: memory-intensive latency (normalized)",
-		[]string{"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM", "CKI"}); err != nil {
+		"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM", "CKI"); err != nil {
 		return err
 	}
 	// The 2M-hugepage companion rows (§7.2): EPT hugepages for HVM-BM.
+	apps := workloads.Fig12Apps(scale)
+	res, err := runGrid(apps, "CKI", "HVM-BM(2M)", "PVM")
+	if err != nil {
+		return err
+	}
 	t := NewTable("Figure 12 (2M huge pages for VM memory): latency vs CKI",
 		"app", "HVM-BM(2M)/CKI", "PVM/CKI")
-	for _, app := range workloads.Fig12Apps(scale) {
-		cki, err := app.Run(backends.MustNew(backends.CKI, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		hvm, err := app.Run(backends.MustNew(backends.HVM, backends.Options{EPTHugePages: true}))
-		if err != nil {
-			return err
-		}
-		pvm, err := app.Run(backends.MustNew(backends.PVM, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		t.Rowf(app.AppName, "%.2f",
-			float64(hvm.Time)/float64(cki.Time),
-			float64(pvm.Time)/float64(cki.Time))
+	for i, app := range apps {
+		cki := res[i][0]
+		t.Rowf(app.AppName, "%.2f", each(res[i][1:], func(r workloads.Result) float64 {
+			return float64(r.Time) / float64(cki.Time)
+		})...)
 	}
 	t.Note("paper: HVM-BM overhead becomes minor with 2M EPT; CKI still cuts btree/dedup vs PVM by 44%%/42%%")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
-func memAppFigure(scale int, w io.Writer, title string, names []string) error {
-	set := standardSet()
-	t := NewTable(title, append([]string{"app"}, names...)...)
-	for _, app := range workloads.Fig12Apps(scale) {
-		times := map[string]float64{}
-		max := 0.0
-		for _, cfg := range set {
-			keep := false
-			for _, n := range names {
-				if n == cfg.Name {
-					keep = true
-				}
-			}
-			if !keep {
-				continue
-			}
-			res, err := app.Run(backends.MustNew(cfg.Kind, cfg.Opts))
-			if err != nil {
-				return err
-			}
-			times[cfg.Name] = float64(res.Time)
-			if times[cfg.Name] > max {
-				max = times[cfg.Name]
-			}
-		}
-		vals := make([]float64, 0, len(names))
-		for _, n := range names {
-			vals = append(vals, times[n]/max)
-		}
-		t.Rowf(app.AppName, "%.3f", vals...)
+func memAppFigure(scale int, w io.Writer, title string, labels ...string) error {
+	apps := workloads.Fig12Apps(scale)
+	res, err := runGrid(apps, labels...)
+	if err != nil {
+		return err
+	}
+	t := NewTable(title, append([]string{"app"}, labels...)...)
+	for i, app := range apps {
+		t.Rowf(app.AppName, "%.3f", overMax(each(res[i], func(r workloads.Result) float64 {
+			return float64(r.Time)
+		}))...)
 	}
 	t.Note("each row normalized to its slowest runtime (1.000)")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
 // Fig5 regenerates the I/O motivation figure: throughput of the non-CKI
 // runtimes normalized to the fastest per app.
 func Fig5(scale int, w io.Writer) error {
-	names := []string{"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM"}
-	t := NewTable("Figure 5: I/O-intensive throughput (normalized, no CKI)",
-		append([]string{"app"}, names...)...)
-	apps := workloads.Fig5Apps(scale)
-	for _, app := range apps {
-		tput := map[string]float64{}
-		best := 0.0
-		for _, cfg := range standardSet() {
-			if cfg.Name == "CKI" {
-				continue
-			}
-			res, err := app.Run(backends.MustNew(cfg.Kind, cfg.Opts))
-			if err != nil {
-				return err
-			}
-			tput[cfg.Name] = res.OpsPerSec()
-			if tput[cfg.Name] > best {
-				best = tput[cfg.Name]
-			}
-		}
-		vals := make([]float64, 0, len(names))
-		for _, n := range names {
-			vals = append(vals, tput[n]/best)
-		}
-		t.Rowf(app.AppName, "%.3f", vals...)
+	labels := []string{"HVM-NST", "PVM-NST", "RunC", "HVM-BM", "PVM-BM"}
+	var apps []workloads.Runner
+	for _, app := range workloads.Fig5Apps(scale) {
+		apps = append(apps, app)
 	}
 	// The sqlite(tmpfs) bar from the Fig. 14 engine.
-	sqlite := workloads.Fig14Cases(scale)[2] // fillrandom
-	tput := map[string]float64{}
-	best := 0.0
-	for _, cfg := range standardSet() {
-		if cfg.Name == "CKI" {
-			continue
-		}
-		res, err := sqlite.Run(backends.MustNew(cfg.Kind, cfg.Opts))
-		if err != nil {
-			return err
-		}
-		tput[cfg.Name] = res.OpsPerSec()
-		if tput[cfg.Name] > best {
-			best = tput[cfg.Name]
-		}
+	apps = append(apps, workloads.Fig14Cases(scale)[2]) // fillrandom
+	res, err := runGrid(apps, labels...)
+	if err != nil {
+		return err
 	}
-	vals := make([]float64, 0, len(names))
-	for _, n := range names {
-		vals = append(vals, tput[n]/best)
+	t := NewTable("Figure 5: I/O-intensive throughput (normalized, no CKI)",
+		append([]string{"app"}, labels...)...)
+	for i, app := range apps {
+		name := app.Name()
+		if i == len(apps)-1 {
+			name = "sqlite(tmpfs)"
+		}
+		t.Rowf(name, "%.3f", overMax(each(res[i], workloads.Result.OpsPerSec))...)
 	}
-	t.Rowf("sqlite(tmpfs)", "%.3f", vals...)
 	t.Note("paper: HVM-NST loses 1.8-4.3x to PVM-NST on I/O due to L0-mediated exits")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
@@ -269,56 +257,44 @@ func Fig10a(scale int, w io.Writer) error {
 	paper := map[string]float64{
 		"HVM-NST": 32565, "HVM-BM": 3257, "PVM-BM": 4407, "CKI": 1067, "RunC": 1000,
 	}
-	// Native baseline first, so the overhead column is defined for all.
-	nc := backends.MustNew(backends.RunC, backends.Options{})
-	nv, err := nc.MeasureAnonFault(64)
-	if err != nil {
-		return err
-	}
-	native := nv.Nanos()
-	for _, cfg := range standardSet() {
-		if cfg.Name == "PVM-NST" {
-			continue // not reported in the figure
-		}
-		c := backends.MustNew(cfg.Kind, cfg.Opts)
-		v, err := c.MeasureAnonFault(64)
+	labels := []string{"HVM-NST", "RunC", "HVM-BM", "PVM-BM", "CKI"}
+	ns := map[string]float64{}
+	for _, label := range labels {
+		v, err := boot(label).MeasureAnonFault(64)
 		if err != nil {
 			return err
 		}
+		ns[label] = v.Nanos()
+	}
+	// The native run is the baseline of every overhead cell.
+	native := ns["RunC"]
+	for _, label := range labels {
 		over := "-"
-		if native > 0 && cfg.Name != "RunC" {
-			over = fmt.Sprintf("+%.0f", v.Nanos()-native)
+		if native > 0 && label != "RunC" {
+			over = fmt.Sprintf("+%.0f", ns[label]-native)
 		}
 		ref := "-"
-		if p, ok := paper[cfg.Name]; ok {
+		if p, ok := paper[label]; ok {
 			ref = fmt.Sprintf("%.0f", p)
 		}
-		t.Row(cfg.Name, fmt.Sprintf("%.0f", v.Nanos()), over, ref)
+		t.Row(label, fmt.Sprintf("%.0f", ns[label]), over, ref)
 	}
 	t.Note("paper breakdown: CKI = 990 handler + 77 KSM calls; PVM = 1065 + 1532 exits + 1828 SPT emulation")
-	_, err = t.WriteTo(w)
+	_, err := t.WriteTo(w)
 	return err
 }
 
 // Fig10b regenerates the syscall ablation.
 func Fig10b(scale int, w io.Writer) error {
 	t := NewTable("Figure 10b: getpid latency (ns)", "config", "measured", "paper")
-	cases := []struct {
-		name  string
-		kind  backends.Kind
-		opts  backends.Options
+	for _, tc := range []struct {
+		label string
 		paper float64
 	}{
-		{"RunC", backends.RunC, backends.Options{}, 93},
-		{"HVM", backends.HVM, backends.Options{}, 91},
-		{"PVM", backends.PVM, backends.Options{}, 336},
-		{"CKI-wo-OPT2", backends.CKI, backends.Options{WoOPT2: true}, 238},
-		{"CKI-wo-OPT3", backends.CKI, backends.Options{WoOPT3: true}, 153},
-		{"CKI", backends.CKI, backends.Options{}, 90},
-	}
-	for _, tc := range cases {
-		c := backends.MustNew(tc.kind, tc.opts)
-		t.Row(tc.name, fmt.Sprintf("%.0f", c.MeasureSyscall().Nanos()),
+		{"RunC", 93}, {"HVM", 91}, {"PVM", 336},
+		{"CKI-wo-OPT2", 238}, {"CKI-wo-OPT3", 153}, {"CKI", 90},
+	} {
+		t.Row(tc.label, fmt.Sprintf("%.0f", boot(tc.label).MeasureSyscall().Nanos()),
 			fmt.Sprintf("%.0f", tc.paper))
 	}
 	t.Note("OPT1: no extra mode switches; OPT2: no page-table switches; OPT3: sysret/swapgs stay executable")
@@ -330,86 +306,52 @@ func Fig10b(scale int, w io.Writer) error {
 func Fig11(scale int, w io.Writer) error {
 	t := NewTable("Figure 11: lmbench latency (normalized to RunC)",
 		"case", "RunC", "HVM", "CKI", "PVM")
-	for _, lc := range workloads.LMBenchCases(scale) {
-		per := map[string]float64{}
-		for _, cfg := range []struct {
-			name string
-			kind backends.Kind
-		}{{"RunC", backends.RunC}, {"HVM", backends.HVM}, {"CKI", backends.CKI}, {"PVM", backends.PVM}} {
-			res, err := lc.Run(backends.MustNew(cfg.kind, backends.Options{}))
-			if err != nil {
-				return err
-			}
-			per[cfg.name] = res.PerOp().Nanos()
-		}
-		t.Rowf(lc.CaseName, "%.2f",
-			1.0, per["HVM"]/per["RunC"], per["CKI"]/per["RunC"], per["PVM"]/per["RunC"])
+	cases := workloads.LMBenchCases(scale)
+	res, err := runGrid(cases, t.Columns[1:]...)
+	if err != nil {
+		return err
+	}
+	for i, lc := range cases {
+		per := each(res[i], func(r workloads.Result) float64 { return r.PerOp().Nanos() })
+		t.Rowf(lc.CaseName, "%.2f", 1.0, per[1]/per[0], per[2]/per[0], per[3]/per[0])
 	}
 	t.Note("paper: PVM doubles short syscalls and dominates pgfault/fork; HVM ~ RunC; CKI adds only KSM calls")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
 // Fig13 regenerates the two overhead sweeps.
 func Fig13(scale int, w io.Writer) error {
+	var btree []workloads.BTreeSweep
+	for _, ratio := range []int{0, 2, 4, 8, 16} {
+		btree = append(btree, workloads.BTreeSweep{Inserts: 120 * scale, Ratio: ratio})
+	}
+	res, err := runGrid(btree, "RunC", "HVM-NST", "PVM", "CKI")
+	if err != nil {
+		return err
+	}
 	t := NewTable("Figure 13a: BTree overhead vs RunC (%) by lookup/insert ratio",
 		"ratio", "HVM-NST", "PVM", "CKI")
-	for _, ratio := range []int{0, 2, 4, 8, 16} {
-		app := workloads.BTreeSweep{Inserts: 120 * scale, Ratio: ratio}
-		runc, err := app.Run(backends.MustNew(backends.RunC, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		over := func(kind backends.Kind, opts backends.Options) float64 {
-			res, err2 := app.Run(backends.MustNew(kind, opts))
-			if err2 != nil {
-				err = err2
-				return 0
-			}
-			return 100 * (float64(res.Time)/float64(runc.Time) - 1)
-		}
-		nst := over(backends.HVM, backends.Options{Nested: true})
-		pvm := over(backends.PVM, backends.Options{})
-		cki := over(backends.CKI, backends.Options{})
-		if err != nil {
-			return err
-		}
-		t.Rowf(fmt.Sprintf("%d", ratio), "%.1f", nst, pvm, cki)
+	for i, app := range btree {
+		t.Rowf(fmt.Sprintf("%d", app.Ratio), "%.1f", overheads(res[i][0], res[i][1:])...)
 	}
 	if _, err := t.WriteTo(w); err != nil {
 		return err
 	}
+	var xs []workloads.XSBenchSweep
+	for _, particles := range []int{50, 100, 200, 400, 800} {
+		xs = append(xs, workloads.XSBenchSweep{GridPages: 200 * scale, Particles: particles * scale})
+	}
+	if res, err = runGrid(xs, "RunC", "HVM-NST", "PVM", "CKI"); err != nil {
+		return err
+	}
 	t2 := NewTable("Figure 13b: XSBench overhead vs RunC (%) by particle count",
 		"particles", "HVM-NST", "PVM", "CKI")
-	for _, particles := range []int{50, 100, 200, 400, 800} {
-		app := workloads.XSBenchSweep{GridPages: 200 * scale, Particles: particles * scale}
-		runc, err := app.Run(backends.MustNew(backends.RunC, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		over := func(kind backends.Kind, opts backends.Options) (float64, error) {
-			res, err := app.Run(backends.MustNew(kind, opts))
-			if err != nil {
-				return 0, err
-			}
-			return 100 * (float64(res.Time)/float64(runc.Time) - 1), nil
-		}
-		nst, err := over(backends.HVM, backends.Options{Nested: true})
-		if err != nil {
-			return err
-		}
-		pvm, err := over(backends.PVM, backends.Options{})
-		if err != nil {
-			return err
-		}
-		cki, err := over(backends.CKI, backends.Options{})
-		if err != nil {
-			return err
-		}
-		t2.Rowf(fmt.Sprintf("%d", particles*scale), "%.1f", nst, pvm, cki)
+	for i, app := range xs {
+		t2.Rowf(fmt.Sprintf("%d", app.Particles), "%.1f", overheads(res[i][0], res[i][1:])...)
 	}
 	t2.Note("paper: overhead decreases with lookup ratio / particle count; CKI stays low throughout")
-	_, err := t2.WriteTo(w)
+	_, err = t2.WriteTo(w)
 	return err
 }
 
@@ -422,26 +364,20 @@ func Tab4(scale int, w io.Writer) error {
 		"GUPS":         "54.9/67.8/54.9/55.1",
 		"BTree-Lookup": "22.6/24.1/21.7/22.6",
 	}
-	for _, app := range workloads.Table4Apps(scale) {
-		runc, err := app.Run(backends.MustNew(backends.RunC, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		row := []float64{paperRunC[app.Name()]}
-		for _, cfg := range []struct {
-			kind backends.Kind
-		}{{backends.HVM}, {backends.PVM}, {backends.CKI}} {
-			res, err := app.Run(backends.MustNew(cfg.kind, backends.Options{}))
-			if err != nil {
-				return err
-			}
-			row = append(row, workloads.ScaledSeconds(res, runc, paperRunC[app.Name()]))
-		}
-		t.Rowf(app.Name(), "%.1f", row...)
-		t.rows[len(t.rows)-1] = append(t.rows[len(t.rows)-1], paperRow[app.Name()])
+	apps := workloads.Table4Apps(scale)
+	res, err := runGrid(apps, t.Columns[1:5]...)
+	if err != nil {
+		return err
+	}
+	for i, app := range apps {
+		runc, paper := res[i][0], paperRunC[app.Name()]
+		row := append([]float64{paper}, each(res[i][1:], func(r workloads.Result) float64 {
+			return workloads.ScaledSeconds(r, runc, paper)
+		})...)
+		t.Row(append(cellsf(app.Name(), "%.1f", row...), paperRow[app.Name()])...)
 	}
 	t.Note("HVM pays two-dimensional walks; 1-D runtimes track RunC")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
@@ -450,32 +386,20 @@ func Tab4(scale int, w io.Writer) error {
 func Fig14(scale int, w io.Writer) error {
 	t := NewTable("Figure 14: SQLite throughput (normalized) and syscall frequency",
 		"case", "PVM", "CKI", "HVM", "RunC", "syscalls/op", "M-syscalls/s (CKI)")
-	for _, sc := range workloads.Fig14Cases(scale) {
-		res := map[string]workloads.Result{}
-		best := 0.0
-		for _, cfg := range []struct {
-			name string
-			kind backends.Kind
-		}{{"PVM", backends.PVM}, {"CKI", backends.CKI}, {"HVM", backends.HVM}, {"RunC", backends.RunC}} {
-			r, err := sc.Run(backends.MustNew(cfg.kind, backends.Options{}))
-			if err != nil {
-				return err
-			}
-			res[cfg.name] = r
-			if r.OpsPerSec() > best {
-				best = r.OpsPerSec()
-			}
-		}
-		cki := res["CKI"]
+	cases := workloads.Fig14Cases(scale)
+	res, err := runGrid(cases, t.Columns[1:5]...)
+	if err != nil {
+		return err
+	}
+	for i, sc := range cases {
+		cki := res[i][1]
 		perOpSys := float64(cki.Syscalls) / float64(cki.Ops)
 		mps := float64(cki.Syscalls) / cki.Time.Seconds() / 1e6
 		t.Rowf(sc.CaseName, "%.3f",
-			res["PVM"].OpsPerSec()/best, res["CKI"].OpsPerSec()/best,
-			res["HVM"].OpsPerSec()/best, res["RunC"].OpsPerSec()/best,
-			perOpSys, mps)
+			append(overMax(each(res[i], workloads.Result.OpsPerSec)), perOpSys, mps)...)
 	}
 	t.Note("paper: PVM loses 19-24%% on writes (syscall redirection); reads run from cache, all equal")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
@@ -483,34 +407,16 @@ func Fig14(scale int, w io.Writer) error {
 func Fig15(scale int, w io.Writer) error {
 	t := NewTable("Figure 15: overhead vs CKI (%) on SQLite",
 		"case", "PVM", "CKI-wo-OPT2", "CKI-wo-OPT3")
-	for _, sc := range workloads.Fig14Cases(scale) {
-		base, err := sc.Run(backends.MustNew(backends.CKI, backends.Options{}))
-		if err != nil {
-			return err
-		}
-		over := func(kind backends.Kind, opts backends.Options) (float64, error) {
-			r, err := sc.Run(backends.MustNew(kind, opts))
-			if err != nil {
-				return 0, err
-			}
-			return 100 * (float64(r.Time)/float64(base.Time) - 1), nil
-		}
-		pvm, err := over(backends.PVM, backends.Options{})
-		if err != nil {
-			return err
-		}
-		wo2, err := over(backends.CKI, backends.Options{WoOPT2: true})
-		if err != nil {
-			return err
-		}
-		wo3, err := over(backends.CKI, backends.Options{WoOPT3: true})
-		if err != nil {
-			return err
-		}
-		t.Rowf(sc.CaseName, "%.1f", pvm, wo2, wo3)
+	cases := workloads.Fig14Cases(scale)
+	res, err := runGrid(cases, "CKI", "PVM", "CKI-wo-OPT2", "CKI-wo-OPT3")
+	if err != nil {
+		return err
+	}
+	for i, sc := range cases {
+		t.Rowf(sc.CaseName, "%.1f", overheads(res[i][0], res[i][1:])...)
 	}
 	t.Note("paper ladders: PVM 24/17/23/22/22/1/0; each OPT removes part of the gap")
-	_, err := t.WriteTo(w)
+	_, err = t.WriteTo(w)
 	return err
 }
 
@@ -524,23 +430,12 @@ func Fig16(scale int, w io.Writer) error {
 		{workloads.Memcached(48 * scale), 4},
 		{workloads.Redis(48 * scale), 1},
 	}
-	cfgs := []struct {
-		name string
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{"CKI-NST", backends.CKI, backends.Options{Nested: true}},
-		{"PVM-NST", backends.PVM, backends.Options{Nested: true}},
-		{"HVM-NST", backends.HVM, backends.Options{Nested: true}},
-		{"CKI-BM", backends.CKI, backends.Options{}},
-		{"PVM-BM", backends.PVM, backends.Options{}},
-		{"HVM-BM", backends.HVM, backends.Options{}},
-	}
 	for _, a := range apps {
 		t := NewTable(fmt.Sprintf("Figure 16: %s throughput (k-ops/s) vs clients", a.app.AppName),
 			append([]string{"runtime"}, intLabels(clients)...)...)
-		for _, cfg := range cfgs {
-			model, err := ServiceModelFor(a.app, cfg.kind, cfg.opts)
+		for _, label := range []string{"CKI-NST", "PVM-NST", "HVM-NST", "CKI-BM", "PVM-BM", "HVM-BM"} {
+			rt := paperRuntime(label)
+			model, err := ServiceModelFor(a.app, rt.kind, rt.opts)
 			if err != nil {
 				return err
 			}
@@ -555,7 +450,7 @@ func Fig16(scale int, w io.Writer) error {
 				}.Throughput()
 				row = append(row, ops/1000)
 			}
-			t.Rowf(cfg.name, "%.0f", row...)
+			t.Rowf(label, "%.0f", row...)
 		}
 		t.Note("paper: CKI-NST reaches ~6.8x HVM-NST (memcached) / ~2.0x (redis); ~1.5x/1.3x PVM-NST")
 		if _, err := t.WriteTo(w); err != nil {
@@ -578,12 +473,13 @@ func ServiceModelFor(app workloads.KVApp, kind backends.Kind, opts backends.Opti
 			depths = append(depths, d)
 		}
 	}
+	rt := runtimeSpec{kind, opts}
 	times := map[int]clock.Time{}
 	for _, d := range depths {
 		probe := app
 		probe.Requests = 32
 		probe.Batch = d
-		res, err := probe.Run(backends.MustNew(kind, opts))
+		res, err := probe.Run(rt.boot())
 		if err != nil {
 			return nil, err
 		}

@@ -22,11 +22,9 @@ func ExtCOW(scale int, w io.Writer) error {
 	const pages = 64
 	t := NewTable("Eager vs copy-on-write fork (64 resident pages)",
 		"runtime", "eager fork", "COW fork", "COW + 8 first writes")
-	for _, cfg := range []struct {
-		kind backends.Kind
-	}{{backends.RunC}, {backends.HVM}, {backends.PVM}, {backends.CKI}} {
+	for _, label := range []string{"RunC", "HVM", "PVM", "CKI"} {
 		resident := func() (*backends.Container, uint64, error) {
-			c := backends.MustNew(cfg.kind, backends.Options{})
+			c := boot(label)
 			addr, err := c.K.MmapCall(pages*mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
 			if err != nil {
 				return nil, 0, err

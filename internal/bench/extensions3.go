@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/backends"
 	"repro/internal/clock"
 )
 
@@ -22,18 +21,9 @@ func ExtPreempt(scale int, w io.Writer) error {
 	)
 	t := NewTable("Preemption tax at a 100µs timeslice (2 CPU-bound processes)",
 		"runtime", "no ticks", "with ticks", "overhead")
-	for _, cfg := range []struct {
-		kind backends.Kind
-		opts backends.Options
-	}{
-		{backends.RunC, backends.Options{}},
-		{backends.HVM, backends.Options{}},
-		{backends.HVM, backends.Options{Nested: true}},
-		{backends.PVM, backends.Options{}},
-		{backends.CKI, backends.Options{}},
-	} {
+	for _, label := range []string{"RunC", "HVM-BM", "HVM-NST", "PVM-BM", "CKI-BM"} {
 		run := func(preempt bool) (clock.Time, error) {
-			c := backends.MustNew(cfg.kind, cfg.opts)
+			c := boot(label)
 			if _, err := c.K.Fork(); err != nil {
 				return 0, err
 			}
@@ -54,8 +44,7 @@ func ExtPreempt(scale int, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		name := backends.MustNew(cfg.kind, cfg.opts).Name
-		t.Row(name, base.String(), ticked.String(),
+		t.Row(label, base.String(), ticked.String(),
 			fmt.Sprintf("%.1f%%", 100*(float64(ticked)/float64(base)-1)))
 	}
 	t.Note("each tick = the runtime's timer-IRQ flow + a context switch; nested HVM forwards both exits through L0")

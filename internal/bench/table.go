@@ -28,11 +28,16 @@ func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
 // Rowf appends a row with a label and formatted float cells.
 func (t *Table) Rowf(label string, format string, vals ...float64) {
+	t.Row(cellsf(label, format, vals...)...)
+}
+
+// cellsf returns label followed by each value formatted with format.
+func cellsf(label string, format string, vals ...float64) []string {
 	cells := []string{label}
 	for _, v := range vals {
 		cells = append(cells, fmt.Sprintf(format, v))
 	}
-	t.Row(cells...)
+	return cells
 }
 
 // Note appends a footnote.

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/backends"
 	"repro/internal/workloads"
 )
 
@@ -17,34 +17,17 @@ import (
 // do not implement libOS runtimes; their defining property is the
 // *absence* of guest user/kernel isolation).
 func Tab1(scale int, w io.Writer) error {
-	memApp := workloads.Fig12Apps(scale)[0] // btree
-	ioApp := workloads.Fig5Apps(scale)[4]   // netperf-RR
-
-	type cfg struct {
-		name   string
-		kind   backends.Kind
-		nested bool
+	apps := []workloads.Runner{
+		workloads.Fig12Apps(scale)[0], // btree
+		workloads.Fig5Apps(scale)[4],  // netperf-RR
 	}
-	cols := []cfg{
-		{"HVM", backends.HVM, false},
-		{"PVM", backends.PVM, false},
-		{"gVisor", backends.GVisor, false},
-		{"CKI", backends.CKI, false},
-	}
-	runcMem, err := memApp.Run(backends.MustNew(backends.RunC, backends.Options{}))
+	labels := []string{"RunC", "HVM", "PVM", "gVisor", "CKI", "HVM-NST", "PVM-NST", "CKI-NST"}
+	res, err := runGrid(apps, labels...)
 	if err != nil {
 		return err
 	}
-	runcIO, err := ioApp.Run(backends.MustNew(backends.RunC, backends.Options{}))
-	if err != nil {
-		return err
-	}
-	slow := func(kind backends.Kind, nested bool, app workloads.Runner, base workloads.Result) (string, error) {
-		res, err := app.Run(backends.MustNew(kind, backends.Options{Nested: nested}))
-		if err != nil {
-			return "", err
-		}
-		r := float64(res.Time) / float64(base.Time)
+	slow := func(run, base workloads.Result) string {
+		r := float64(run.Time) / float64(base.Time)
 		grade := "good"
 		switch {
 		case r > 3:
@@ -52,42 +35,27 @@ func Tab1(scale int, w io.Writer) error {
 		case r > 1.25:
 			grade = "fair"
 		}
-		return fmt.Sprintf("%s (%.2fx)", grade, r), nil
+		return fmt.Sprintf("%s (%.2fx)", grade, r)
 	}
 
 	t := NewTable("Table 1: VM-level container designs (perf cells measured, vs RunC)",
 		"aspect", "HVM", "PVM", "gVisor", "CKI", "LibOS (qualitative)")
-	memRow := []string{"memory-intensive (BM)"}
-	ioRow := []string{"I/O-intensive (BM)"}
-	memNST := []string{"memory-intensive (NST)"}
-	ioNST := []string{"I/O-intensive (NST)"}
-	for _, c := range cols {
-		v, err := slow(c.kind, false, memApp, runcMem)
-		if err != nil {
-			return err
+	for _, deploy := range []struct {
+		name string
+		cols []string
+	}{
+		{"BM", []string{"HVM", "PVM", "gVisor", "CKI"}},
+		// gVisor-in-VM ≈ BM for these paths, so its NST cell is the BM run.
+		{"NST", []string{"HVM-NST", "PVM-NST", "gVisor", "CKI-NST"}},
+	} {
+		for i, aspect := range []string{"memory-intensive", "I/O-intensive"} {
+			row := []string{fmt.Sprintf("%s (%s)", aspect, deploy.name)}
+			for _, label := range deploy.cols {
+				row = append(row, slow(res[i][slices.Index(labels, label)], res[i][0]))
+			}
+			t.Row(append(row, "good")...)
 		}
-		memRow = append(memRow, v)
-		v, err = slow(c.kind, false, ioApp, runcIO)
-		if err != nil {
-			return err
-		}
-		ioRow = append(ioRow, v)
-		nested := c.kind != backends.GVisor // gVisor-in-VM ≈ BM for these paths
-		v, err = slow(c.kind, nested, memApp, runcMem)
-		if err != nil {
-			return err
-		}
-		memNST = append(memNST, v)
-		v, err = slow(c.kind, nested, ioApp, runcIO)
-		if err != nil {
-			return err
-		}
-		ioNST = append(ioNST, v)
 	}
-	t.Row(append(memRow, "good")...)
-	t.Row(append(ioRow, "good")...)
-	t.Row(append(memNST, "good")...)
-	t.Row(append(ioNST, "good")...)
 	t.Row("guest user/kernel isolation", "yes", "yes", "yes", "yes", "NO (single AS)")
 	t.Row("nested-cloud deployment", "often disabled", "yes", "yes", "yes", "yes")
 	t.Row("container binary compat", "yes", "yes", "partial (rewrite)", "yes", "poor")
