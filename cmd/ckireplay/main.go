@@ -227,11 +227,7 @@ func runLive(log *audit.Log, jsonOut bool) {
 // reliveCkirun reboots the container and reruns the workload exactly as
 // ckirun did when it recorded the log.
 func reliveCkirun(m audit.Meta, rec *audit.Recorder) {
-	kinds := map[string]backends.Kind{
-		"runc": backends.RunC, "hvm": backends.HVM,
-		"pvm": backends.PVM, "cki": backends.CKI, "gvisor": backends.GVisor,
-	}
-	kind, ok := kinds[m.Runtime]
+	kind, ok := backends.KindByName(m.Runtime)
 	if !ok {
 		fatalf("log metadata names unknown runtime %q", m.Runtime)
 	}

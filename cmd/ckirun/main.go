@@ -65,11 +65,7 @@ func main() {
 		return
 	}
 
-	kinds := map[string]backends.Kind{
-		"runc": backends.RunC, "hvm": backends.HVM,
-		"pvm": backends.PVM, "cki": backends.CKI, "gvisor": backends.GVisor,
-	}
-	kind, ok := kinds[strings.ToLower(*rt)]
+	kind, ok := backends.KindByName(*rt)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ckirun: unknown runtime %q\n", *rt)
 		os.Exit(2)

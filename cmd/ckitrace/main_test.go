@@ -130,9 +130,9 @@ func tailFixture(t *testing.T) (string, string) {
 	return path, id
 }
 
-// TestExitCodes pins the exit-code contract of the tail mode: 2 for
-// usage errors, 1 for runtime failures, 0 with the expected rendering
-// otherwise.
+// TestExitCodes pins the exit-code contract of the flow and tail modes:
+// 2 for usage errors, 1 for runtime failures, 0 with the expected
+// rendering otherwise.
 func TestExitCodes(t *testing.T) {
 	fixture, id := tailFixture(t)
 	missing := filepath.Join(t.TempDir(), "missing.json")
@@ -152,6 +152,11 @@ func TestExitCodes(t *testing.T) {
 		{"tail missing file", []string{"-tail", missing}, 1, "no such file"},
 		{"tail unknown request", []string{"-tail", fixture, "-request", "00000000000000ff"}, 1, "no waterfall"},
 		{"unknown flow", []string{"-flow", "teleport"}, 2, "unknown flow"},
+		{"unknown runtime", []string{"-runtime", "bogus"}, 2, "unknown runtime"},
+		{"runc hypercall", []string{"-flow", "hypercall", "-runtime", "runc"}, 2, "RunC has no hypercalls"},
+		{"hvm-nst syscall", []string{"-flow", "syscall", "-runtime", "hvm-nst"}, 0, "syscall / HVM-NST"},
+		{"gvisor", []string{"-runtime", "gvisor"}, 0, "pgfault / gVisor"},
+		{"all hypercall skips runc", []string{"-flow", "hypercall", "-runtime", "all"}, 0, "hypercall / CKI"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ package backends
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/cki"
@@ -51,11 +52,24 @@ func (k Kind) String() string {
 		return "HVM"
 	case PVM:
 		return "PVM"
+	case CKI:
+		return "CKI"
 	case GVisor:
 		return "gVisor"
 	default:
-		return "CKI"
+		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// KindByName returns the kind whose String matches name without regard
+// to case.
+func KindByName(name string) (Kind, bool) {
+	for k := RunC; k <= GVisor; k++ {
+		if strings.EqualFold(k.String(), name) {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // Options configures a container.
@@ -542,19 +556,3 @@ type internalPV interface {
 // virtual TLBs). setVCPU runs after the container's CPU/MMU have been
 // rebound to the target vCPU.
 type vcpuAware interface{ setVCPU(v int) }
-
-// nativeRemotePhases decomposes the native remote shootdown-service leg
-// (the smp engine's default RemoteCost) into attributable phases. The
-// sum equals InterruptDeliver + Invlpg + IPIAck + Iret exactly, so
-// span-level accounting matches the engine's charged latency.
-func nativeRemotePhases(c *clock.Costs) func(int) []smp.PhaseCost {
-	// Costs are fixed once the machine boots, so the decomposition is
-	// interned: one slice per container, not one per recorded shootdown.
-	phases := []smp.PhaseCost{
-		{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
-		{Name: "invlpg", Cost: c.Invlpg},
-		{Name: "ipi_ack", Cost: c.IPIAck},
-		{Name: "iret", Cost: c.Iret},
-	}
-	return func(int) []smp.PhaseCost { return phases }
-}

@@ -2,6 +2,7 @@ package backends
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -21,6 +22,24 @@ func everyRuntime(t *testing.T, f func(t *testing.T, c *Container)) {
 		cfg := cfg
 		c := MustNew(cfg.Kind, cfg.Opts)
 		t.Run(c.Name, func(t *testing.T) { f(t, c) })
+	}
+}
+
+// Every kind round-trips through String and KindByName in any case, and
+// an out-of-range kind names its number instead of passing for CKI.
+func TestKindByName(t *testing.T) {
+	for k := RunC; k <= GVisor; k++ {
+		for _, name := range []string{k.String(), strings.ToLower(k.String()), strings.ToUpper(k.String())} {
+			if got, ok := KindByName(name); !ok || got != k {
+				t.Errorf("KindByName(%q) = %v, %v; want %v", name, got, ok, k)
+			}
+		}
+	}
+	if _, ok := KindByName("bogus"); ok {
+		t.Error("KindByName accepted bogus")
+	}
+	if s := Kind(9).String(); s != "Kind(9)" {
+		t.Errorf("Kind(9).String() = %q, want Kind(9)", s)
 	}
 }
 

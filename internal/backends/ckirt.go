@@ -104,17 +104,6 @@ func (b *ckiPV) migrationCost() clock.Time {
 func (b *ckiPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 	if b.sd.Send == nil {
 		c := b.c.Costs
-		// Extended delivery on the remote: deliver, invlpg, the KSM's
-		// copy re-verification, ack write, extended iret.
-		remoteCost := c.InterruptDeliver + c.Invlpg + c.KSMPTEVerify +
-			c.IPIAck + c.Iret
-		phases := []smp.PhaseCost{
-			{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
-			{Name: "invlpg", Cost: c.Invlpg},
-			{Name: "ksm_reverify", Cost: c.KSMPTEVerify},
-			{Name: "ipi_ack", Cost: c.IPIAck},
-			{Name: "iret", Cost: c.Iret},
-		}
 		b.sd = smp.ShootdownSpec{
 			Send: func(targets []int) error {
 				k := b.sdK
@@ -125,8 +114,15 @@ func (b *ckiPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 					vcpuMask(targets), uint64(hw.VectorIPI))
 				return err
 			},
-			RemoteCost:   func(int) clock.Time { return remoteCost },
-			RemotePhases: func(int) []smp.PhaseCost { return phases },
+			// Extended delivery on the remote: deliver, invlpg, the
+			// KSM's copy re-verification, ack write, extended iret.
+			RemotePhases: []smp.PhaseCost{
+				{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
+				{Name: "invlpg", Cost: c.Invlpg},
+				{Name: "ksm_reverify", Cost: c.KSMPTEVerify},
+				{Name: "ipi_ack", Cost: c.IPIAck},
+				{Name: "iret", Cost: c.Iret},
+			},
 			RemoteFlush: func(v *smp.VCPU) error {
 				_, err := b.ksm.RefreshTopCopy(b.sdRoot, v.ID)
 				return err

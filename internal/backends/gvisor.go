@@ -42,15 +42,6 @@ func (b *gvisorPV) Name() string               { return "gVisor" }
 func (b *gvisorPV) guestMemory() *mem.PhysMem  { return b.c.HostMem }
 func (b *gvisorPV) boot(k *guest.Kernel) error { return nil }
 
-// systrapLeg is one half of the Systrap interception: trap into the
-// stub, a host context switch to (or from) the Sentry process, and the
-// shared-memory handshake.
-func (b *gvisorPV) systrapLeg() clock.Time {
-	c := b.c.Costs
-	return c.SyscallTrap + c.ModeSwitch + c.PTSwitchNoPTI + c.RegsSwap +
-		clock.FromNanos(sentryWakeNs)
-}
-
 // Sentry software costs (ns).
 const (
 	sentryWakeNs     = 520 // futex-style wakeup + run-queue hop
@@ -188,7 +179,6 @@ func (b *gvisorPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64
 				}
 				return nil
 			},
-			RemotePhases: nativeRemotePhases(b.c.Costs),
 		}
 	}
 	b.sdK = k

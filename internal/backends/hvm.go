@@ -86,17 +86,8 @@ func (b *hvmPV) Name() string {
 func (b *hvmPV) guestMemory() *mem.PhysMem  { return b.guestMem }
 func (b *hvmPV) boot(k *guest.Kernel) error { return nil }
 
-// vmExitCost charges one guest↔host transition: a plain VM exit on bare
-// metal, an L0-forwarded round trip when nested (§2.4.1).
-func (b *hvmPV) vmExitCost() clock.Time {
-	c := b.c.Costs
-	if b.c.Opts.Nested {
-		return 2*c.NestedLegRT + c.KVMDispatch
-	}
-	return c.VMExit + c.KVMDispatch + c.VMEntry
-}
-
-// chargeVMExit charges vmExitCost phase by phase.
+// chargeVMExit charges one guest↔host transition: a plain VM exit on
+// bare metal, an L0-forwarded round trip when nested (§2.4.1).
 func (b *hvmPV) chargeVMExit(k *guest.Kernel) {
 	c := b.c.Costs
 	if b.c.Opts.Nested {
@@ -312,11 +303,9 @@ func (b *hvmPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 	if b.sd.Send == nil {
 		c := b.c.Costs
 		// Nested-ness is fixed per container, so the remote service
-		// decomposition is interned up front.
-		var remoteCost clock.Time
+		// flow is interned up front.
 		var phases []smp.PhaseCost
 		if b.c.Opts.Nested {
-			remoteCost = 2*c.NestedLegRT + c.InterruptDeliver + c.Invlpg + c.IPIAck
 			phases = []smp.PhaseCost{
 				{Name: "nested_leg", Cost: 2 * c.NestedLegRT},
 				{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
@@ -324,7 +313,6 @@ func (b *hvmPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 				{Name: "ipi_ack", Cost: c.IPIAck},
 			}
 		} else {
-			remoteCost = c.VMExit + c.InterruptDeliver + c.Invlpg + c.IPIAck + c.VMEntry
 			phases = []smp.PhaseCost{
 				{Name: "vm_exit", Cost: c.VMExit},
 				{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
@@ -346,8 +334,7 @@ func (b *hvmPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 				}
 				return nil
 			},
-			RemoteCost:   func(int) clock.Time { return remoteCost },
-			RemotePhases: func(int) []smp.PhaseCost { return phases },
+			RemotePhases: phases,
 			RemoteFlush: func(v *smp.VCPU) error {
 				if v.ID < len(b.vtlbs) {
 					b.vtlbs[v.ID].FlushPage(b.sd.PCID, b.sd.VA)

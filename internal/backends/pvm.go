@@ -66,17 +66,6 @@ func (b *pvmPV) hostLeg() clock.Time {
 	return c.ModeSwitch + c.PTSwitch + c.RegsSwap
 }
 
-// hypercallCost is the calibrated PVM hypercall: two legs, IBRS on host
-// entry, dispatch — 466ns bare-metal, 486ns nested (Table 2).
-func (b *pvmPV) hypercallCost() clock.Time {
-	c := b.c.Costs
-	d := 2*b.hostLeg() + c.IBRS + c.PVMHypercallDispatch
-	if b.c.Opts.Nested {
-		d += c.PVMNSTSwitchExtra
-	}
-	return d
-}
-
 // chargeHostLeg charges one hostLeg phase by phase; n legs at once.
 func (b *pvmPV) chargeHostLeg(k *guest.Kernel, n clock.Time) {
 	c := b.c.Costs
@@ -85,7 +74,8 @@ func (b *pvmPV) chargeHostLeg(k *guest.Kernel, n clock.Time) {
 	k.Phase("regs_swap", n*c.RegsSwap)
 }
 
-// chargeHypercall charges hypercallCost phase by phase.
+// chargeHypercall charges the calibrated PVM hypercall: two legs, IBRS
+// on host entry, dispatch — 466ns bare-metal, 486ns nested (Table 2).
 func (b *pvmPV) chargeHypercall(k *guest.Kernel) {
 	c := b.c.Costs
 	b.chargeHostLeg(k, 2)
@@ -308,7 +298,6 @@ func (b *pvmPV) migrationCost() clock.Time {
 // translation directly without switching into the remote guest.
 func (b *pvmPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 	if b.sd.Send == nil {
-		c := b.c.Costs
 		b.sd = smp.ShootdownSpec{
 			Send: func(targets []int) error {
 				k := b.sdK
@@ -320,10 +309,6 @@ func (b *pvmPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) {
 				b.c.auditVMEntry(audit.VMExitIPI)
 				return err
 			},
-			RemoteCost: func(int) clock.Time {
-				return c.InterruptDeliver + c.Invlpg + c.IPIAck + c.Iret
-			},
-			RemotePhases: nativeRemotePhases(c),
 		}
 	}
 	b.sdK = k

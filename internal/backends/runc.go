@@ -139,7 +139,6 @@ func (b *runcPV) EmitShootdown(k *guest.Kernel, as *guest.AddrSpace, va uint64) 
 				}
 				return nil
 			},
-			RemotePhases: nativeRemotePhases(b.c.Costs),
 		}
 	}
 	b.sdK = k

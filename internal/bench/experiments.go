@@ -250,6 +250,9 @@ func Fig5(scale int, w io.Writer) error {
 	return err
 }
 
+// fig10aFaults is how many first-touch faults Fig. 10a averages over.
+const fig10aFaults = 64
+
 // Fig10a regenerates the page-fault breakdown.
 func Fig10a(scale int, w io.Writer) error {
 	t := NewTable("Figure 10a: anonymous page-fault latency (ns)",
@@ -260,7 +263,7 @@ func Fig10a(scale int, w io.Writer) error {
 	labels := []string{"HVM-NST", "RunC", "HVM-BM", "PVM-BM", "CKI"}
 	ns := map[string]float64{}
 	for _, label := range labels {
-		v, err := boot(label).MeasureAnonFault(64)
+		v, err := boot(label).MeasureAnonFault(fig10aFaults)
 		if err != nil {
 			return err
 		}

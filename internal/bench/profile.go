@@ -2,10 +2,13 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"repro/internal/backends"
 	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -192,20 +195,26 @@ func (p *SMPProfile) WriteBreakdown(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%s  (%d requests, %s ns total, %s ns/request)\n",
 			rt, smpServiceReqs, fmtPsAsNs(int64(elapsed)), fmtPsAsNs(int64(service)))
-		fmt.Fprintf(w, "  %-44s %10s %14s %14s\n", "phase", "count", "total ns", "self ns")
-		var walk func(n *trace.Node, depth int)
-		walk = func(n *trace.Node, depth int) {
-			for _, c := range n.Children {
-				fmt.Fprintf(w, "  %-44s %10d %14s %14s\n",
-					indent(depth)+c.Phase, c.Count,
-					fmtPsAsNs(int64(c.Total)), fmtPsAsNs(int64(c.Self())))
-				walk(c, depth+1)
-			}
-		}
-		walk(trace.Fold(window), 0)
-		fmt.Fprintf(w, "  %-44s %10s %14s\n\n", "TOTAL", "", fmtPsAsNs(int64(elapsed)))
+		writeTree(w, window, elapsed)
 	}
 	return nil
+}
+
+// writeTree prints the folded phase tree of spans, one row per phase
+// with its count, inclusive and self time, then the TOTAL row.
+func writeTree(w io.Writer, spans []trace.Span, total clock.Time) {
+	fmt.Fprintf(w, "  %-44s %10s %14s %14s\n", "phase", "count", "total ns", "self ns")
+	var walk func(n *trace.Node, depth int)
+	walk = func(n *trace.Node, depth int) {
+		for _, c := range n.Children {
+			fmt.Fprintf(w, "  %-44s %10d %14s %14s\n",
+				indent(depth)+c.Phase, c.Count,
+				fmtPsAsNs(int64(c.Total)), fmtPsAsNs(int64(c.Self())))
+			walk(c, depth+1)
+		}
+	}
+	walk(trace.Fold(spans), 0)
+	fmt.Fprintf(w, "  %-44s %10s %14s\n\n", "TOTAL", "", fmtPsAsNs(int64(total)))
 }
 
 func indent(depth int) string {
@@ -277,4 +286,69 @@ func ExtBreakdown(scale int, w io.Writer) error {
 		return err
 	}
 	return prof.WriteBreakdown(w)
+}
+
+// flowProbes names the microbenchmark probe behind each ckitrace flow
+// and how many operations it times: Table 2's getpid, Fig. 10a's
+// anonymous faults and Table 2's empty hypercall.
+var flowProbes = map[string]struct {
+	ops   int
+	probe func(c *backends.Container) (clock.Time, error)
+}{
+	"syscall":   {1, func(c *backends.Container) (clock.Time, error) { return c.MeasureSyscall(), nil }},
+	"pgfault":   {fig10aFaults, func(c *backends.Container) (clock.Time, error) { return c.MeasureAnonFault(fig10aFaults) }},
+	"hypercall": {1, (*backends.Container).MeasureHypercall},
+}
+
+// ErrUnattributed marks a recorded flow whose root spans do not sum to
+// the window its probe measured.
+var ErrUnattributed = errors.New("unattributed time")
+
+// WriteFlow renders where each nanosecond of one flow goes on one paper
+// runtime. It boots a fresh container of the runtime label names (a
+// paper runtime label, matched without regard to case), runs the flow's
+// probe with a span recorder attached, and prints the folded tree of the
+// probe's measured operations: the last root spans, after its warm-up.
+// The per-op value is the probe's own result. The error wraps
+// ErrUnattributed unless the roots sum exactly to the elapsed window.
+func WriteFlow(w io.Writer, flow, label string) error {
+	p, ok := flowProbes[flow]
+	if !ok {
+		return fmt.Errorf("unknown flow %q (want syscall, pgfault or hypercall)", flow)
+	}
+	name := ""
+	for n := range paperRuntimes {
+		if strings.EqualFold(n, label) {
+			name = n
+		}
+	}
+	if name == "" {
+		return fmt.Errorf("unknown runtime %q", label)
+	}
+	c := boot(name)
+	rec := trace.NewSpanRecorder(c.Clk)
+	c.Attach(backends.Observers{Spans: rec})
+	per, err := p.probe(c)
+	if err != nil {
+		return fmt.Errorf("%s on %s: %w", flow, name, err)
+	}
+	end := c.Clk.Now()
+	spans := rec.Spans()
+	first := len(spans)
+	for roots := 0; roots < p.ops && first > 0; {
+		first--
+		if s := spans[first]; s.Parent == -1 && !s.Async {
+			roots++
+		}
+	}
+	window := spans[first:]
+	elapsed := end - spans[first].At
+	if got := trace.RootTotal(window); got != elapsed {
+		return fmt.Errorf("%s on %s: spans sum to %v inside a %v window: %w",
+			flow, name, got, elapsed, ErrUnattributed)
+	}
+	fmt.Fprintf(w, "%s / %s  (%d measured, %s ns total, %s ns/op)\n",
+		flow, name, p.ops, fmtPsAsNs(int64(elapsed)), fmtPsAsNs(int64(per)))
+	writeTree(w, window, elapsed)
+	return nil
 }

@@ -169,18 +169,13 @@ type Switcher struct {
 	forged *hw.Fault
 }
 
-// hypercallCost is the calibrated switcher round trip: two PKS legs,
-// register file swap both ways, two page-table switches, the IBRS
-// barrier on host entry, and request decode — 390ns total (Table 2).
-func (s *Switcher) hypercallCost() clock.Time {
-	c := s.Gate.Costs
-	return 2*c.WrPKRSLeg + 2*c.RegsSwap + 2*c.PTSwitch + c.IBRS + c.HostcallDispatch + s.NestedExtra
-}
-
-// Hypercall performs the full world switch to the host kernel and back.
-// All state transitions are mechanical: the gate clears PKRS (so the
-// CR3 write is legal), saves the guest root, loads the host root, and
-// restores everything on return.
+// Hypercall performs the full world switch to the host kernel and back:
+// two PKS legs, the register file swap both ways, two page-table
+// switches, the IBRS barrier on host entry and request decode, 390ns
+// before the host's handler (Table 2). All state transitions are
+// mechanical: the gate clears PKRS (so the CR3 write is legal), saves
+// the guest root, loads the host root, and restores everything on
+// return.
 func (s *Switcher) Hypercall(nr int, args ...uint64) (uint64, error) {
 	g := s.Gate
 	g.KSM.Stats.Hypercalls++

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/hw"
 	"repro/internal/mmu"
 	"repro/internal/pagetable"
@@ -224,14 +223,5 @@ func TestGuestCannotDisableInterruptsForever(t *testing.T) {
 	}
 	if !f.cpu.IF() {
 		t.Error("sysret extension failed to force IF on")
-	}
-}
-
-func TestHypercallCostCalibration(t *testing.T) {
-	c := clock.DefaultCosts()
-	s := &Switcher{Gate: &Gate{Costs: c}}
-	got := s.hypercallCost().Nanos()
-	if got != 390 {
-		t.Errorf("CKI hypercall switcher cost = %.0fns, want 390ns (Table 2)", got)
 	}
 }

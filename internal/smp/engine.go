@@ -110,6 +110,9 @@ type Engine struct {
 	// engine runs on one goroutine, so a single buffer keeps the
 	// protocol's steady-state hot path allocation-free.
 	unackedBuf []int
+	// nativePage and nativeAll are the native remote service flows of a
+	// page and a whole-PCID shootdown, interned at New.
+	nativePage, nativeAll []PhaseCost
 }
 
 // phase charges d to the shared clock under a named span (plain
@@ -133,6 +136,8 @@ func New(clk *clock.Clock, costs *clock.Costs, m *mem.PhysMem, cpu0 *hw.CPU, mmu
 		return nil, fmt.Errorf("smp: need at least 1 vCPU, got %d", n)
 	}
 	e := &Engine{Clk: clk, Costs: costs, Sched: NewScheduler(n)}
+	e.nativePage = nativeRemote("invlpg", costs.Invlpg, costs)
+	e.nativeAll = nativeRemote("tlb_flush", costs.TLBFlush, costs)
 	for i := 0; i < n; i++ {
 		cpu, unit := cpu0, mmu0
 		if i > 0 {
@@ -210,19 +215,16 @@ type ShootdownSpec struct {
 	// one mediated HcSendIPI). nil means bare ICR writes by the
 	// initiating CPU at IPISend each.
 	Send func(targets []int) error
-	// RemoteCost is the target-side service latency (deliver,
-	// invalidate, ack, return). nil means the native interrupt flow:
-	// InterruptDeliver + Invlpg + IPIAck + Iret.
-	RemoteCost func(target int) clock.Time
+	// RemotePhases is the target-side service flow (deliver,
+	// invalidate, ack, return), one named primitive per phase; each
+	// remote is charged its sum and recorded with one async child span
+	// per phase. nil means the native interrupt flow: interrupt_deliver,
+	// invlpg (tlb_flush when All), ipi_ack, iret.
+	RemotePhases []PhaseCost
 	// RemoteFlush, when non-nil, performs runtime-specific invalidation
 	// on the target beyond the engine-TLB flush (HVM's private vTLBs,
 	// CKI's per-vCPU top-PTP copy refresh).
 	RemoteFlush func(v *VCPU) error
-	// RemotePhases, when non-nil, decomposes the target-side service
-	// latency into named phases for async span emission. The phase
-	// costs must sum to RemoteCost(target) — the profile sum checks
-	// rely on it.
-	RemotePhases func(target int) []PhaseCost
 	// Inj, when non-nil, is consulted per target per attempt at the
 	// faults.IPILost and faults.AckDelay sites.
 	Inj faults.Injector
@@ -245,6 +247,17 @@ func (e *Engine) Shootdown(spec ShootdownSpec) (clock.Time, error) {
 		}
 	}
 	e.unackedBuf = unacked
+	phases := spec.RemotePhases
+	if phases == nil {
+		phases = e.nativePage
+		if spec.All {
+			phases = e.nativeAll
+		}
+	}
+	var service clock.Time
+	for _, p := range phases {
+		service += p.Cost
+	}
 	for attempt := 0; len(unacked) > 0 && attempt < MaxSendAttempts; attempt++ {
 		if attempt > 0 {
 			// The ack mask is still short: the initiator's spin loop hits
@@ -288,14 +301,14 @@ func (e *Engine) Shootdown(spec ShootdownSpec) (clock.Time, error) {
 			if err := e.serviceRemote(v, spec); err != nil {
 				return e.finish(root, start, spec, unacked)
 			}
-			lat := e.remoteCost(t, spec)
+			lat := service
 			delayed := false
 			if spec.Inj != nil && spec.Inj.Fire(faults.AckDelay) {
 				lat += e.Costs.ShootdownAckDelay
 				e.Stats.DelayedAcks++
 				delayed = true
 			}
-			e.emitRemote(spec, t, sendDone, lat, delayed, root)
+			e.emitRemote(phases, t, sendDone, lat, delayed, root)
 			e.Audit.Emit(audit.EvIPIAck, t, spec.PCID, uint64(lat), b2u(delayed), 0)
 			if lat > maxLat {
 				maxLat = lat
@@ -313,17 +326,14 @@ func (e *Engine) Shootdown(spec ShootdownSpec) (clock.Time, error) {
 
 // emitRemote records one target's service as an async span at its true
 // wall placement (concurrent with the initiator's ack spin), with the
-// runtime's per-phase decomposition as async children.
-func (e *Engine) emitRemote(spec ShootdownSpec, target int, at, lat clock.Time, delayed bool, parent int) {
+// service flow's phases as async children.
+func (e *Engine) emitRemote(phases []PhaseCost, target int, at, lat clock.Time, delayed bool, parent int) {
 	if e.Rec == nil {
 		return
 	}
 	rs := e.Rec.EmitAt("shootdown_remote", at, lat, target, parent)
-	if spec.RemotePhases == nil {
-		return
-	}
 	cursor := at
-	for _, p := range spec.RemotePhases(target) {
+	for _, p := range phases {
 		e.Rec.EmitAt(p.Name, cursor, p.Cost, target, rs)
 		cursor += p.Cost
 	}
@@ -350,16 +360,16 @@ func (e *Engine) serviceRemote(v *VCPU, spec ShootdownSpec) error {
 	return nil
 }
 
-func (e *Engine) remoteCost(target int, spec ShootdownSpec) clock.Time {
-	if spec.RemoteCost != nil {
-		return spec.RemoteCost(target)
+// nativeRemote is the native remote service flow around one
+// invalidation: interrupt delivery, the invalidation, the ack write and
+// the return.
+func nativeRemote(inval string, cost clock.Time, c *clock.Costs) []PhaseCost {
+	return []PhaseCost{
+		{Name: "interrupt_deliver", Cost: c.InterruptDeliver},
+		{Name: inval, Cost: cost},
+		{Name: "ipi_ack", Cost: c.IPIAck},
+		{Name: "iret", Cost: c.Iret},
 	}
-	c := e.Costs
-	inval := c.Invlpg
-	if spec.All {
-		inval = c.TLBFlush
-	}
-	return c.InterruptDeliver + inval + c.IPIAck + c.Iret
 }
 
 func (e *Engine) finish(span int, start clock.Time, spec ShootdownSpec, unacked []int) (clock.Time, error) {

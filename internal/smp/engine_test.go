@@ -2,6 +2,7 @@ package smp
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/clock"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mmu"
 	"repro/internal/tlb"
+	"repro/internal/trace"
 )
 
 func newEngine(t *testing.T, n int) *Engine {
@@ -67,8 +69,11 @@ func TestShootdownDefaultFlow(t *testing.T) {
 	}
 }
 
+// An All shootdown with no RemotePhases charges and records the
+// engine's native whole-PCID flow.
 func TestShootdownAllFlushesWholePCID(t *testing.T) {
 	e := newEngine(t, 2)
+	e.Rec = trace.NewSpanRecorder(e.Clk)
 	seedRemoteTLB(e, 1, testVA)
 	seedRemoteTLB(e, 1, testVA+mem.PageSize)
 	lat, err := e.Shootdown(ShootdownSpec{
@@ -86,6 +91,27 @@ func TestShootdownAllFlushesWholePCID(t *testing.T) {
 	want := c.IPISend + c.InterruptDeliver + c.TLBFlush + c.IPIAck + c.Iret + c.ShootdownPoll
 	if lat != want {
 		t.Errorf("latency = %v, want %v (TLBFlush, not Invlpg)", lat, want)
+	}
+	spans := e.Rec.Spans()
+	var phases []string
+	var sum, remote clock.Time
+	for _, s := range spans {
+		if s.Phase != "shootdown_remote" {
+			continue
+		}
+		remote = s.Dur
+		for _, c := range spans {
+			if c.Parent == s.ID {
+				phases = append(phases, c.Phase)
+				sum += c.Dur
+			}
+		}
+	}
+	if got := fmt.Sprint(phases); got != "[interrupt_deliver tlb_flush ipi_ack iret]" {
+		t.Errorf("remote phases = %s", got)
+	}
+	if sum != remote {
+		t.Errorf("remote phases sum to %v, span is %v", sum, remote)
 	}
 }
 
