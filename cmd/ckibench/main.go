@@ -28,11 +28,6 @@
 //	ckibench -exp smp -metrics-out smp.metrics.json
 //	ckibench -exp smp -audit-out smp.audit.log     # machine-event log (ckireplay -in)
 //
-// It can also be gated against a committed baseline report, failing the
-// invocation when throughput regresses beyond the tolerance:
-//
-//	ckibench -exp smp -baseline BENCH_smp.json
-//
 // The wallclock experiment measures the simulator itself (host ns/op,
 // allocs/op, parallel speedup) and emits the BENCH_wallclock artifact:
 //
@@ -79,7 +74,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -96,40 +90,6 @@ func fail(code int, format string, args ...any) {
 	os.Exit(code)
 }
 
-// gateBaseline compares cur against the committed report at path and
-// exits non-zero when any runtime's throughput regressed beyond the
-// default tolerance — the perf-trajectory gate CI runs on every change.
-func gateBaseline(path string, rep bench.Report) {
-	cur, ok := rep.(*bench.SMPReport)
-	if !ok {
-		fail(1, "baseline: %T is not an smp report", rep)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fail(1, "baseline: %v", err)
-	}
-	old := &bench.SMPReport{}
-	if err := json.Unmarshal(b, old); err != nil {
-		fail(1, "baseline %s: %v", path, err)
-	}
-	deltas, err := bench.CompareReports(old, cur)
-	if err != nil {
-		fail(1, "baseline: %v", err)
-	}
-	if err := bench.WriteDeltaTable(deltas, bench.DefaultRegressionTolerance, os.Stdout); err != nil {
-		fail(1, "%v", err)
-	}
-	if bad := bench.ThroughputRegressions(deltas, bench.DefaultRegressionTolerance); len(bad) > 0 {
-		for _, d := range bad {
-			fmt.Fprintf(os.Stderr, "ckibench: REGRESSION: %s x%d throughput %.0f -> %.0f (%+.1f%%)\n",
-				d.Runtime, d.VCPUs, d.Old, d.New, 100*d.Rel)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("baseline gate: PASS (throughput within %.0f%% of %s)\n",
-		100*bench.DefaultRegressionTolerance, path)
-}
-
 // config is the parsed flag set, separated from flag.Parse so the
 // validation rules are unit-testable. The experiment flags bind straight
 // into bench.Options; scrapeIv is -scrape-interval as typed, which
@@ -137,7 +97,6 @@ func gateBaseline(path string, rep bench.Report) {
 type config struct {
 	exp      string
 	jsonOut  bool
-	baseline string
 	scrapeIv string
 	bench.Options
 }
@@ -154,7 +113,6 @@ func (c config) expFlags() []string {
 		{"-spans-out", c.SpansOut != ""},
 		{"-metrics-out", c.MetricsOut != ""},
 		{"-audit-out", c.AuditOut != ""},
-		{"-baseline", c.baseline != ""},
 		{"-checkpoint-interval", c.Interval != 1},
 		{"-snap-out", c.SnapOut != ""},
 		{"-nodes", c.Nodes != 0},
@@ -267,7 +225,6 @@ func main() {
 	flag.StringVar(&cfg.SpansOut, "spans-out", "", usage("-spans-out", "write the span profile JSON to FILE"))
 	flag.StringVar(&cfg.MetricsOut, "metrics-out", "", usage("-metrics-out", "write the metrics snapshot JSON to FILE"))
 	flag.StringVar(&cfg.AuditOut, "audit-out", "", usage("-audit-out", "record the machine-event audit log to FILE"))
-	flag.StringVar(&cfg.baseline, "baseline", "", usage("-baseline", "compare against a committed report and fail on >10% throughput regression"))
 	flag.StringVar(&cfg.SnapOut, "snap-out", "", usage("-snap-out", "write the CKI cell's CKISNAP1 checkpoint image to FILE"))
 	flag.IntVar(&cfg.Interval, "checkpoint-interval", 1, usage("-checkpoint-interval", "supervised rounds between periodic checkpoints in the warm-restart comparison"))
 	flag.IntVar(&cfg.Nodes, "nodes", 0, usage("-nodes", "simulated node count"))
@@ -325,8 +282,5 @@ func main() {
 	}
 	if err != nil {
 		fail(1, "%s: %v", e.ID, err)
-	}
-	if cfg.baseline != "" {
-		gateBaseline(cfg.baseline, rep)
 	}
 }

@@ -39,7 +39,6 @@ func TestValidate(t *testing.T) {
 		{"wallclock json", ok(config{exp: "wallclock", jsonOut: true}), false},
 		{"smp artifacts", ok(config{exp: "smp", Options: bench.Options{TraceOut: "t.json", SpansOut: "s.json", MetricsOut: "m.json"}}), false},
 		{"smp audit", ok(config{exp: "smp", Options: bench.Options{AuditOut: "a.log"}}), false},
-		{"smp baseline", ok(config{exp: "smp", baseline: "b.json"}), false},
 		{"chaos sweep", ok(config{exp: "chaos", jsonOut: true, Options: bench.Options{Seeds: 16}}), false},
 		{"parallel 8", ok(config{exp: "smp", jsonOut: true, Options: bench.Options{Parallel: 8}}), false},
 		{"snapshot json", ok(config{exp: "snapshot", jsonOut: true}), false},
@@ -75,7 +74,6 @@ func TestValidate(t *testing.T) {
 		{"spans-out wrong exp", ok(config{exp: "chaos", Options: bench.Options{SpansOut: "s.json"}}), true},
 		{"metrics-out wrong exp", ok(config{exp: "fig12", Options: bench.Options{MetricsOut: "m.json"}}), true},
 		{"audit-out without smp", ok(config{Options: bench.Options{AuditOut: "a.log"}}), true},
-		{"baseline without smp", ok(config{exp: "chaos", baseline: "b.json"}), true},
 		{"audit-out with prof flags", ok(config{exp: "smp", Options: bench.Options{TraceOut: "t.json", AuditOut: "a.log"}}), true},
 		{"seeds without chaos", ok(config{exp: "smp", jsonOut: true, Options: bench.Options{Seeds: 4}}), true},
 		{"seeds without json", ok(config{exp: "chaos", Options: bench.Options{Seeds: 4}}), true},
@@ -184,6 +182,7 @@ func TestExitCodes(t *testing.T) {
 		{"slo-out without scrape-interval", []string{"-exp", "fleet", "-slo-out", "tl.ckits"}, 2, "requires an explicit -scrape-interval"},
 		{"bundle-out outside slo", []string{"-exp", "fleet", "-scrape-interval", "50us", "-bundle-out", "bd"}, 2, "-bundle-out requires -exp slo"},
 		{"list shows artifacts", []string{"-list"}, 0, "BENCH_serverless.json"},
+		{"baseline is not a flag", []string{"-exp", "smp", "-baseline", "BENCH_smp.json"}, 2, "flag provided but not defined: -baseline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -42,22 +42,47 @@ func run(t *testing.T, args ...string) (int, string) {
 	return ee.ExitCode(), string(out)
 }
 
+// TestExitCodes pins the exit-code contract. A torn or bit-flipped
+// checkpoint image fails its CKISNAP1 checksum: exit nonzero with an
+// error naming the snapshot, never a panic; the intact image restores.
 func TestExitCodes(t *testing.T) {
+	tmp := t.TempDir()
+	image := filepath.Join(tmp, "cki.snap")
+	if code, out := run(t, "-runtime", "cki", "-workload", "btree", "-checkpoint", image); code != 0 {
+		t.Fatalf("checkpoint: exit %d\n%s", code, out)
+	}
+	blob, err := os.ReadFile(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn, flipped := filepath.Join(tmp, "torn.snap"), filepath.Join(tmp, "flip.snap")
+	if err := os.WriteFile(torn, blob[:len(blob)*3/4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blob[64] ^= 0xff
+	if err := os.WriteFile(flipped, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
 		want int
+		out  string
 	}{
-		{"list", []string{"-list"}, 0},
-		{"unknown runtime", []string{"-runtime", "xen"}, 2},
-		{"unknown workload", []string{"-workload", "nope"}, 2},
-		{"audit-out with restore", []string{"-restore", "app.snap", "-audit-out", "a.log"}, 2},
-		{"missing restore image", []string{"-restore", filepath.Join(t.TempDir(), "none.snap")}, 1},
+		{"list", []string{"-list"}, 0, "btree"},
+		{"unknown runtime", []string{"-runtime", "xen"}, 2, "unknown runtime"},
+		{"unknown workload", []string{"-workload", "nope"}, 2, "unknown workload"},
+		{"audit-out with restore", []string{"-restore", "app.snap", "-audit-out", "a.log"}, 2, "-audit-out"},
+		{"missing restore image", []string{"-restore", filepath.Join(tmp, "none.snap")}, 1, "none.snap"},
+		{"torn restore image", []string{"-restore", torn, "-workload", "btree"}, 1, "restore " + torn + ": snapshot:"},
+		{"bit-flipped restore image", []string{"-restore", flipped, "-workload", "btree"}, 1, "restore " + flipped + ": snapshot:"},
+		{"intact restore image", []string{"-restore", image, "-workload", "btree"}, 0, "restored:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if code, out := run(t, tc.args...); code != tc.want {
-				t.Errorf("exit %d, want %d\n%s", code, tc.want, out)
+			code, out := run(t, tc.args...)
+			if code != tc.want || !strings.Contains(out, tc.out) || strings.Contains(out, "panic") {
+				t.Errorf("exit %d, want %d with %q and no panic\n%s", code, tc.want, tc.out, out)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ func Extensions() []Experiment {
 		}),
 		artifact("smp", "Multi-core scaling & TLB-shootdown latency (SMP engine)", &Artifact{
 			Path:  "BENCH_smp.json",
-			Flags: []string{"-trace-out", "-spans-out", "-metrics-out", "-audit-out", "-baseline"},
+			Flags: []string{"-trace-out", "-spans-out", "-metrics-out", "-audit-out"},
 			Run:   runSMPArtifact,
 		}),
 		artifact("snapshot", "Checkpoint/restore, live migration & warm-restart MTTR", &Artifact{
