@@ -75,6 +75,9 @@ func TestAuditEmitAllocs(t *testing.T) {
 // count does not depend on the number of records: only the one-time
 // header allocates, every record reuses the recorder's buffer.
 func TestAuditEncodeAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates inside AllocsPerRun")
+	}
 	mk := func(events int) *Recorder {
 		r := NewRecorder(new(clock.Clock))
 		for i := 0; i < events; i++ {

@@ -80,7 +80,7 @@ func (s FleetShape) horizon(perScale int, rate float64) clock.Time {
 }
 
 // cell assembles one cell's control-plane config.
-func (s FleetShape) cell(costs fleet.RuntimeCosts, seed uint64, arrivals []des.Arrival,
+func (s FleetShape) cell(costs fleet.RuntimeCosts, seed uint64, arrivals des.Source,
 	horizon clock.Time, sched fleet.Scheduler) fleet.Config {
 	return fleet.Config{
 		Nodes: s.Nodes, SlotsPerNode: s.SlotsPerNode, QueueLimit: s.QueueLimit,
@@ -288,7 +288,7 @@ type fleetSegment struct {
 	// offered is the nominal offered rate (arrivals/sec), 0 when the
 	// segment defines its own shape (diurnal, trace).
 	offered float64
-	build   func(seed uint64) ([]des.Arrival, clock.Time)
+	build   func(seed uint64) (des.Source, clock.Time)
 	// storm marks the eviction-storm segment.
 	storm bool
 }
@@ -319,7 +319,7 @@ func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegm
 		}
 		return []fleetSegment{{
 			label: "trace", offered: offered,
-			build: func(seed uint64) ([]des.Arrival, clock.Time) {
+			build: func(seed uint64) (des.Source, clock.Time) {
 				return des.PiecewiseArrivals(seed, segs), horizon
 			},
 		}}, nil
@@ -329,7 +329,7 @@ func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegm
 		h := shape.horizon(fleetArrivalsPerCell, rate)
 		return []fleetSegment{{
 			label: "custom", offered: rate,
-			build: func(seed uint64) ([]des.Arrival, clock.Time) {
+			build: func(seed uint64) (des.Source, clock.Time) {
 				return des.PoissonArrivals(seed, rate, h), h
 			},
 		}}, nil
@@ -340,7 +340,7 @@ func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegm
 		h := shape.horizon(fleetArrivalsPerCell, rate)
 		out = append(out, fleetSegment{
 			label: fmt.Sprintf("%.2fx", mult), offered: rate,
-			build: func(seed uint64) ([]des.Arrival, clock.Time) {
+			build: func(seed uint64) (des.Source, clock.Time) {
 				return des.PoissonArrivals(seed, rate, h), h
 			},
 		})
@@ -350,7 +350,7 @@ func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegm
 	base := 0.4 * capacity
 	out = append(out, fleetSegment{
 		label: "diurnal", offered: 0.9 * capacity,
-		build: func(seed uint64) ([]des.Arrival, clock.Time) {
+		build: func(seed uint64) (des.Source, clock.Time) {
 			d := des.DiurnalTrace{
 				Seed: seed, BaseRate: base, PeakFactor: 3.5, Periods: 2,
 				BurstProb: 0.005, BurstSize: 6,
@@ -364,7 +364,7 @@ func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegm
 	srate := 0.8 * capacity
 	out = append(out, fleetSegment{
 		label: "storm", offered: srate, storm: true,
-		build: func(seed uint64) ([]des.Arrival, clock.Time) {
+		build: func(seed uint64) (des.Source, clock.Time) {
 			return des.PoissonArrivals(seed, srate, sh), sh
 		},
 	})

@@ -12,6 +12,8 @@ import (
 	"repro/internal/audit"
 	"repro/internal/backends"
 	"repro/internal/clock"
+	"repro/internal/des"
+	"repro/internal/fleet"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -144,6 +146,47 @@ func measureWall(reps int, fn func() error) (time.Duration, error) {
 			best = d
 		}
 	}
+	return best, nil
+}
+
+// fleetArrivalBench measures fleet.Run per arrival on nodes x 4 slots:
+// a spread run of ~20k streamed Poisson arrivals at 1.05x capacity, with
+// a tenth of the nodes evicted at half the horizon. The row is the best
+// of three benchmarks, since one run lasts only milliseconds.
+func fleetArrivalBench(nodes int) (WallclockBench, error) {
+	shape := FleetShape{Scale: 1, Nodes: nodes, SlotsPerNode: 4, QueueLimit: 16, MeanReqs: 8}
+	costs := fleet.RuntimeCosts{Boot: 300 * clock.Microsecond, Service: 50 * clock.Microsecond, WarmRestore: 60 * clock.Microsecond}
+	rate := 1.05 * shape.capacity(costs)
+	h := shape.horizon(20_000, rate)
+	var best WallclockBench
+	var runErr error
+	arrived := 0 // the same in every run
+	for try := 0; try < 3 && runErr == nil; try++ {
+		row := runBench(fmt.Sprintf("fleet/arrival/%dnodes", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N && runErr == nil; i++ {
+				cfg := shape.cell(costs, FleetSeed, des.PoissonArrivals(FleetSeed, rate, h), h, fleet.Spread{})
+				shape.storm(&cfg, nodes/10, h/2, h/8)
+				var res *fleet.Result
+				res, runErr = fleet.Run(cfg)
+				if runErr == nil {
+					arrived = res.Arrived
+				}
+			}
+		})
+		if try == 0 || row.NsPerOp < best.NsPerOp {
+			best = row
+		}
+	}
+	if runErr != nil {
+		return best, fmt.Errorf("wallclock: fleet run on %d nodes: %w", nodes, runErr)
+	}
+	if arrived == 0 {
+		return best, fmt.Errorf("wallclock: fleet run on %d nodes: no arrivals", nodes)
+	}
+	best.NsPerOp /= float64(arrived)
+	best.AllocsPerOp /= int64(arrived)
+	best.BytesPerOp /= int64(arrived)
 	return best, nil
 }
 
@@ -348,6 +391,15 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 		return nil, fmt.Errorf("wallclock: pagestore lookup missed an interned digest")
 	}
 
+	// Fleet control-plane cost per arrival at two fleet sizes.
+	for _, nodes := range []int{50, 1000} {
+		row, err := fleetArrivalBench(nodes)
+		if err != nil {
+			return nil, err
+		}
+		rep.Benches = append(rep.Benches, row)
+	}
+
 	// Flush-vs-capacity curve: invalidate a 64-entry PCID against a
 	// nearly-full background at increasing capacities.
 	for _, cap := range []int{2048, 16384, 65536} {
@@ -440,7 +492,9 @@ func (rep *WallclockReport) WriteTable(w io.Writer) error { return WriteJSON(rep
 // Invariants checks the report's shape and its regression gates: every
 // hot path is measured, the pinned ones at zero allocations per op; TLB
 // flush cost stays flat across a 32x capacity step (the old O(capacity)
-// scan cost ~32x, so 4x allows generous noise); both speedup entries are
+// scan cost ~32x, so 4x allows generous noise); the fleet's cost per
+// arrival stays flat across a 20x fleet-size step (placement by scan
+// cost ~9x, so 2x allows noise); both speedup entries are
 // populated; and wherever 4 cores ran a 4-worker parallel leg, the smp
 // grid speeds up at least 2x.
 func (rep *WallclockReport) Invariants() error {
@@ -476,6 +530,15 @@ func (rep *WallclockReport) Invariants() error {
 	if lo, hi := rep.FlushByCapacity[0], rep.FlushByCapacity[2]; hi.NsPerFlush > 4*lo.NsPerFlush {
 		return fmt.Errorf("wallclock: flush cost scales with capacity: cap %d = %.0fns vs cap %d = %.0fns",
 			lo.Capacity, lo.NsPerFlush, hi.Capacity, hi.NsPerFlush)
+	}
+	small, okSmall := byName["fleet/arrival/50nodes"]
+	large, okLarge := byName["fleet/arrival/1000nodes"]
+	if !okSmall || !okLarge {
+		return fmt.Errorf("wallclock: missing fleet/arrival rows: 50 nodes %v, 1000 nodes %v", okSmall, okLarge)
+	}
+	if large.NsPerOp > 2*small.NsPerOp {
+		return fmt.Errorf("wallclock: fleet cost per arrival scales with the fleet: 50 nodes = %.0fns vs 1000 nodes = %.0fns",
+			small.NsPerOp, large.NsPerOp)
 	}
 	if len(rep.Speedups) != 2 {
 		return fmt.Errorf("wallclock: %d speedup entries, want 2 (smp, chaos)", len(rep.Speedups))

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,25 +65,68 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// PoissonArrivals generates a Poisson arrival process at ratePerSec
-// over [0, horizon): exponential inter-arrival times drawn from the
-// seeded generator. Deterministic per (seed, rate, horizon).
-func PoissonArrivals(seed uint64, ratePerSec float64, horizon clock.Time) []Arrival {
+// Source is an open-loop arrival stream, pulled one arrival at a time
+// in At order. Next reports false once the stream is exhausted, and
+// keeps reporting false after that. A source is consumed by one reader:
+// every run that needs the stream builds its own.
+type Source interface {
+	Next() (Arrival, bool)
+}
+
+// sliceSource streams a materialized arrival list.
+type sliceSource struct {
+	arrivals []Arrival
+	next     int
+}
+
+// Slice streams the given arrivals in order, as hand-built fixtures
+// need. It passes them through as given: a consumer that requires time
+// order checks it.
+func Slice(arrivals ...Arrival) Source { return &sliceSource{arrivals: arrivals} }
+
+func (s *sliceSource) Next() (Arrival, bool) {
+	if s.next >= len(s.arrivals) {
+		return Arrival{}, false
+	}
+	s.next++
+	return s.arrivals[s.next-1], true
+}
+
+// poissonSource is PoissonArrivals' stream: the running sum t of
+// exponential gaps, in nanoseconds, and the count n yielded so far.
+type poissonSource struct {
+	rng       Rand
+	seed      uint64
+	meanGapNs float64
+	horizon   clock.Time
+	t         float64
+	n         int
+	done      bool
+}
+
+// PoissonArrivals streams a Poisson arrival process at ratePerSec over
+// [0, horizon): exponential inter-arrival times drawn from the seeded
+// generator. Deterministic per (seed, rate, horizon).
+func PoissonArrivals(seed uint64, ratePerSec float64, horizon clock.Time) Source {
 	if ratePerSec <= 0 || horizon <= 0 {
-		return nil
+		return &poissonSource{done: true}
 	}
-	rng := NewRand(seed)
-	meanGapNs := 1e9 / ratePerSec
-	var out []Arrival
-	t := 0.0 // ns
-	for {
-		t += rng.ExpFloat64() * meanGapNs
-		at := clock.FromNanos(t)
-		if at >= horizon {
-			return out
-		}
-		out = append(out, Arrival{At: at, Seq: len(out), ID: trace.MintRequestID(seed, len(out))})
+	return &poissonSource{rng: Rand{state: seed}, seed: seed, meanGapNs: 1e9 / ratePerSec, horizon: horizon}
+}
+
+func (p *poissonSource) Next() (Arrival, bool) {
+	if p.done {
+		return Arrival{}, false
 	}
+	p.t += p.rng.ExpFloat64() * p.meanGapNs
+	at := clock.FromNanos(p.t)
+	if at >= p.horizon {
+		p.done = true
+		return Arrival{}, false
+	}
+	a := Arrival{At: at, Seq: p.n, ID: trace.MintRequestID(p.seed, p.n)}
+	p.n++
+	return a, true
 }
 
 // RateSegment is one piece of a piecewise-constant rate trace: hold
@@ -92,33 +136,51 @@ type RateSegment struct {
 	Dur        clock.Time
 }
 
-// PiecewiseArrivals generates a Poisson process whose rate follows the
+// piecewiseSource is PiecewiseArrivals' stream: seg is the segment
+// being drawn, base its start time, and t the gap sum inside it once
+// inSeg has loaded the segment's mean gap and limit (in nanoseconds).
+type piecewiseSource struct {
+	rng                 Rand
+	seed                uint64
+	segs                []RateSegment
+	seg                 int
+	base                clock.Time
+	inSeg               bool
+	t, limit, meanGapNs float64
+	n                   int
+}
+
+// PiecewiseArrivals streams a Poisson process whose rate follows the
 // given segments back to back. The arrival stream is continuous across
 // segment boundaries (the residual inter-arrival gap carries over,
-// rescaled to the new rate). Deterministic per (seed, segments).
-func PiecewiseArrivals(seed uint64, segs []RateSegment) []Arrival {
-	rng := NewRand(seed)
-	var out []Arrival
-	var base clock.Time
-	for _, s := range segs {
+// rescaled to the new rate). Deterministic per (seed, segments); the
+// source keeps its own copy of segs.
+func PiecewiseArrivals(seed uint64, segs []RateSegment) Source {
+	return &piecewiseSource{rng: Rand{state: seed}, seed: seed, segs: slices.Clone(segs)}
+}
+
+func (p *piecewiseSource) Next() (Arrival, bool) {
+	for ; p.seg < len(p.segs); p.seg++ {
+		s := p.segs[p.seg]
 		if s.Dur <= 0 {
 			continue
 		}
 		if s.RatePerSec > 0 {
-			meanGapNs := 1e9 / s.RatePerSec
-			t := 0.0
-			limit := float64(s.Dur) / float64(clock.Nanosecond)
-			for {
-				t += rng.ExpFloat64() * meanGapNs
-				if t >= limit {
-					break
-				}
-				out = append(out, Arrival{At: base + clock.FromNanos(t), Seq: len(out), ID: trace.MintRequestID(seed, len(out))})
+			if !p.inSeg {
+				p.meanGapNs, p.t, p.limit = 1e9/s.RatePerSec, 0, float64(s.Dur)/float64(clock.Nanosecond)
+				p.inSeg = true
 			}
+			p.t += p.rng.ExpFloat64() * p.meanGapNs
+			if p.t < p.limit {
+				a := Arrival{At: p.base + clock.FromNanos(p.t), Seq: p.n, ID: trace.MintRequestID(p.seed, p.n)}
+				p.n++
+				return a, true
+			}
+			p.inSeg = false
 		}
-		base += s.Dur
+		p.base += s.Dur
 	}
-	return out
+	return Arrival{}, false
 }
 
 // ParseRateTrace reads a piecewise-constant rate trace, one segment per
@@ -200,12 +262,32 @@ func (d DiurnalTrace) rate(t clock.Time) float64 {
 	return d.BaseRate * (1 + (d.PeakFactor-1)*phase)
 }
 
-// Arrivals generates the trace by thinning a Poisson process at the
-// peak rate, then layering bursts. The result is sorted by time and
-// deterministic per seed.
-func (d DiurnalTrace) Arrivals() []Arrival {
+// diurnalSource is DiurnalTrace.Arrivals' stream. The thinned base
+// candidates come in time order, but each accepted one may spawn a
+// burst that reaches ahead of later candidates, so every accepted time
+// waits in pending, a min-heap ordered by (At, generation order). No
+// later candidate, nor any burst it spawns, can precede nextAt, so a
+// pending time at or before nextAt is final: releasing those in heap
+// order yields exactly the stable time sort of the generation order.
+type diurnalSource struct {
+	d         DiurnalTrace
+	rng       Rand
+	peak      float64
+	meanGapNs float64
+	limit     float64
+	t         float64
+	nextAt    clock.Time
+	done      bool
+	pending   Queue[struct{}]
+	n         int
+}
+
+// Arrivals streams the trace by thinning a Poisson process at the peak
+// rate, then layering bursts. The stream is sorted by time (equal
+// times in generation order) and deterministic per seed.
+func (d DiurnalTrace) Arrivals() Source {
 	if d.BaseRate <= 0 || d.Horizon <= 0 {
-		return nil
+		return &diurnalSource{done: true}
 	}
 	if d.PeakFactor < 1 {
 		d.PeakFactor = 1
@@ -213,42 +295,51 @@ func (d DiurnalTrace) Arrivals() []Arrival {
 	if d.Periods < 1 {
 		d.Periods = 1
 	}
-	rng := NewRand(d.Seed)
 	peak := d.BaseRate * d.PeakFactor
-	meanGapNs := 1e9 / peak
-	var times []clock.Time
-	t := 0.0
-	limit := float64(d.Horizon) / float64(clock.Nanosecond)
+	s := &diurnalSource{
+		d: d, rng: Rand{state: d.Seed}, peak: peak, meanGapNs: 1e9 / peak,
+		limit: float64(d.Horizon) / float64(clock.Nanosecond),
+	}
+	s.advance()
+	return s
+}
+
+// advance draws the next base candidate time, or marks the candidates
+// exhausted.
+func (s *diurnalSource) advance() {
+	s.t += s.rng.ExpFloat64() * s.meanGapNs
+	if s.t >= s.limit {
+		s.done = true
+		return
+	}
+	s.nextAt = clock.FromNanos(s.t)
+}
+
+func (s *diurnalSource) Next() (Arrival, bool) {
+	d := &s.d
 	for {
-		t += rng.ExpFloat64() * meanGapNs
-		if t >= limit {
-			break
+		if at, ok := s.pending.Peek(); ok && (s.done || at <= s.nextAt) {
+			s.pending.Next(d.Horizon)
+			a := Arrival{At: at, Seq: s.n, ID: trace.MintRequestID(d.Seed, s.n)}
+			s.n++
+			return a, true
 		}
-		at := clock.FromNanos(t)
+		if s.done {
+			return Arrival{}, false
+		}
+		at := s.nextAt
 		// Thinning: accept with probability rate(t)/peak.
-		if rng.Float64()*peak > d.rate(at) {
-			continue
-		}
-		times = append(times, at)
-		if d.BurstProb > 0 && d.BurstSize > 0 && rng.Float64() < d.BurstProb {
-			for i := 0; i < d.BurstSize; i++ {
-				bt := at + clock.Time(rng.Float64()*float64(d.BurstSpread))
-				if bt < d.Horizon {
-					times = append(times, bt)
+		if s.rng.Float64()*s.peak <= d.rate(at) {
+			s.pending.At(at, struct{}{})
+			if d.BurstProb > 0 && d.BurstSize > 0 && s.rng.Float64() < d.BurstProb {
+				for i := 0; i < d.BurstSize; i++ {
+					bt := at + clock.Time(s.rng.Float64()*float64(d.BurstSpread))
+					if bt < d.Horizon {
+						s.pending.At(bt, struct{}{})
+					}
 				}
 			}
 		}
+		s.advance()
 	}
-	// Bursts land out of order; restore time order with a stable,
-	// deterministic sort (insertion: burst tails are near their heads).
-	for i := 1; i < len(times); i++ {
-		for j := i; j > 0 && times[j] < times[j-1]; j-- {
-			times[j], times[j-1] = times[j-1], times[j]
-		}
-	}
-	out := make([]Arrival, len(times))
-	for i, at := range times {
-		out[i] = Arrival{At: at, Seq: i, ID: trace.MintRequestID(d.Seed, i)}
-	}
-	return out
 }

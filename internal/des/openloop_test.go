@@ -12,12 +12,12 @@ import (
 // sequence; different seeds diverge.
 func TestPoissonDeterminism(t *testing.T) {
 	h := 10 * clock.Millisecond
-	a := PoissonArrivals(42, 100_000, h)
-	b := PoissonArrivals(42, 100_000, h)
+	a := collect(PoissonArrivals(42, 100_000, h))
+	b := collect(PoissonArrivals(42, 100_000, h))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different arrival sequences")
 	}
-	c := PoissonArrivals(43, 100_000, h)
+	c := collect(PoissonArrivals(43, 100_000, h))
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("different seeds produced identical sequences")
 	}
@@ -42,7 +42,7 @@ func TestPoissonDeterminism(t *testing.T) {
 func TestPoissonRate(t *testing.T) {
 	h := 100 * clock.Millisecond
 	rate := 1_000_000.0 // 1M/s -> ~100k arrivals
-	n := float64(len(PoissonArrivals(7, rate, h)))
+	n := float64(len(collect(PoissonArrivals(7, rate, h))))
 	want := rate * h.Seconds()
 	if n < 0.97*want || n > 1.03*want {
 		t.Fatalf("got %v arrivals, want ~%v", n, want)
@@ -57,14 +57,14 @@ func TestDiurnalReproducibility(t *testing.T) {
 		BurstProb: 0.01, BurstSize: 8, BurstSpread: 50 * clock.Microsecond,
 		Horizon: 20 * clock.Millisecond,
 	}
-	a := d.Arrivals()
-	b := d.Arrivals()
+	a := collect(d.Arrivals())
+	b := collect(d.Arrivals())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different diurnal traces")
 	}
 	d2 := d
 	d2.Seed = 100
-	if reflect.DeepEqual(a, d2.Arrivals()) {
+	if reflect.DeepEqual(a, collect(d2.Arrivals())) {
 		t.Fatalf("different seeds produced identical diurnal traces")
 	}
 	if len(a) == 0 {
@@ -90,7 +90,7 @@ func TestDiurnalPeakSwing(t *testing.T) {
 		Seed: 5, BaseRate: 500_000, PeakFactor: 4, Periods: 1,
 		Horizon: 20 * clock.Millisecond,
 	}
-	a := d.Arrivals()
+	a := collect(d.Arrivals())
 	// One period: trough at the edges, peak in the middle.
 	mid, edge := 0, 0
 	for _, ar := range a {
@@ -125,8 +125,8 @@ func TestPiecewiseArrivals(t *testing.T) {
 	// window); the trace-file parser rejects it as a typo, so the gap is
 	// built directly here.
 	segs := []RateSegment{parsed[0], {RatePerSec: 0, Dur: clock.Millisecond}, parsed[1]}
-	a := PiecewiseArrivals(11, segs)
-	if !reflect.DeepEqual(a, PiecewiseArrivals(11, segs)) {
+	a := collect(PiecewiseArrivals(11, segs))
+	if !reflect.DeepEqual(a, collect(PiecewiseArrivals(11, segs))) {
 		t.Fatalf("same seed, different piecewise streams")
 	}
 	var n1, n0, n2 int

@@ -41,11 +41,13 @@ type Config struct {
 	MeanReqs int
 	// Arrivals is the open-loop arrival stream (Poisson, diurnal, or a
 	// parsed rate trace), sorted by At; Horizon closes the measurement
-	// window. Every des generator emits a sorted stream. Run merges the
-	// stream into its event queue instead of scheduling it, so it
-	// returns an error when the part below Horizon is unsorted or holds
-	// a negative At; arrivals at or past Horizon are ignored.
-	Arrivals []des.Arrival
+	// window. Every des generator streams in time order. Run pulls the
+	// stream one arrival ahead and merges it into its event queue
+	// instead of scheduling it, so it returns an error when it reaches a
+	// negative or out-of-order At below Horizon; it stops reading at the
+	// first arrival at or past Horizon. Run consumes the source: a
+	// second run needs a fresh one.
+	Arrivals des.Source
 	Horizon  clock.Time
 	// Seed drives the demand draws and the eviction choice.
 	Seed uint64
@@ -250,7 +252,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.loop()
+	if err := r.loop(); err != nil {
+		return nil, err
+	}
 	return r.result()
 }
 
@@ -281,13 +285,28 @@ type run struct {
 	rec *trace.RequestRecorder
 	res *Result
 	q   des.Queue[event]
-	// insts holds one instance per arrival below the horizon, in stream
-	// order.
+	// next is the arrival pulled ahead of the merge, valid while more;
+	// pulled counts the arrivals read below the horizon.
+	next   des.Arrival
+	more   bool
+	pulled int
+	// demand draws each arrival's request count, in stream order.
+	demand *des.Rand
+	// insts is the instance slab, sized to the most instances that can
+	// be live at once: every slot and queue place of every node, plus
+	// the arrival being placed. An instance takes a slot on arrival and
+	// returns it to free on rejection or once its completion has
+	// started the queue head; free is a stack of returned slots, and
+	// slots from used on have never been taken.
 	insts []instance
-	// nodes[i] is node i+1; view[i] is its Pressure, written back by
-	// sync after every change to the node.
+	free  []int32
+	used  int32
+	// nodes[i] is node i+1; view[i] is its Pressure and index files it
+	// under its scheduler rank, both written by sync after every change
+	// to the node.
 	nodes []SimNode
 	view  []Pressure
+	index rankIndex
 	// arrivalBoot is how a fresh instance (an arrival, or a storm
 	// cold-redo) comes up in this run's arrival mode.
 	arrivalBoot     clock.Time
@@ -298,27 +317,25 @@ type run struct {
 	displaced []int32
 }
 
-// newRun builds the instance slab, the nodes and the initial event
-// queue, drawing every arrival's demand in stream order so the demand
-// stream stays independent of placement.
+// newRun builds the instance slab, the nodes, their rank index and the
+// initial event queue, and pulls the first arrival.
 func newRun(cfg Config) (*run, error) {
-	n := 0
-	for i, a := range cfg.Arrivals {
-		if a.At >= cfg.Horizon {
-			break
-		}
-		if a.At < 0 || (i > 0 && a.At < cfg.Arrivals[i-1].At) {
-			return nil, fmt.Errorf("fleet: arrival %d at %v: arrivals must be non-negative and sorted by At", i, a.At)
-		}
-		n++
-	}
+	live := cfg.Nodes*(cfg.SlotsPerNode+cfg.QueueLimit) + 1
+	ranks := (cfg.SlotsPerNode + 1) * (cfg.QueueLimit + 1)
 	r := &run{
-		cfg:             &cfg,
-		rec:             cfg.Requests,
-		res:             &Result{},
-		insts:           make([]instance, n),
+		cfg: &cfg,
+		rec: cfg.Requests,
+		res: &Result{},
+		// The demand stream and the eviction choice draw from separate
+		// seeded generators, so adding an eviction never perturbs the
+		// per-container demands.
+		demand:          des.NewRand(cfg.Seed),
+		insts:           make([]instance, live),
+		free:            make([]int32, 0, live),
 		nodes:           make([]SimNode, cfg.Nodes),
 		view:            make([]Pressure, cfg.Nodes),
+		index:           newRankIndex(cfg.Nodes, ranks),
+		displaced:       make([]int32, 0, cfg.SlotsPerNode+cfg.QueueLimit),
 		arrivalBoot:     cfg.Costs.Boot,
 		arrivalBootKind: trace.SegBoot,
 	}
@@ -336,33 +353,6 @@ func newRun(cfg Config) (*run, error) {
 		nd.running = b[:0:cfg.SlotsPerNode]
 		nd.queue = b[cfg.SlotsPerNode:cfg.SlotsPerNode]
 		r.sync(nd)
-	}
-
-	// The demand stream and the eviction choice draw from separate
-	// seeded generators, so adding an eviction never perturbs the
-	// per-container demands.
-	demandRng := des.NewRand(cfg.Seed)
-	for i := range r.insts {
-		a := cfg.Arrivals[i]
-		reqs := 1 + int(demandRng.ExpFloat64()*float64(cfg.MeanReqs))
-		if max := 8 * cfg.MeanReqs; reqs > max {
-			reqs = max
-		}
-		id := a.ID
-		if id == 0 {
-			// Hand-built arrival streams (tests, closed fixtures) carry
-			// no minted ID; derive the same stable identity they would
-			// have gotten at the source.
-			id = trace.MintRequestID(cfg.Seed, a.Seq)
-		}
-		r.insts[i] = instance{
-			id:        id,
-			arrivedAt: a.At,
-			boot:      r.arrivalBoot,
-			demand:    clock.Time(reqs) * cfg.Costs.Service,
-			reqs:      reqs,
-			bootKind:  r.arrivalBootKind,
-		}
 	}
 
 	// Pending at once: the storm's two events, every scrape, a
@@ -408,25 +398,48 @@ func newRun(cfg Config) (*run, error) {
 			r.q.At(t, event{kind: evScrape})
 		}
 	}
+	if cfg.Arrivals != nil {
+		if err := r.pull(); err != nil {
+			return nil, err
+		}
+	}
 	return r, nil
+}
+
+// pull reads the next arrival below the horizon into r.next, or clears
+// r.more at the first one at or past it (the stream is never read
+// again). A negative or out-of-order arrival is an error.
+func (r *run) pull() error {
+	a, ok := r.cfg.Arrivals.Next()
+	if !ok || a.At >= r.cfg.Horizon {
+		r.more = false
+		return nil
+	}
+	if a.At < 0 || (r.more && a.At < r.next.At) {
+		return fmt.Errorf("fleet: arrival %d at %v: arrivals must be non-negative and sorted by At", r.pulled, a.At)
+	}
+	r.next, r.more = a, true
+	r.pulled++
+	return nil
 }
 
 // loop runs the simulation to the horizon, merging the sorted arrival
 // stream with the queued events.
-func (r *run) loop() {
-	next := 0
+func (r *run) loop() error {
 	for {
-		if next < len(r.insts) {
+		if r.more {
 			at, ok := r.q.Peek()
-			if a := r.insts[next].arrivedAt; !ok || a <= at {
-				r.arrive(int32(next), a)
-				next++
+			if a := r.next; !ok || a.At <= at {
+				r.arrive(a)
+				if err := r.pull(); err != nil {
+					return err
+				}
 				continue
 			}
 		}
 		e, ok := r.q.Next(r.cfg.Horizon)
 		if !ok {
-			return
+			return nil
 		}
 		now := r.q.Now()
 		switch e.kind {
@@ -446,8 +459,19 @@ func (r *run) loop() {
 	}
 }
 
-// sync writes node n's pressure back into the scheduler's view.
-func (r *run) sync(n *SimNode) { r.view[n.id-1] = n.Pressure() }
+// sync writes node n's pressure back into the scheduler's view and
+// files the node under its new rank.
+func (r *run) sync(n *SimNode) {
+	p := n.Pressure()
+	r.view[n.id-1] = p
+	rank, ok := r.cfg.Sched.Rank(p)
+	if !ok {
+		rank = -1
+	} else if rank < 0 || rank >= len(r.index.count) {
+		panic(fmt.Sprintf("fleet: %s ranked node %d at %d, outside [0, %d)", r.cfg.Sched.Name(), n.id, rank, len(r.index.count)))
+	}
+	r.index.set(n.id-1, rank)
+}
 
 // emitTimed emits a timed segment (queue, boot, service, redo)
 // retrospectively, once its end is known, and skips empty intervals so
@@ -460,30 +484,60 @@ func (r *run) emitTimed(id trace.RequestID, kind string, at, dur clock.Time, nod
 	}
 }
 
-// arrive admits arrival i into the system.
-func (r *run) arrive(i int32, now clock.Time) {
-	r.res.Arrived++
-	r.rec.Emit(r.insts[i].id, trace.SegArrival, now, 0, 0, "")
-	if r.cfg.Observe != nil {
-		r.cfg.Observe.Arrival(now)
+// arrive admits arrival a into the system: it takes an instance slot,
+// draws its demand and is placed.
+func (r *run) arrive(a des.Arrival) {
+	i := r.used
+	if k := len(r.free) - 1; k >= 0 {
+		i, r.free = r.free[k], r.free[:k]
+	} else {
+		r.used++
 	}
-	r.place(i, now)
+	reqs := 1 + int(r.demand.ExpFloat64()*float64(r.cfg.MeanReqs))
+	if max := 8 * r.cfg.MeanReqs; reqs > max {
+		reqs = max
+	}
+	id := a.ID
+	if id == 0 {
+		// Hand-built arrival streams (tests, closed fixtures) carry no
+		// minted ID; derive the same stable identity they would have
+		// gotten at the source.
+		id = trace.MintRequestID(r.cfg.Seed, a.Seq)
+	}
+	inst := &r.insts[i]
+	*inst = instance{
+		id:        id,
+		arrivedAt: a.At,
+		boot:      r.arrivalBoot,
+		demand:    clock.Time(reqs) * r.cfg.Costs.Service,
+		reqs:      reqs,
+		bootKind:  r.arrivalBootKind,
+		gen:       inst.gen,
+	}
+	r.res.Arrived++
+	r.rec.Emit(id, trace.SegArrival, a.At, 0, 0, "")
+	if r.cfg.Observe != nil {
+		r.cfg.Observe.Arrival(a.At)
+	}
+	r.place(i, a.At)
 }
 
-// place puts instance i on the node the scheduler picks: running if a
-// slot is free, queued otherwise, rejected if no node admits it.
+// place puts instance i on the least-ranked admittable node: running
+// if a slot is free, queued otherwise, rejected (its slot freed) if no
+// node admits it.
 func (r *run) place(i int32, now clock.Time) {
 	inst := &r.insts[i]
-	id, ok := r.cfg.Sched.Place(r.view)
+	idx, ok := r.index.least()
 	if !ok {
 		r.res.Rejected++
 		r.rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
 		if r.cfg.Observe != nil {
 			r.cfg.Observe.Rejected(now)
 		}
+		r.free = append(r.free, i)
 		return
 	}
-	n := &r.nodes[id-1]
+	n := &r.nodes[idx]
 	if len(n.running) < n.slots {
 		r.rec.Emit(inst.id, trace.SegPlacement, now, 0, n.id, "started")
 		r.start(n, i, now)
@@ -514,7 +568,8 @@ func (r *run) start(n *SimNode, i int32, now clock.Time) {
 }
 
 // finish completes instance i unless an eviction superseded the
-// completion, then starts the head of its node's queue.
+// completion, then starts the head of its node's queue and frees i's
+// slot.
 func (r *run) finish(i, gen int32, now clock.Time) {
 	inst := &r.insts[i]
 	if inst.gen != gen {
@@ -538,6 +593,7 @@ func (r *run) finish(i, gen int32, now clock.Time) {
 		r.emitTimed(r.insts[next].id, trace.SegQueue, queued, now-queued, n.id)
 		r.start(n, next, now)
 	}
+	r.free = append(r.free, i)
 }
 
 // stormDown takes every victim down and re-places what it held.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -28,28 +29,28 @@ func testCosts() RuntimeCosts {
 // eviction storm included.
 func TestRunDeterminism(t *testing.T) {
 	h := 20 * clock.Millisecond
-	cfg := Config{
-		Nodes: 8, SlotsPerNode: 2, QueueLimit: 8,
-		Costs: testCosts(), MeanReqs: 4,
-		Arrivals: des.PoissonArrivals(11, 15_000, h),
-		Horizon:  h, Seed: 11, Sched: Spread{},
-		SnapshotAge: 100 * clock.Microsecond,
-		EvictAt:     10 * clock.Millisecond, EvictNodes: 2, DownFor: 2 * clock.Millisecond,
+	config := func(seed uint64) Config {
+		return Config{
+			Nodes: 8, SlotsPerNode: 2, QueueLimit: 8,
+			Costs: testCosts(), MeanReqs: 4,
+			Arrivals: des.PoissonArrivals(11, 15_000, h),
+			Horizon:  h, Seed: seed, Sched: Spread{},
+			SnapshotAge: 100 * clock.Microsecond,
+			EvictAt:     10 * clock.Millisecond, EvictNodes: 2, DownFor: 2 * clock.Millisecond,
+		}
 	}
-	a, err := Run(cfg)
+	a, err := Run(config(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(config(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config, different results:\n%+v\nvs\n%+v", a, b)
 	}
-	cfg2 := cfg
-	cfg2.Seed = 12
-	c, err := Run(cfg2)
+	c, err := Run(config(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +180,13 @@ func TestEvictionStorm(t *testing.T) {
 	base := Config{
 		Nodes: 4, SlotsPerNode: 2, QueueLimit: 16,
 		Costs: testCosts(), MeanReqs: 4,
-		Arrivals: des.PoissonArrivals(9, 12_000, h),
-		Horizon:  h, Seed: 9, Sched: Spread{},
+		Horizon: h, Seed: 9, Sched: Spread{},
 		EvictAt: 10 * clock.Millisecond, EvictNodes: 2, DownFor: 2 * clock.Millisecond,
 	}
+	arrivals := func() des.Source { return des.PoissonArrivals(9, 12_000, h) }
 
 	warm := base
+	warm.Arrivals = arrivals()
 	warm.SnapshotAge = 50 * clock.Microsecond
 	wres, err := Run(warm)
 	if err != nil {
@@ -210,6 +212,7 @@ func TestEvictionStorm(t *testing.T) {
 	}
 
 	cold := base
+	cold.Arrivals = arrivals()
 	cold.SnapshotAge = clock.Time(1) << 40 // older than any run: nothing qualifies
 	cres, err := Run(cold)
 	if err != nil {
@@ -232,6 +235,7 @@ func TestEvictionStorm(t *testing.T) {
 	// draws from its own generator, so demands are identical — the
 	// no-eviction run completes at least as much.
 	quiet := base
+	quiet.Arrivals = arrivals()
 	quiet.EvictAt = 0
 	qres, err := Run(quiet)
 	if err != nil {
@@ -365,6 +369,7 @@ func TestObserverPurity(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &recordingObserver{}
+	cfg.Arrivals = des.PoissonArrivals(23, 60_000, h)
 	cfg.Observe = obs
 	cfg.ScrapeEvery = 100 * clock.Microsecond
 	observed, err := Run(cfg)
@@ -419,6 +424,7 @@ func TestRequestTracePurity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRequestRecorder()
+	cfg.Arrivals = des.PoissonArrivals(23, 60_000, h)
 	cfg.Requests = rec
 	traced, err := Run(cfg)
 	if err != nil {
@@ -474,13 +480,14 @@ func TestRequestTracePurity(t *testing.T) {
 // once, at the re-placed completion — the stale event emits nothing.
 func TestGenerationCancellation(t *testing.T) {
 	h := 20 * clock.Millisecond
-	arrivals := []des.Arrival{{At: 0, Seq: 0}} // ID 0: exercises the minting fallback
 	for seed := uint64(0); seed < 64; seed++ {
 		rec := trace.NewRequestRecorder()
 		res, err := Run(Config{
 			Nodes: 2, SlotsPerNode: 1, QueueLimit: 4,
 			Costs: testCosts(), MeanReqs: 4,
-			Arrivals: arrivals, Horizon: h, Seed: seed, Sched: BinPack{},
+			// ID 0: exercises the minting fallback.
+			Arrivals: des.Slice(des.Arrival{At: 0, Seq: 0}),
+			Horizon:  h, Seed: seed, Sched: BinPack{},
 			// Mid-boot eviction, snapshot age out of reach: cold redo.
 			SnapshotAge: clock.Time(1) << 40,
 			EvictAt:     100 * clock.Microsecond, EvictNodes: 1, DownFor: h,
@@ -588,11 +595,60 @@ func (n *refNode) pressure() Pressure {
 		Queued: len(n.queue), QueueLimit: n.queueLimit, Down: n.down}
 }
 
+// refPlace is placement by scan, as each scheduler placed before the
+// rank index: binpack takes the first node with a free slot, then the
+// first admittable one; spread takes the node with the most free slots
+// (ties: shortest queue, then lowest ID), then the shortest admittable
+// queue.
+func refPlace(s Scheduler, view []Pressure) (int, bool) {
+	switch s.(type) {
+	case BinPack:
+		for _, p := range view {
+			if !p.Down && p.Free() > 0 {
+				return p.Node, true
+			}
+		}
+		for _, p := range view {
+			if p.Admittable() {
+				return p.Node, true
+			}
+		}
+		return 0, false
+	case Spread:
+		best, bestOK := 0, false
+		var bestP Pressure
+		for _, p := range view {
+			if p.Down || p.Free() <= 0 {
+				continue
+			}
+			if !bestOK || p.Free() > bestP.Free() ||
+				(p.Free() == bestP.Free() && p.Queued < bestP.Queued) {
+				best, bestP, bestOK = p.Node, p, true
+			}
+		}
+		if bestOK {
+			return best, true
+		}
+		for _, p := range view {
+			if !p.Admittable() {
+				continue
+			}
+			if !bestOK || p.Queued < bestP.Queued {
+				best, bestP, bestOK = p.Node, p, true
+			}
+		}
+		return best, bestOK
+	}
+	panic("refPlace: no scan for scheduler " + s.Name())
+}
+
 // refRun is the closure-per-event Run that the typed event core
-// replaced: every arrival, completion, storm and scrape is a closure on
-// a des.Sim, and the pressure view is rebuilt before every placement.
-// It stays here as the oracle Run must match. It takes a validated
-// config (Run's defaults already applied).
+// replaced: the arrival stream is read up front and every arrival,
+// completion, storm and scrape is a closure on a des.Sim, one instance
+// is allocated per arrival, and refPlace scans a pressure view rebuilt
+// before every placement. It stays here as the oracle Run must match.
+// It takes a validated config (Run's defaults already applied) and a
+// sorted stream.
 func refRun(cfg Config) (*Result, error) {
 	arrivalBoot, arrivalBootKind := cfg.Costs.Boot, trace.SegBoot
 	if cfg.ForkBoots {
@@ -659,7 +715,7 @@ func refRun(cfg Config) (*Result, error) {
 		s.After(inst.boot+inst.demand, finish(n, inst, inst.gen))
 	}
 	place = func(inst *refInstance, now clock.Time) {
-		id, ok := cfg.Sched.Place(refreshView())
+		id, ok := refPlace(cfg.Sched, refreshView())
 		if !ok {
 			res.Rejected++
 			rec.Emit(inst.id, trace.SegReject, now, 0, 0, "")
@@ -681,10 +737,7 @@ func refRun(cfg Config) (*Result, error) {
 		res.MaxQueue = max(res.MaxQueue, len(n.queue))
 	}
 
-	for _, a := range cfg.Arrivals {
-		if a.At >= cfg.Horizon {
-			break
-		}
+	for a, ok := cfg.Arrivals.Next(); ok && a.At < cfg.Horizon; a, ok = cfg.Arrivals.Next() {
 		reqs := min(1+int(demandRng.ExpFloat64()*float64(cfg.MeanReqs)), 8*cfg.MeanReqs)
 		id := a.ID
 		if id == 0 {
@@ -818,19 +871,28 @@ func (l *callLog) Scrape(now clock.Time, view []Pressure) {
 	l.calls = append(l.calls, call{hook: "scrape", now: now, view: slices.Clone(view)})
 }
 
-// randomConfig draws a small fleet config from seed. Every time in it
-// (arrivals, costs, storm, scrapes, horizon) is a multiple of one
-// 10µs tick and the arrivals crowd a short window, so arrivals share
-// timestamps with each other and land exactly on completions, the
+// randomConfig draws a fleet config from seed; the same seed draws the
+// same config with fresh observers and a fresh arrival source. Every
+// time in it (arrivals, costs, storm, scrapes, horizon) is a multiple
+// of one 10µs tick and the arrivals crowd a short window, so arrivals
+// share timestamps with each other and land exactly on completions, the
 // storm and scrapes. One config in four uses a Poisson stream instead.
 // The observer and the recorder are each attached three times in four.
+// Most fleets are small; one in eight has 65–130 nodes of 4 slots,
+// queue limits of 12–20 and twenty times the traffic, so the rank index
+// spans more than one word of nodes and of ranks (at least 5·13 = 65),
+// and spread fleets fill up often enough to place past rank 64.
 func randomConfig(seed uint64) Config {
 	r := des.NewRand(seed)
 	pick := func(lo, hi int) int { return lo + int(r.Uint64()%uint64(hi-lo+1)) }
 	const tick = 10 * clock.Microsecond
 	ticks := func(lo, hi int) clock.Time { return clock.Time(pick(lo, hi)) * tick }
+	nodes, slots, queueLimit, traffic := pick(1, 12), pick(1, 4), pick(1, 6), 1
+	if pick(0, 7) == 0 {
+		nodes, slots, queueLimit, traffic = pick(65, 130), 4, pick(12, 20), 20
+	}
 	cfg := Config{
-		Nodes: pick(1, 12), SlotsPerNode: pick(1, 4), QueueLimit: pick(1, 6),
+		Nodes: nodes, SlotsPerNode: slots, QueueLimit: queueLimit,
 		Costs: RuntimeCosts{
 			Boot: ticks(0, 3), Service: ticks(1, 3),
 			WarmRestore: ticks(0, 2), ForkBoot: ticks(1, 3),
@@ -844,16 +906,18 @@ func randomConfig(seed uint64) Config {
 	span := pick(1, 60)
 	cfg.Horizon = ticks(span/2, span+20)
 	if pick(0, 3) == 0 {
-		cfg.Arrivals = des.PoissonArrivals(seed, float64(pick(1, 400))*1e3, cfg.Horizon)
+		cfg.Arrivals = des.PoissonArrivals(seed, float64(traffic*pick(1, 400))*1e3, cfg.Horizon)
 	} else {
-		ks := make([]int, pick(0, 150))
+		ks := make([]int, pick(0, traffic*150))
 		for i := range ks {
 			ks[i] = pick(0, span)
 		}
 		slices.Sort(ks)
+		arrivals := make([]des.Arrival, len(ks))
 		for i, k := range ks {
-			cfg.Arrivals = append(cfg.Arrivals, des.Arrival{At: clock.Time(k) * tick, Seq: i})
+			arrivals[i] = des.Arrival{At: clock.Time(k) * tick, Seq: i}
 		}
+		cfg.Arrivals = des.Slice(arrivals...)
 	}
 	if pick(0, 2) > 0 {
 		cfg.EvictAt = ticks(1, span)
@@ -872,18 +936,6 @@ func randomConfig(seed uint64) Config {
 	return cfg
 }
 
-// withFreshObservers returns cfg with new, empty observers of the same
-// kinds attached.
-func withFreshObservers(cfg Config) Config {
-	if cfg.Observe != nil {
-		cfg.Observe = &callLog{}
-	}
-	if cfg.Requests != nil {
-		cfg.Requests = trace.NewRequestRecorder()
-	}
-	return cfg
-}
-
 // TestRunMatchesReference: over random configs, Run agrees with the
 // closure-per-event refRun on the Result (Latencies order and Nodes
 // included), on the sequence of observer callbacks and on every
@@ -891,9 +943,11 @@ func withFreshObservers(cfg Config) Config {
 // request, latency, with exactly one terminal segment for every request
 // that completed or was rejected. The generator must also hit the tie
 // cases the merged arrival stream has to order: an arrival at the time
-// of a completion, of the storm and of a scrape.
+// of a completion, of the storm and of a scrape; and reach the rank
+// index's second words: a start on a node past ID 64, and a placement
+// whose every admittable node ranks 64 or more.
 func TestRunMatchesReference(t *testing.T) {
-	var onCompletion, onStorm, onScrape bool
+	var onCompletion, onStorm, onScrape, wideNodes, wideRanks bool
 	same := func(seed uint64) bool {
 		cfg := randomConfig(seed)
 		got, err := Run(cfg)
@@ -901,7 +955,7 @@ func TestRunMatchesReference(t *testing.T) {
 			t.Logf("seed %d: Run: %v", seed, err)
 			return false
 		}
-		ref := withFreshObservers(cfg)
+		ref := randomConfig(seed)
 		want, err := refRun(ref)
 		if err != nil {
 			t.Logf("seed %d: refRun: %v", seed, err)
@@ -911,6 +965,14 @@ func TestRunMatchesReference(t *testing.T) {
 			t.Logf("seed %d: results differ:\n%+v\nvs reference\n%+v", seed, got, want)
 			return false
 		}
+		for _, n := range got.Nodes[min(64, len(got.Nodes)):] {
+			wideNodes = wideNodes || n.Starts > 0
+		}
+		// A spread node ranks at least SlotsPerNode·(QueueLimit+1) once
+		// its slots are full, so a queued start means every admittable
+		// node ranked that high.
+		_, spread := cfg.Sched.(Spread)
+		wideRanks = wideRanks || (spread && got.MaxQueue > 0 && cfg.SlotsPerNode*(cfg.QueueLimit+1) >= 64)
 		if log, ok := cfg.Observe.(*callLog); ok {
 			if refLog := ref.Observe.(*callLog); !reflect.DeepEqual(log.calls, refLog.calls) {
 				t.Logf("seed %d: observer callbacks differ", seed)
@@ -966,60 +1028,103 @@ func TestRunMatchesReference(t *testing.T) {
 		t.Fatalf("generator missed a tie: arrival on a completion %v, on the storm %v, on a scrape %v",
 			onCompletion, onStorm, onScrape)
 	}
+	if !wideNodes || !wideRanks {
+		t.Fatalf("generator missed the index's second words: a start past node 64 %v, a placement past rank 64 %v",
+			wideNodes, wideRanks)
+	}
 }
 
 // TestRunRejectsUnsortedArrivals: the stream below the horizon must be
-// sorted by At; what lies at or past the horizon is never read.
+// sorted by At and non-negative, and Run reports the first arrival that
+// is not, also after earlier ones were placed; what lies at or past
+// the horizon is never read.
 func TestRunRejectsUnsortedArrivals(t *testing.T) {
-	cfg := Config{
-		Nodes: 2, SlotsPerNode: 1, Costs: testCosts(), Sched: Spread{},
-		Horizon:  clock.Millisecond,
-		Arrivals: []des.Arrival{{At: 200 * clock.Microsecond}, {At: 100 * clock.Microsecond, Seq: 1}},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("out-of-order arrivals accepted")
-	}
-	cfg.Horizon = 150 * clock.Microsecond
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("disorder past the horizon rejected: %v", err)
+	us := func(n, seq int) des.Arrival { return des.Arrival{At: clock.Time(n) * clock.Microsecond, Seq: seq} }
+	for _, tc := range []struct {
+		name     string
+		arrivals []des.Arrival
+		horizon  clock.Time
+		err      string // "" when the run must succeed
+	}{
+		{"out of order", []des.Arrival{us(200, 0), us(100, 1)}, clock.Millisecond,
+			"fleet: arrival 1 at 100.00µs: arrivals must be non-negative and sorted by At"},
+		{"disorder past the horizon", []des.Arrival{us(200, 0), us(100, 1)}, 150 * clock.Microsecond, ""},
+		{"negative", []des.Arrival{us(-5, 0), us(100, 1)}, clock.Millisecond,
+			"fleet: arrival 0 at -5000ns: arrivals must be non-negative and sorted by At"},
+		{"disorder after placements", []des.Arrival{us(100, 0), us(200, 1), us(300, 2), us(600, 3), us(250, 4)}, clock.Millisecond,
+			"fleet: arrival 4 at 250.00µs: arrivals must be non-negative and sorted by At"},
+		{"sorted with ties", []des.Arrival{us(100, 0), us(100, 1), us(300, 2)}, clock.Millisecond, ""},
+	} {
+		cfg := Config{
+			Nodes: 2, SlotsPerNode: 1, Costs: testCosts(), Sched: Spread{},
+			Horizon: tc.horizon, Arrivals: des.Slice(tc.arrivals...),
+		}
+		_, err := Run(cfg)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+		}
 	}
 }
 
-// allocConfig is a 50x4 fleet with a storm at half the horizon, driven
-// just past its ~285k/s capacity for about n Poisson arrivals, so node
-// queues fill and drain all run long.
-func allocConfig(n int, sched Scheduler) Config {
-	const rate = 300_000
+// allocConfig is a fleet of nodes x 4 slots with a storm at half the
+// horizon that takes a tenth of the nodes down, driven at about 1.05x
+// its ~5.7k/s-per-node capacity for about n streamed Poisson arrivals,
+// so node queues fill and drain all run long.
+func allocConfig(nodes, n int, sched Scheduler) Config {
+	rate := 6_000 * float64(nodes)
 	h := clock.Time(float64(n) / rate * float64(clock.Second))
 	return Config{
-		Nodes: 50, SlotsPerNode: 4, QueueLimit: 16,
+		Nodes: nodes, SlotsPerNode: 4, QueueLimit: 16,
 		Costs: testCosts(), MeanReqs: 8,
 		Arrivals: des.PoissonArrivals(5, rate, h),
 		Horizon:  h, Seed: 5, Sched: sched,
 		SnapshotAge: 100 * clock.Microsecond,
-		EvictAt:     h / 2, EvictNodes: 5, DownFor: h / 8,
+		EvictAt:     h / 2, EvictNodes: nodes / 10, DownFor: h / 8,
 	}
 }
 
+// latencyGrowths is how many allocations appending n latencies one by
+// one to a nil slice costs, as Run fills Result.Latencies.
+func latencyGrowths(n int) int {
+	var lats []clock.Time
+	growths := 0
+	for i := 0; i < n; i++ {
+		if len(lats) == cap(lats) {
+			growths++
+		}
+		lats = append(lats, 0)
+	}
+	return growths
+}
+
 // TestRunAllocs: Run allocates per run, not per arrival or start: its
-// instance slab, node queues and event queue are sized up front, so
-// 20k arrivals cost fewer than 1000 allocations under either scheduler,
-// and ten times the arrivals add only the few doublings of Latencies.
+// instance slab, rank index, node queues and event queue are sized from
+// the fleet, and arrivals are streamed. Apart from the growth of
+// Result.Latencies, the run's own output, 20k arrivals cost exactly as
+// many allocations as 2k, and fewer than 100, under either scheduler.
 func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates inside AllocsPerRun")
+	}
 	for _, sched := range []Scheduler{BinPack{}, Spread{}} {
-		var allocs [2]float64
+		var fixed [2]float64
 		for k, n := range []int{2_000, 20_000} {
-			cfg := allocConfig(n, sched)
-			allocs[k] = testing.AllocsPerRun(3, func() {
-				if _, err := Run(cfg); err != nil {
+			var res *Result
+			allocs := testing.AllocsPerRun(3, func() {
+				var err error
+				if res, err = Run(allocConfig(50, n, sched)); err != nil {
 					t.Fatal(err)
 				}
 			})
-			t.Logf("%s, %d arrivals: %.0f allocs/run", sched.Name(), len(cfg.Arrivals), allocs[k])
+			fixed[k] = allocs - float64(latencyGrowths(res.Completed))
+			t.Logf("%s, %d arrivals: %.0f allocs/run, %.0f besides Latencies", sched.Name(), res.Arrived, allocs, fixed[k])
 		}
-		if allocs[1] >= 1000 || allocs[1]-allocs[0] >= 64 {
-			t.Errorf("%s: %.0f allocs for ~2k arrivals, %.0f for ~20k; want < 1000 and fewer than 64 more",
-				sched.Name(), allocs[0], allocs[1])
+		if fixed[0] != fixed[1] || fixed[1] >= 100 {
+			t.Errorf("%s: %.0f allocs besides Latencies for ~2k arrivals, %.0f for ~20k; want equal and < 100",
+				sched.Name(), fixed[0], fixed[1])
 		}
 	}
 }
@@ -1027,14 +1132,25 @@ func TestRunAllocs(t *testing.T) {
 // benchResult keeps the benchmarked result live.
 var benchResult *Result
 
+// BenchmarkRun runs ~20k arrivals at 50, 250 and 1000 nodes under each
+// scheduler and reports the cost per arrival, which the rank index and
+// the recycled slab keep flat in the fleet size.
 func BenchmarkRun(b *testing.B) {
-	cfg := allocConfig(6_000, Spread{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
+	for _, sched := range []Scheduler{BinPack{}, Spread{}} {
+		for _, nodes := range []int{50, 250, 1000} {
+			b.Run(fmt.Sprintf("%s/%d", sched.Name(), nodes), func(b *testing.B) {
+				b.ReportAllocs()
+				arrivals := 0
+				for i := 0; i < b.N; i++ {
+					res, err := Run(allocConfig(nodes, 20_000, sched))
+					if err != nil {
+						b.Fatal(err)
+					}
+					arrivals += res.Arrived
+					benchResult = res
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+			})
 		}
-		benchResult = res
 	}
 }

@@ -51,9 +51,9 @@ func (p Pressure) Admittable() bool {
 	return p.Running < p.Slots || p.Queued < p.QueueLimit
 }
 
-// instance is one placed container's control-plane state. A run keeps
-// all of them in one slab, indexed in arrival order; nodes and events
-// refer to an instance by that index.
+// instance is one live container's control-plane state, from arrival
+// to completion or rejection. A run keeps them in one recycled slab;
+// nodes and events refer to an instance by its slot index.
 type instance struct {
 	// id is the request's causal-tracing identity, minted at the DES
 	// arrival source and carried unchanged across evictions.
@@ -78,7 +78,9 @@ type instance struct {
 	node int
 	// gen invalidates the in-flight completion event after an
 	// eviction (the DES queue has no cancellation): the event carries
-	// gen at start and fires only if it still matches.
+	// gen at start and fires only if it still matches. It is never
+	// reset when the slot is reused, so no stale completion can match
+	// a later occupant.
 	gen int32
 }
 
