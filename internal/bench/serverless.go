@@ -419,18 +419,21 @@ func serverlessCellCosts(cal *serverlessCosts, mode string) (fleet.RuntimeCosts,
 // into queue, instantiation (boot, fork, warm restore, storm redo) and
 // service time, conservation-checked per request by tailComponents.
 func serverlessAttribution(name string, rec *trace.RequestRecorder) (queuePs, bootPs, servicePs int64, err error) {
-	for _, id := range rec.Requests() {
-		segs := rec.Segments(id)
+	err = rec.Each(func(_ int, _ trace.RequestID, segs []trace.Segment) error {
 		if segs[len(segs)-1].Kind != trace.SegComplete {
-			continue
+			return nil
 		}
 		c, err := tailComponents(segs)
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("serverless: %s: %w", name, err)
+			return fmt.Errorf("serverless: %s: %w", name, err)
 		}
 		queuePs += c.QueuePs
 		bootPs += c.BootPs + c.WarmRestorePs + c.StormRedoPs
 		servicePs += c.ServicePs
+		return nil
+	})
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	return queuePs, bootPs, servicePs, nil
 }

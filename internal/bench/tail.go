@@ -257,22 +257,21 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 	}
 
 	// Walk every traced request: conservation-check all terminals and
-	// collect the completed ones.
+	// collect the completed ones. comps is indexed by first-seen order.
 	var pairs []tailPair
-	comps := map[trace.RequestID]TailComponents{}
-	for seen, id := range storm.rec.Requests() {
-		segs := storm.rec.Segments(id)
+	comps := make([]TailComponents, storm.rec.Len())
+	err := storm.rec.Each(func(seen int, id trace.RequestID, segs []trace.Segment) error {
 		if last := segs[len(segs)-1]; !last.Terminal() {
-			continue // in flight at the horizon
+			return nil // in flight at the horizon
 		}
 		c, err := tailComponents(segs)
 		if err != nil {
-			return row, fmt.Errorf("tail: %s: %w", name, err)
+			return fmt.Errorf("tail: %s: %w", name, err)
 		}
 		if segs[len(segs)-1].Kind != trace.SegComplete {
-			continue // rejected: zero-latency terminal, nothing to rank
+			return nil // rejected: zero-latency terminal, nothing to rank
 		}
-		comps[id] = c
+		comps[seen] = c
 		pairs = append(pairs, tailPair{id: id, lat: clock.Time(c.TotalPs), seen: seen})
 		row.Totals.QueuePs += c.QueuePs
 		row.Totals.BootPs += c.BootPs
@@ -282,22 +281,23 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 		row.Totals.TotalPs += c.TotalPs
 		row.Totals.Placements += c.Placements
 		row.Totals.Evictions += c.Evictions
+		return nil
+	})
+	if err != nil {
+		return row, err
 	}
 	if len(pairs) != res.Completed {
 		return row, fmt.Errorf("tail: %s: traced %d completions, result has %d",
 			name, len(pairs), res.Completed)
 	}
 	// Slowest first; arrival order breaks latency ties deterministically.
+	// A request's 1-based slowness rank is its index here plus one.
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].lat != pairs[j].lat {
 			return pairs[i].lat > pairs[j].lat
 		}
 		return pairs[i].seen < pairs[j].seen
 	})
-	rank := map[trace.RequestID]int{}
-	for i, p := range pairs {
-		rank[p.id] = i + 1
-	}
 
 	// Quantiles: the same ceil-rank order statistic Result.Quantile
 	// publishes, here resolved to the concrete request paying it.
@@ -319,7 +319,7 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 		}
 		row.Quantiles = append(row.Quantiles, TailQuantile{
 			Q: q.name, LatencyMs: ms(p.lat), RequestID: p.id.String(),
-			Components: comps[p.id],
+			Components: comps[p.seen],
 		})
 	}
 
@@ -337,13 +337,13 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 			ValueNs: int64(e.Value) / 1000,
 		})
 	}
-	for _, p := range pairs {
+	for i, p := range pairs {
 		if !want[p.id] {
 			continue
 		}
 		wf := TailWaterfall{
-			RequestID: p.id.String(), Rank: rank[p.id],
-			LatencyMs: ms(p.lat), Components: comps[p.id],
+			RequestID: p.id.String(), Rank: i + 1,
+			LatencyMs: ms(p.lat), Components: comps[p.seen],
 		}
 		for _, s := range storm.rec.Segments(p.id) {
 			wf.Steps = append(wf.Steps, TailStep{

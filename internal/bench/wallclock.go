@@ -332,6 +332,22 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 		}),
 	)
 
+	// Request-trace emission, per segment, over six-segment request
+	// lifecycles: the log's chunk, header and index growth amortizes
+	// to zero allocations per segment.
+	lifecycle := [...]string{trace.SegArrival, trace.SegPlacement, trace.SegQueue, trace.SegBoot, trace.SegService, trace.SegComplete}
+	rep.Benches = append(rep.Benches, runBench("trace/request_emit", func(b *testing.B) {
+		r := trace.NewRequestRecorder()
+		var id trace.RequestID
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%len(lifecycle) == 0 {
+				id = trace.MintRequestID(1, i/len(lifecycle))
+			}
+			r.Emit(id, lifecycle[i%len(lifecycle)], clock.Time(i), 1, i%16, "")
+		}
+	}))
+
 	// The fork-from-snapshot host hot paths: steady-state snapshot
 	// encode into a reused buffer (the supervisor's per-round
 	// checkpoint) and per-page digest resolution against the
@@ -516,6 +532,7 @@ func (rep *WallclockReport) Invariants() error {
 	for _, name := range []string{
 		"shootdown/8vcpu", "tlb/lookup_hit", "tlb/insert_evict",
 		"tlb/flush_page_reinsert", "audit/record", "trace/span_nil",
+		"trace/request_emit",
 		"snapshot/encode_to", "pagestore/lookup", "mem/read_word",
 		"ksm/refresh_top_copy",
 	} {

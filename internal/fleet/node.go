@@ -39,9 +39,6 @@ type Pressure struct {
 // Free reports available container slots.
 func (p Pressure) Free() int { return p.Slots - p.Running }
 
-// Load is the node's total committed work (running + queued).
-func (p Pressure) Load() int { return p.Running + p.Queued }
-
 // Admittable reports whether the node can accept one more container
 // (a free slot, or queue headroom under the admission bound).
 func (p Pressure) Admittable() bool {

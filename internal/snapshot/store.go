@@ -164,7 +164,8 @@ func filePageDigest(data []byte, off uint64) uint64 {
 
 // PageDigest returns the content digest of the resident page at va in
 // proc pi of img: the backing file window for a file-backed VMA, the
-// zero page for anonymous memory.
+// zero page for anonymous memory and for a file the image does not
+// carry.
 func PageDigest(img *guest.Image, pi *guest.ProcImage, va uint64) uint64 {
 	for i := range pi.VMAs {
 		v := &pi.VMAs[i]
@@ -179,7 +180,7 @@ func PageDigest(img *guest.Image, pi *guest.ProcImage, va uint64) uint64 {
 				return filePageDigest(img.Files[j].Data, v.Off+(va-v.Start))
 			}
 		}
-		return filePageDigest(nil, 0)
+		return zeroPageDigest
 	}
 	return zeroPageDigest
 }

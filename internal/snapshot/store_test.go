@@ -104,7 +104,8 @@ func TestStoreLookupNeutral(t *testing.T) {
 }
 
 // TestPageDigests: anonymous pages all hash to the zero-page digest,
-// file-backed pages hash their 4 KiB window (zero-padded past EOF), and
+// file-backed pages hash their 4 KiB window (zero-padded past EOF, the
+// zero page when the image lacks the file), and
 // ImageDigests indexes every resident page by (PCID, VA).
 func TestPageDigests(t *testing.T) {
 	s := sample()
@@ -129,6 +130,13 @@ func TestPageDigests(t *testing.T) {
 	}
 	if filePageDigest([]byte{1}, 1) != zeroPageDigest {
 		t.Fatal("window past EOF must equal the zero page")
+	}
+	// A file-backed VMA whose file the image does not carry reads as
+	// the zero page.
+	orphan := *img
+	orphan.Files = nil
+	if got := PageDigest(&orphan, pi, 0x7f0000000000); got != zeroPageDigest {
+		t.Fatalf("page of a missing file: digest %#x, want the zero page %#x", got, zeroPageDigest)
 	}
 
 	ds := ImageDigests(img)

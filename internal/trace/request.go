@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/clock"
@@ -128,10 +129,36 @@ func (s Segment) Timed() bool {
 	return false
 }
 
-// requestLog is one request's segments in causal (recording) order.
-type requestLog struct {
-	id   RequestID
-	segs []Segment
+// The request log. Every segment is stored as one fixed-size record in
+// a flat log of chunks found through a directory (the mem.PhysMem
+// idiom), so growth allocates one new chunk and never copies a record.
+// A record holds no string, pointer, slice or map: kinds and outcomes
+// are indexes into the recorder's interned name table, and a request's
+// records form a chain through next. The collector therefore never
+// scans the log, however many requests it holds.
+const (
+	logChunkShift = 10
+	logChunkRecs  = 1 << logChunkShift
+	logChunkMask  = logChunkRecs - 1
+	// indexBits sizes a new recorder's ID index at 2^indexBits slots.
+	indexBits = 6
+)
+
+// logRecord is one stored segment (32 bytes). next is the log index of
+// the request's following record, -1 on its last.
+type logRecord struct {
+	at, dur clock.Time
+	next    int32
+	node    int32
+	kind    uint16
+	outcome uint16
+}
+
+// reqHeader is one request's entry in first-seen order: the log
+// indexes of its first and last records and its segment count n.
+type reqHeader struct {
+	id            RequestID
+	head, tail, n int32
 }
 
 // RequestRecorder collects per-request lifecycle segments. A nil
@@ -139,36 +166,149 @@ type requestLog struct {
 // or advances a clock — timestamps come from the caller's virtual
 // timeline — so attaching one never changes what it observes.
 type RequestRecorder struct {
-	byReq map[RequestID]int
-	reqs  []requestLog
+	reqs []reqHeader
+	// index finds a request's header: an open-addressing table,
+	// probed linearly from the ID's Fibonacci hash, whose nonzero
+	// slots hold a header's position plus one. It doubles once half
+	// full. shift is 64 - log2(len(index)): the hash's top bits pick
+	// the first slot probed.
+	index  []int32
+	shift  uint
+	chunks []*[logChunkRecs]logRecord
+	nrec   int32
+	names  []string
+	// each is the buffer Each rebuilds every request's segments into.
+	each []Segment
 }
 
 // NewRequestRecorder creates an empty recorder.
 func NewRequestRecorder() *RequestRecorder {
-	return &RequestRecorder{byReq: map[RequestID]int{}}
+	return &RequestRecorder{
+		index: make([]int32, 1<<indexBits),
+		shift: 64 - indexBits,
+	}
+}
+
+// slot returns the index slot holding req's header, or the empty slot
+// where it belongs.
+func (r *RequestRecorder) slot(req RequestID) int {
+	mask := len(r.index) - 1
+	s := int((uint64(req) * 0x9e3779b97f4a7c15) >> r.shift)
+	for {
+		v := r.index[s]
+		if v == 0 || r.reqs[v-1].id == req {
+			return s
+		}
+		s = (s + 1) & mask
+	}
+}
+
+// growIndex doubles the index and refiles every header.
+func (r *RequestRecorder) growIndex() {
+	r.index = make([]int32, 2*len(r.index))
+	r.shift--
+	for i := range r.reqs {
+		r.index[r.slot(r.reqs[i].id)] = int32(i + 1)
+	}
+}
+
+// record returns the log record at index i.
+func (r *RequestRecorder) record(i int32) *logRecord {
+	return &r.chunks[i>>logChunkShift][i&logChunkMask]
+}
+
+// intern returns name's index in the name table, adding it on first
+// use.
+func (r *RequestRecorder) intern(name string) uint16 {
+	for i, n := range r.names {
+		if n == name {
+			return uint16(i)
+		}
+	}
+	if len(r.names) > math.MaxUint16 {
+		panic("trace: request recorder name table full")
+	}
+	r.names = append(r.names, name)
+	return uint16(len(r.names) - 1)
 }
 
 // Emit appends one segment to req's trace and returns its index within
 // the request. The parent link is the request's previously recorded
 // segment (-1 for the first), which is exactly the causal predecessor
-// for a sequential lifecycle. On a nil recorder it returns -1.
+// for a sequential lifecycle. On a nil recorder it returns -1. node
+// must fit in an int32.
 func (r *RequestRecorder) Emit(req RequestID, kind string, at, dur clock.Time, node int, outcome string) int {
 	if r == nil {
 		return -1
 	}
-	li, ok := r.byReq[req]
-	if !ok {
-		li = len(r.reqs)
-		r.byReq[req] = li
-		r.reqs = append(r.reqs, requestLog{id: req})
+	if node != int(int32(node)) {
+		panic(fmt.Sprintf("trace: segment node %d out of range", node))
 	}
-	l := &r.reqs[li]
-	id := len(l.segs)
-	l.segs = append(l.segs, Segment{
-		Req: req, ID: id, Parent: id - 1,
-		Kind: kind, At: at, Dur: dur, Node: node, Outcome: outcome,
-	})
-	return id
+	s := r.slot(req)
+	hi := r.index[s] - 1
+	if hi < 0 {
+		hi = int32(len(r.reqs))
+		r.reqs = append(r.reqs, reqHeader{id: req})
+		r.index[s] = hi + 1
+		if 2*len(r.reqs) >= len(r.index) {
+			r.growIndex()
+		}
+	}
+	i := r.nrec
+	if i == math.MaxInt32 {
+		panic("trace: request log full")
+	}
+	if i&logChunkMask == 0 {
+		r.chunks = append(r.chunks, new([logChunkRecs]logRecord))
+	}
+	r.nrec++
+	*r.record(i) = logRecord{
+		at: at, dur: dur, next: -1, node: int32(node),
+		kind: r.intern(kind), outcome: r.intern(outcome),
+	}
+	h := &r.reqs[hi]
+	if h.n == 0 {
+		h.head = i
+	} else {
+		r.record(h.tail).next = i
+	}
+	h.tail = i
+	h.n++
+	return int(h.n - 1)
+}
+
+// appendSegments rebuilds h's segments, in causal order, onto dst.
+func (r *RequestRecorder) appendSegments(dst []Segment, h *reqHeader) []Segment {
+	id := 0
+	for i := h.head; i >= 0; id++ {
+		rec := r.record(i)
+		dst = append(dst, Segment{
+			Req: h.id, ID: id, Parent: id - 1,
+			Kind: r.names[rec.kind], At: rec.at, Dur: rec.dur,
+			Node: int(rec.node), Outcome: r.names[rec.outcome],
+		})
+		i = rec.next
+	}
+	return dst
+}
+
+// Each calls fn on every traced request in first-seen order, with its
+// first-seen index and its segments in causal order, and stops at the
+// first error fn returns. segs is one buffer reused across calls, so
+// the walk copies nothing per request: fn must not keep segs past its
+// return, nor call Each itself.
+func (r *RequestRecorder) Each(fn func(seen int, id RequestID, segs []Segment) error) error {
+	if r == nil {
+		return nil
+	}
+	for i := range r.reqs {
+		h := &r.reqs[i]
+		r.each = r.appendSegments(r.each[:0], h)
+		if err := fn(i, h.id, r.each); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Requests returns every traced RequestID in first-seen order (a
@@ -190,11 +330,12 @@ func (r *RequestRecorder) Segments(req RequestID) []Segment {
 	if r == nil {
 		return nil
 	}
-	li, ok := r.byReq[req]
-	if !ok {
+	v := r.index[r.slot(req)]
+	if v == 0 {
 		return nil
 	}
-	return append([]Segment(nil), r.reqs[li].segs...)
+	h := &r.reqs[v-1]
+	return r.appendSegments(make([]Segment, 0, h.n), h)
 }
 
 // Len reports the number of traced requests.
