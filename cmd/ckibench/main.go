@@ -28,6 +28,11 @@
 //	ckibench -exp smp -metrics-out smp.metrics.json
 //	ckibench -exp smp -audit-out smp.audit.log     # machine-event log (ckireplay -in)
 //
+// Any of them attaches every observer to one run, so they combine
+// freely, and the audit log and span profile describe the same run:
+//
+//	ckibench -exp smp -audit-out smp.audit.log -spans-out smp.spans.json
+//
 // The wallclock experiment measures the simulator itself (host ns/op,
 // allocs/op, parallel speedup) and emits the BENCH_wallclock artifact:
 //
@@ -166,15 +171,13 @@ func validate(c *config) error {
 	case c.Interval < 1:
 		return errors.New("-checkpoint-interval must be >= 1")
 	case c.Nodes < 0:
-		return errors.New("-nodes must be >= 1")
+		return errors.New("-nodes must be >= 0 (0 keeps the experiment's fleet size)")
 	case c.ArrivalRate < 0:
-		return errors.New("-arrival-rate must be > 0")
+		return errors.New("-arrival-rate must be >= 0 (0 keeps the capacity curve)")
 	case c.ChurnRate < 0:
-		return errors.New("-churn-rate must be > 0")
+		return errors.New("-churn-rate must be >= 0 (0 keeps the load-derived rate)")
 	case c.ArrivalRate != 0 && c.TraceFile != "":
 		return errors.New("-arrival-rate and -trace-file are mutually exclusive")
-	case c.AuditOut != "" && (c.TraceOut != "" || c.SpansOut != "" || c.MetricsOut != ""):
-		return errors.New("-audit-out cannot be combined with the span/metrics artifact flags")
 	}
 	if c.scrapeIv != "" {
 		d, err := clock.ParseTime(c.scrapeIv)

@@ -39,6 +39,7 @@ func TestValidate(t *testing.T) {
 		{"wallclock json", ok(config{exp: "wallclock", jsonOut: true}), false},
 		{"smp artifacts", ok(config{exp: "smp", Options: bench.Options{TraceOut: "t.json", SpansOut: "s.json", MetricsOut: "m.json"}}), false},
 		{"smp audit", ok(config{exp: "smp", Options: bench.Options{AuditOut: "a.log"}}), false},
+		{"audit-out with prof flags", ok(config{exp: "smp", Options: bench.Options{TraceOut: "t.json", AuditOut: "a.log"}}), false},
 		{"chaos sweep", ok(config{exp: "chaos", jsonOut: true, Options: bench.Options{Seeds: 16}}), false},
 		{"parallel 8", ok(config{exp: "smp", jsonOut: true, Options: bench.Options{Parallel: 8}}), false},
 		{"snapshot json", ok(config{exp: "snapshot", jsonOut: true}), false},
@@ -74,7 +75,6 @@ func TestValidate(t *testing.T) {
 		{"spans-out wrong exp", ok(config{exp: "chaos", Options: bench.Options{SpansOut: "s.json"}}), true},
 		{"metrics-out wrong exp", ok(config{exp: "fig12", Options: bench.Options{MetricsOut: "m.json"}}), true},
 		{"audit-out without smp", ok(config{Options: bench.Options{AuditOut: "a.log"}}), true},
-		{"audit-out with prof flags", ok(config{exp: "smp", Options: bench.Options{TraceOut: "t.json", AuditOut: "a.log"}}), true},
 		{"seeds without chaos", ok(config{exp: "smp", jsonOut: true, Options: bench.Options{Seeds: 4}}), true},
 		{"seeds without json", ok(config{exp: "chaos", Options: bench.Options{Seeds: 4}}), true},
 		{"json wrong exp", ok(config{exp: "fig12", jsonOut: true}), true},

@@ -206,14 +206,16 @@ func runSummary(log *audit.Log, jsonOut bool) {
 // runLive re-executes the run described by the log's metadata with a
 // fresh recorder and diffs the two logs; a reproducible log exits 0.
 func runLive(log *audit.Log, jsonOut bool) {
-	rec := audit.NewRecorder(nil)
+	var rec *audit.Recorder
 	switch log.Meta.Kind {
 	case "ckirun":
-		reliveCkirun(log.Meta, rec)
+		rec = reliveCkirun(log.Meta)
 	case "smp":
-		if _, err := bench.RunSMPAuditedParallel(log.Meta.Scale, log.Meta.Seed, rec, 1); err != nil {
+		prof, err := bench.RunSMPObserved(log.Meta.Scale, log.Meta.Seed, 1)
+		if err != nil {
 			fatalf("relive smp: %v", err)
 		}
+		rec = prof.Audit()
 	default:
 		fatalf("log has no run metadata; cannot re-execute")
 	}
@@ -225,8 +227,8 @@ func runLive(log *audit.Log, jsonOut bool) {
 }
 
 // reliveCkirun reboots the container and reruns the workload exactly as
-// ckirun did when it recorded the log.
-func reliveCkirun(m audit.Meta, rec *audit.Recorder) {
+// ckirun did when it recorded the log, into a fresh recorder.
+func reliveCkirun(m audit.Meta) *audit.Recorder {
 	kind, ok := backends.KindByName(m.Runtime)
 	if !ok {
 		fatalf("log metadata names unknown runtime %q", m.Runtime)
@@ -235,6 +237,7 @@ func reliveCkirun(m audit.Meta, rec *audit.Recorder) {
 	if !ok {
 		fatalf("log metadata names unknown workload %q", m.Workload)
 	}
+	rec := audit.NewRecorder(nil)
 	rec.Meta = m
 	c, err := backends.New(kind, backends.Options{Nested: m.Nested, Audit: rec})
 	if err != nil {
@@ -250,6 +253,7 @@ func reliveCkirun(m audit.Meta, rec *audit.Recorder) {
 		// fully recorded outcome — the diff decides reproducibility.
 		fatalf("relive run: %v", err)
 	}
+	return rec
 }
 
 func eventJSON(e *audit.Event) map[string]interface{} {

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// dir holds the built ckireplay and ckirun binaries and the audit logs
-// ckirun recorded for the tests.
+// dir holds the built ckireplay, ckirun and ckibench binaries and the
+// audit logs they recorded for the tests.
 var dir string
 
 // recordings are the logs TestMain records with ckirun -audit-out: the
@@ -39,10 +39,13 @@ func TestMain(m *testing.M) {
 			panic(name + ": " + err.Error() + "\n" + string(out))
 		}
 	}
-	setup("go", "build", "-o", dir, ".", "../ckirun")
+	setup("go", "build", "-o", dir, ".", "../ckirun", "../ckibench")
 	for name, args := range recordings {
 		setup(filepath.Join(dir, "ckirun"), append([]string{"-runtime", "cki", "-audit-out", logPath(name)}, args...)...)
 	}
+	// The smp grid's log, recorded together with its span profile.
+	setup(filepath.Join(dir, "ckibench"), "-exp", "smp",
+		"-audit-out", logPath("smp.log"), "-spans-out", logPath("smp.spans.json"))
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -78,6 +81,8 @@ func TestExitCodes(t *testing.T) {
 		{"same run diff", []string{"-in", logPath("a.log"), "-diff", logPath("b.log")}, 0, "logs identical"},
 		{"fault seeds diff", []string{"-in", logPath("s1.log"), "-diff", logPath("s2.log")}, 1, "first divergence"},
 		{"live", []string{"-in", logPath("a.log"), "-live"}, 0, "logs identical"},
+		{"live smp", []string{"-in", logPath("smp.log"), "-live"}, 0, "logs identical"},
+		{"smp summary", []string{"-in", logPath("smp.log")}, 0, "ckibench -exp smp (seed=0x50c1a1 scale=1)"},
 		{"summary", []string{"-in", logPath("a.log")}, 0, "ckirun -runtime cki -workload btree"},
 		{"at", []string{"-in", logPath("a.log"), "-at", "120us"}, 0, "state after"},
 		{"grep", []string{"-in", logPath("a.log"), "-grep", "pte_write"}, 0, "matched \"pte_write\""},

@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/trace"
 )
 
 // TestValidateSet covers the flag-combination rules: the four modes
@@ -60,24 +63,66 @@ func TestValidateSet(t *testing.T) {
 	}
 }
 
-var binPath string
+// binPath is the built ckitrace; spansPath and metricsPath are the smp
+// span profile and metrics snapshot ckibench recorded for the tests, and
+// droppedPath is spansPath with one span dropped from a service window.
+var binPath, spansPath, metricsPath, droppedPath string
 
-// TestMain builds the real binary once: exit codes are asserted
-// against it directly, because `go run` collapses every failure to
-// exit 1 and would mask usage errors (2) as runtime errors (1).
+// TestMain builds the real binaries once and records the smp profile:
+// exit codes are asserted against the binary directly, because `go run`
+// collapses every failure to exit 1 and would mask usage errors (2) as
+// runtime errors (1).
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "ckitrace-bin")
 	if err != nil {
 		panic(err)
 	}
+	setup := func(name string, args ...string) {
+		if out, err := exec.Command(name, args...).CombinedOutput(); err != nil {
+			os.RemoveAll(dir)
+			panic(name + ": " + err.Error() + "\n" + string(out))
+		}
+	}
 	binPath = filepath.Join(dir, "ckitrace")
-	if out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput(); err != nil {
+	spansPath = filepath.Join(dir, "smp.spans.json")
+	metricsPath = filepath.Join(dir, "smp.metrics.json")
+	droppedPath = filepath.Join(dir, "dropped.spans.json")
+	setup("go", "build", "-o", dir, ".", "../ckibench")
+	setup(filepath.Join(dir, "ckibench"), "-exp", "smp", "-spans-out", spansPath, "-metrics-out", metricsPath)
+	if err := dropWindowSpan(spansPath, droppedPath); err != nil {
 		os.RemoveAll(dir)
-		panic("go build: " + err.Error() + "\n" + string(out))
+		panic(err)
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// dropWindowSpan copies the span profile at src to dst without the
+// first root span inside the first run's service window: a planted
+// accounting defect -breakdown must catch.
+func dropWindowSpan(src, dst string) error {
+	b, err := os.ReadFile(src)
+	if err != nil {
+		return err
+	}
+	prof, err := bench.ParseSMPProfile(b)
+	if err != nil {
+		return err
+	}
+	r := prof.Runs[0]
+	i := slices.IndexFunc(r.Spans, func(s trace.Span) bool {
+		return s.Parent == -1 && !s.Async &&
+			int64(s.At) >= r.ServiceLoPs && int64(s.At+s.Dur) <= r.ServiceHiPs
+	})
+	if i < 0 {
+		return errors.New("no root span in the first run's service window")
+	}
+	r.Spans = slices.Delete(r.Spans, i, i+1)
+	if b, err = prof.JSON(); err != nil {
+		return err
+	}
+	return os.WriteFile(dst, b, 0o644)
 }
 
 // run executes the built binary and returns its exit code and output.
@@ -143,6 +188,11 @@ func TestExitCodes(t *testing.T) {
 		want string
 	}{
 		{"static default", nil, 0, "TOTAL"},
+		{"smp breakdown", []string{"-in", spansPath, "-breakdown"}, 0, "TOTAL"},
+		{"smp breakdown dropped span", []string{"-in", droppedPath, "-breakdown"}, 1, "unattributed time"},
+		{"smp top", []string{"-in", spansPath, "-top", "5"}, 0, "RunC 1vcpu — top 5 phases by self time"},
+		{"smp folded", []string{"-in", spansPath, "-folded"}, 0, "RunC/1vcpu;access"},
+		{"smp metrics", []string{"-metrics", metricsPath}, 0, "smp_request_latency_ns"},
 		{"tail list", []string{"-tail", fixture}, 0, id},
 		{"tail waterfall", []string{"-tail", fixture, "-request", id}, 0, "storm cell, slowness rank 1"},
 		{"request without tail", []string{"-request", id}, 2, "-request requires -tail"},

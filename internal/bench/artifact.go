@@ -22,15 +22,23 @@ type Options struct {
 	Scale    int
 	Parallel int
 
-	Seeds          int        // -seeds (chaos sweep width)
-	Interval       int        // -checkpoint-interval
-	Nodes          int        // -nodes
-	Sched          string     // -sched
-	ArrivalRate    float64    // -arrival-rate
-	TraceFile      string     // -trace-file
-	ScrapeInterval clock.Time // -scrape-interval
-	ChurnRate      float64    // -churn-rate
-	ForkMode       string     // -fork-mode
+	Seeds    int    // -seeds (chaos sweep width)
+	Interval int    // -checkpoint-interval
+	Nodes    int    // -nodes: the simulated fleet size
+	Sched    string // -sched: one fleet scheduler ("" = all)
+	// -arrival-rate: one open-loop fleet segment at this rate
+	// (arrivals/sec) instead of the capacity curve.
+	ArrivalRate float64
+	// -trace-file: the fleet's arrivals follow the piecewise rate trace
+	// in this file ("rate_per_sec duration_ms" lines).
+	TraceFile string
+	// -scrape-interval: fleet attaches a telemetry probe to every cell
+	// (FleetReport.Timeline); slo overrides its per-cell interval.
+	ScrapeInterval clock.Time
+	// -churn-rate: serverless replaces its load-derived arrival rate
+	// with this one (arrivals/sec).
+	ChurnRate float64
+	ForkMode  string // -fork-mode: one serverless mode ("" = all)
 
 	// Side outputs: files or directories a run writes besides its report.
 	TraceOut   string // -trace-out
@@ -41,6 +49,15 @@ type Options struct {
 	SLOOut     string // -slo-out
 	BundleOut  string // -bundle-out
 }
+
+// FleetOpts, SLOOpts, TailOpts and ServerlessOpts are other names of
+// Options, kept because the benchmark module spells them.
+type (
+	FleetOpts      = Options
+	SLOOpts        = Options
+	TailOpts       = Options
+	ServerlessOpts = Options
+)
 
 // Report is an artifact experiment's result. WriteJSON emits it in the
 // committed encoding.
@@ -68,6 +85,17 @@ type Artifact struct {
 	Validate func(o Options) error
 	// Run executes the experiment and writes the side outputs o names.
 	Run func(o Options) (Report, error)
+}
+
+// report adapts an experiment's entry point to Artifact.Run.
+func report[R Report](run func(Options) (R, error)) func(Options) (Report, error) {
+	return func(o Options) (Report, error) {
+		rep, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return rep, nil
+	}
 }
 
 // Accepts reports whether flag (e.g. "-nodes") is one of the

@@ -137,13 +137,13 @@ func TestFleetArtifactsRoundTrip(t *testing.T) {
 
 // TestFleetZeroOpts: zero-valued options mean the committed defaults
 // (scale 1, the committed fleet size), so each fleet-family experiment
-// run from its zero Opts reproduces its committed artifact.
+// run from zero Options reproduces its committed artifact.
 func TestFleetZeroOpts(t *testing.T) {
 	runs := map[string]func() (Report, error){
-		"BENCH_fleet.json":      func() (Report, error) { return RunFleet(FleetOpts{Parallel: DefaultParallel()}) },
-		"BENCH_slo.json":        func() (Report, error) { return RunSLO(SLOOpts{Parallel: DefaultParallel()}) },
-		"BENCH_tail.json":       func() (Report, error) { return RunTail(TailOpts{Parallel: DefaultParallel()}) },
-		"BENCH_serverless.json": func() (Report, error) { return RunServerless(ServerlessOpts{Parallel: DefaultParallel()}) },
+		"BENCH_fleet.json":      func() (Report, error) { return RunFleet(Options{Parallel: DefaultParallel()}) },
+		"BENCH_slo.json":        func() (Report, error) { return RunSLO(Options{Parallel: DefaultParallel()}) },
+		"BENCH_tail.json":       func() (Report, error) { return RunTail(Options{Parallel: DefaultParallel()}) },
+		"BENCH_serverless.json": func() (Report, error) { return RunServerless(Options{Parallel: DefaultParallel()}) },
 	}
 	for path, run := range runs {
 		rep, err := run()
@@ -199,7 +199,7 @@ func TestSMPReportShape(t *testing.T) {
 }
 
 func TestSnapshotReportShape(t *testing.T) {
-	rep, err := RunSnapshot(1, DefaultParallel(), 1)
+	rep, err := RunSnapshot(Options{Parallel: DefaultParallel()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,30 +33,28 @@ func Extensions() []Experiment {
 		artifact("smp", "Multi-core scaling & TLB-shootdown latency (SMP engine)", &Artifact{
 			Path:  "BENCH_smp.json",
 			Flags: []string{"-trace-out", "-spans-out", "-metrics-out", "-audit-out"},
-			Run:   runSMPArtifact,
+			Run:   report(RunSMP),
 		}),
 		artifact("snapshot", "Checkpoint/restore, live migration & warm-restart MTTR", &Artifact{
 			Path:  "BENCH_snapshot.json",
 			Flags: []string{"-checkpoint-interval", "-snap-out"},
-			Run:   runSnapshotArtifact,
+			Run:   report(RunSnapshot),
 		}),
 		artifact("fleet", "Datacenter fleet serving: capacity curves & tail latency", &Artifact{
 			Path:     "BENCH_fleet.json",
 			Flags:    []string{"-nodes", "-sched", "-arrival-rate", "-trace-file", "-scrape-interval", "-slo-out"},
 			Validate: validateFleet,
-			Run:      runFleetArtifact,
+			Run:      report(RunFleet),
 		}),
 		artifact("slo", "Live telemetry: SLO burn-rate alerts & flight-recorder postmortems", &Artifact{
 			Path:  "BENCH_slo.json",
 			Flags: []string{"-nodes", "-scrape-interval", "-slo-out", "-bundle-out"},
-			Run:   runSLOArtifact,
+			Run:   report(RunSLO),
 		}),
 		artifact("tail", "Per-request causal tracing: critical-path tail-latency attribution", &Artifact{
 			Path:  "BENCH_tail.json",
 			Flags: []string{"-nodes"},
-			Run: func(o Options) (Report, error) {
-				return RunTail(TailOpts{Scale: o.Scale, Parallel: o.Parallel, Nodes: o.Nodes})
-			},
+			Run:   report(RunTail),
 		}),
 		artifact("serverless", "Serverless churn: fork-from-snapshot cold-start fast path", &Artifact{
 			Path:  "BENCH_serverless.json",
@@ -65,10 +63,7 @@ func Extensions() []Experiment {
 				_, err := serverlessFleetModes(o.ForkMode)
 				return err
 			},
-			Run: func(o Options) (Report, error) {
-				return RunServerless(ServerlessOpts{Scale: o.Scale, Parallel: o.Parallel,
-					Nodes: o.Nodes, ChurnRate: o.ChurnRate, ForkMode: o.ForkMode})
-			},
+			Run: report(RunServerless),
 		}),
 		artifact("wallclock", "Host cost of the simulator: hot paths & parallel speedup", &Artifact{
 			Path:      "BENCH_wallclock.json",
@@ -88,7 +83,7 @@ func ExtPKU(scale int, w io.Writer) error {
 	pks := backends.MustNew(backends.CKI, backends.Options{})
 	pku := backends.MustNew(backends.CKI, backends.Options{DesignPKU: true})
 	t.Row("syscall (ns)",
-		fmtNs(pks.MeasureSyscall()), fmtNs(pku.MeasureSyscall()),
+		pks.MeasureSyscall().String(), pku.MeasureSyscall().String(),
 		"PKU adds wrpkru + ring crossings")
 	a, err := pks.MeasureAnonFault(64)
 	if err != nil {
@@ -98,7 +93,7 @@ func ExtPKU(scale int, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t.Row("anon pgfault (ns)", fmtNs(a), fmtNs(b),
+	t.Row("anon pgfault (ns)", a.String(), b.String(),
 		"paper: injection adds ~750ns to a ~1000ns fault")
 	_, err = t.WriteTo(w)
 	return err
@@ -118,7 +113,7 @@ func ExtGate(scale int, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	t.Row("anon pgfault (ns)", fmtNs(a), fmtNs(b), fmtNs(b-a))
+	t.Row("anon pgfault (ns)", a.String(), b.String(), (b - a).String())
 	t.Note("the lean gate is safe because only container-private data is mapped in the KSM")
 	_, err = t.WriteTo(w)
 	return err
@@ -128,8 +123,8 @@ func ExtGate(scale int, w io.Writer) error {
 func ExtFuture(scale int, w io.Writer) error {
 	costs := clock.DefaultCosts()
 	t := NewTable("Future work on the same PKS machinery", "scenario", "cost/op (ns)", "baseline (ns)")
-	t.Row("ring-0 driver sandbox call", fmtNs(cki.SandboxCallCost(costs)),
-		fmtNs(cki.MicrokernelCallCost(costs))+" (microkernel IPC)")
+	t.Row("ring-0 driver sandbox call", cki.SandboxCallCost(costs).String(),
+		cki.MicrokernelCallCost(costs).String()+" (microkernel IPC)")
 
 	// In-kernel syscall elision, measured live.
 	c := backends.MustNew(backends.CKI, backends.Options{})
@@ -142,12 +137,8 @@ func ExtFuture(scale int, w io.Writer) error {
 	}
 	inKernel := c.Clk.Now() - start
 	c.CPU.SetMode(mode)
-	t.Row("in-kernel getpid-class service", fmtNs(inKernel),
-		fmtNs(app.SyscallCost(costs.GetpidWork))+" (user-mode syscall)")
+	t.Row("in-kernel getpid-class service", inKernel.String(),
+		app.SyscallCost(costs.GetpidWork).String()+" (user-mode syscall)")
 	_, err := t.WriteTo(w)
 	return err
-}
-
-func fmtNs(t clock.Time) string {
-	return t.String()
 }

@@ -186,33 +186,10 @@ type FleetReport struct {
 	Replay      []fleet.NodeArtifact `json:"replay"`
 
 	// Timeline is the merged per-cell time-series store when
-	// FleetOpts.ScrapeInterval was set (ckibench -slo-out); it is not
+	// Options.ScrapeInterval was set (ckibench -slo-out); it is not
 	// part of the report JSON, so the committed artifact bytes do not
 	// depend on whether scraping was on.
 	Timeline *telemetry.Store `json:"-"`
-}
-
-// FleetOpts parameterizes the experiment; zero values mean the
-// committed-artifact defaults.
-type FleetOpts struct {
-	Scale    int
-	Parallel int
-	// Nodes overrides the fleet size (default fleetGrid.Nodes).
-	Nodes int
-	// Sched restricts the run to one scheduler ("" = all).
-	Sched string
-	// ArrivalRate, when > 0, replaces the capacity curve with a single
-	// open-loop segment at that absolute rate (arrivals/sec).
-	ArrivalRate float64
-	// TraceFile, when set, replaces the capacity curve with the
-	// piecewise rate trace parsed from the file ("rate_per_sec
-	// duration_ms" lines).
-	TraceFile string
-	// ScrapeInterval, when > 0, attaches a telemetry probe to every
-	// grid cell (series labeled runtime/sched/load) and exposes the
-	// merged timeline via FleetReport.Timeline. Pure observation: the
-	// report rows are byte-identical with or without it.
-	ScrapeInterval clock.Time
 }
 
 // fleetCalibrate measures one runtime's cost model on a real machine:
@@ -296,7 +273,7 @@ type fleetSegment struct {
 // fleetSegments builds the load axis for one runtime's capacity
 // (arrivals/sec at which the fleet is nominally saturated). Every
 // segment carries ~fleetArrivalsPerCell arrivals per scale unit.
-func fleetSegments(o FleetOpts, shape FleetShape, capacity float64) ([]fleetSegment, error) {
+func fleetSegments(o Options, shape FleetShape, capacity float64) ([]fleetSegment, error) {
 	if o.TraceFile != "" {
 		f, err := os.Open(o.TraceFile)
 		if err != nil {
@@ -407,9 +384,10 @@ func fleetCellConfig(shape FleetShape, costs fleet.RuntimeCosts,
 	return cfg
 }
 
-// RunFleet executes the fleet experiment. Deterministic: the same
-// opts produce the same report, byte for byte, for any Parallel.
-func RunFleet(o FleetOpts) (*FleetReport, error) {
+// RunFleet executes the fleet experiment and writes the merged timeline
+// to o.SLOOut. Deterministic: the same opts produce the same report,
+// byte for byte, for any Parallel.
+func RunFleet(o Options) (*FleetReport, error) {
 	shape := fleetGrid.at(o.Scale, o.Nodes)
 	scheds, err := fleetSchedulers(o.Sched)
 	if err != nil {
@@ -526,6 +504,11 @@ func RunFleet(o FleetOpts) (*FleetReport, error) {
 		}
 		rep.Timeline = merged
 	}
+	if o.SLOOut != "" {
+		if err := writeTimeline(o.SLOOut, rep.Timeline); err != nil {
+			return nil, err
+		}
+	}
 	return rep, nil
 }
 
@@ -637,21 +620,6 @@ func validateFleet(o Options) error {
 		return errors.New("-slo-out with -exp fleet requires an explicit -scrape-interval (every cell must share one interval for the merged timeline)")
 	}
 	return nil
-}
-
-// runFleetArtifact runs the experiment and writes the merged timeline
-// to -slo-out.
-func runFleetArtifact(o Options) (Report, error) {
-	rep, err := RunFleet(FleetOpts{
-		Scale: o.Scale, Parallel: o.Parallel,
-		Nodes: o.Nodes, Sched: o.Sched,
-		ArrivalRate: o.ArrivalRate, TraceFile: o.TraceFile,
-		ScrapeInterval: o.ScrapeInterval,
-	})
-	if err != nil || o.SLOOut == "" {
-		return rep, err
-	}
-	return rep, writeTimeline(o.SLOOut, rep.Timeline)
 }
 
 // writeTimeline writes a merged fleet timeline: CKITS1 binary when the

@@ -14,7 +14,7 @@ import (
 // pure observation — the report bytes are identical with and without
 // -scrape-interval, and the merged timeline actually sampled the run.
 func TestFleetScrapeLeavesReportUnchanged(t *testing.T) {
-	o := FleetOpts{Scale: 1, Parallel: 2, Nodes: 4, Sched: "spread", ArrivalRate: 20_000}
+	o := Options{Scale: 1, Parallel: 2, Nodes: 4, Sched: "spread", ArrivalRate: 20_000}
 	plain, err := RunFleet(o)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestFleetTraceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("# burst then quiet\n40000 50\n5000 50\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunFleet(FleetOpts{Scale: 1, Parallel: DefaultParallel(),
+	rep, err := RunFleet(Options{Scale: 1, Parallel: DefaultParallel(),
 		Nodes: 4, Sched: "binpack", TraceFile: path})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestFleetTraceFile(t *testing.T) {
 		}
 	}
 
-	if _, err := RunFleet(FleetOpts{Scale: 1, Parallel: 1, Nodes: 4,
+	if _, err := RunFleet(Options{Scale: 1, Parallel: 1, Nodes: 4,
 		TraceFile: filepath.Join(t.TempDir(), "missing.trace")}); err == nil {
 		t.Fatalf("missing trace file accepted")
 	}
@@ -75,7 +75,7 @@ func TestFleetTraceFile(t *testing.T) {
 // TestFleetBadScheduler: an unknown scheduler fails before any cell
 // runs.
 func TestFleetBadScheduler(t *testing.T) {
-	_, err := RunFleet(FleetOpts{Scale: 1, Parallel: 1, Sched: "random"})
+	_, err := RunFleet(Options{Scale: 1, Parallel: 1, Sched: "random"})
 	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
 		t.Fatalf("err = %v", err)
 	}
@@ -84,7 +84,7 @@ func TestFleetBadScheduler(t *testing.T) {
 // TestFleetTable: the table writer renders every row and the replay
 // digest without error.
 func TestFleetTable(t *testing.T) {
-	rep, err := RunFleet(FleetOpts{Scale: 1, Parallel: DefaultParallel(),
+	rep, err := RunFleet(Options{Scale: 1, Parallel: DefaultParallel(),
 		Nodes: 4, Sched: "spread", ArrivalRate: 30_000})
 	if err != nil {
 		t.Fatal(err)

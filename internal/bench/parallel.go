@@ -6,11 +6,10 @@
 // no shared mutable state, and the per-cell results (report rows, span
 // profiles, metrics registries, audit recorders) are assembled in the
 // fixed sequential cell order afterwards, so every artifact is
-// byte-identical to a sequential run. The only cross-cell dependency in
-// the SMP grid — a runtime's n>1 cells need the 1-vCPU cell's measured
-// service time and base throughput for the DES stage — is carried by a
-// per-runtime publish/wait handshake; the machine simulation itself
-// never waits.
+// byte-identical to a sequential run. A grid whose cells depend on one
+// another's results runs in stages, one RunIndexed call each: the SMP
+// grid's DES stage reads the 1-vCPU service times its machine stage
+// measured.
 package bench
 
 import (
@@ -19,7 +18,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/clock"
 	"repro/internal/faults"
 )
 
@@ -64,35 +62,6 @@ func RunIndexed(parallel, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// svcShare carries a runtime's 1-vCPU cell outputs — the measured
-// per-request service time and the base DES throughput — to that
-// runtime's larger cells, which need them for their DES stage and
-// speedup column. publish is idempotent; the 1-vCPU cell defers a
-// failure publish so dependents never deadlock on an errored cell.
-type svcShare struct {
-	once    sync.Once
-	done    chan struct{}
-	service clock.Time
-	tput1   float64
-	ok      bool
-}
-
-func newSvcShare() *svcShare { return &svcShare{done: make(chan struct{})} }
-
-func (s *svcShare) publish(service clock.Time, tput1 float64, ok bool) {
-	s.once.Do(func() {
-		s.service, s.tput1, s.ok = service, tput1, ok
-		close(s.done)
-	})
-}
-
-// wait blocks until the 1-vCPU cell published and reports whether it
-// succeeded.
-func (s *svcShare) wait() bool {
-	<-s.done
-	return s.ok
 }
 
 // ChaosSweepReport is a seed sweep of the chaos experiment: run 0 uses

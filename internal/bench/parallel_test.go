@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/audit"
 	"repro/internal/backends"
 	"repro/internal/workloads"
 )
@@ -42,9 +41,9 @@ func TestParallelSMPReportIdentity(t *testing.T) {
 
 func TestParallelSMPProfileIdentity(t *testing.T) {
 	get := func(parallel int) (spans, chrome, metrics []byte) {
-		prof, err := RunSMPProfiledParallel(1, SMPSeed, parallel)
+		prof, err := RunSMPObserved(1, SMPSeed, parallel)
 		if err != nil {
-			t.Fatalf("RunSMPProfiledParallel(%d): %v", parallel, err)
+			t.Fatalf("RunSMPObserved(%d): %v", parallel, err)
 		}
 		spans, err = prof.JSON()
 		if err != nil {
@@ -71,11 +70,11 @@ func TestParallelSMPProfileIdentity(t *testing.T) {
 
 func TestParallelSMPAuditIdentity(t *testing.T) {
 	get := func(parallel int) []byte {
-		rec := audit.NewRecorder(nil)
-		if _, err := RunSMPAuditedParallel(1, SMPSeed, rec, parallel); err != nil {
-			t.Fatalf("RunSMPAuditedParallel(%d): %v", parallel, err)
+		prof, err := RunSMPObserved(1, SMPSeed, parallel)
+		if err != nil {
+			t.Fatalf("RunSMPObserved(%d): %v", parallel, err)
 		}
-		return rec.Marshal()
+		return prof.Audit().Marshal()
 	}
 	seq := get(1)
 	par := get(8)
@@ -193,23 +192,6 @@ func TestRunIndexed(t *testing.T) {
 	})
 	if err != errA || calls != 3 {
 		t.Errorf("sequential error path: err=%v calls=%d, want %v after 3 calls", err, calls, errA)
-	}
-}
-
-// TestSvcShareFailurePropagates checks an errored 1-vCPU cell releases
-// its runtime's dependents with an error instead of deadlocking.
-func TestSvcShareFailurePropagates(t *testing.T) {
-	s := newSvcShare()
-	done := make(chan bool)
-	go func() { done <- s.wait() }()
-	s.publish(0, 0, false)
-	if ok := <-done; ok {
-		t.Error("wait() = true after failure publish")
-	}
-	// Later success publishes must not override the first.
-	s.publish(42, 1, true)
-	if s.wait() {
-		t.Error("publish overrode an earlier publish")
 	}
 }
 

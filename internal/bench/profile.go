@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/audit"
 	"repro/internal/backends"
 	"repro/internal/clock"
 	"repro/internal/metrics"
@@ -15,12 +16,12 @@ import (
 )
 
 // Cycle-attribution profiles over the SMP experiment: the same seeded
-// runs as RunSMPParallel, with the span recorder and metrics registry
-// attached. Because both observers are nil-safe no-ops on the virtual
-// clock, the profiled report is identical — byte for byte — to the
-// plain one; the profile adds the per-phase decomposition (Table-2
-// style), the folded stacks, the Chrome trace and the metrics snapshot
-// on top.
+// runs as RunSMPParallel, with the span recorder, metrics registry and
+// audit recorder attached (RunSMPObserved). Because the observers are
+// nil-safe no-ops on the virtual clock, the profiled report is
+// identical — byte for byte — to the plain one; the profile adds the
+// per-phase decomposition (Table-2 style), the folded stacks, the
+// Chrome trace, the metrics snapshot and the machine-event log on top.
 
 // SMPRun is the span capture of one (runtime, vCPU count) bench run.
 type SMPRun struct {
@@ -61,13 +62,17 @@ type SMPProfile struct {
 	Report *SMPReport `json:"report"`
 	Runs   []*SMPRun  `json:"runs"`
 
-	// reg is the live metrics registry (nil on a profile parsed back
-	// from JSON).
+	// reg is the live metrics registry and log the machine-event log
+	// (both nil on a profile parsed back from JSON).
 	reg *metrics.Registry
+	log *audit.Recorder
 }
 
 // Registry exposes the live metrics registry (nil after ParseSMPProfile).
 func (p *SMPProfile) Registry() *metrics.Registry { return p.reg }
+
+// Audit exposes the machine-event log (nil after ParseSMPProfile).
+func (p *SMPProfile) Audit() *audit.Recorder { return p.log }
 
 // JSON renders the profile as deterministic indented JSON.
 func (p *SMPProfile) JSON() ([]byte, error) {
@@ -75,9 +80,14 @@ func (p *SMPProfile) JSON() ([]byte, error) {
 }
 
 // writeFiles writes the profile artifacts o names: the Chrome trace
-// (-trace-out), the span profile (-spans-out) and the metrics snapshot
-// (-metrics-out).
+// (-trace-out), the span profile (-spans-out), the metrics snapshot
+// (-metrics-out) and the audit log (-audit-out).
 func (p *SMPProfile) writeFiles(o Options) error {
+	if o.AuditOut != "" {
+		if err := p.log.WriteFile(o.AuditOut); err != nil {
+			return err
+		}
+	}
 	if o.TraceOut != "" {
 		if err := os.WriteFile(o.TraceOut, p.ChromeJSON(), 0o644); err != nil {
 			return err
@@ -108,23 +118,6 @@ func ParseSMPProfile(b []byte) (*SMPProfile, error) {
 		return nil, fmt.Errorf("profile: parse: %w", err)
 	}
 	return p, nil
-}
-
-// RunSMPProfiledParallel runs the SMP experiment with observability
-// attached, cells fanned out to at most parallel goroutines: each cell
-// captures spans and metrics into its own recorder and registry, and
-// the per-cell results are assembled in cell order, so the profile is
-// byte-identical for any parallel value.
-func RunSMPProfiledParallel(scale int, seed uint64, parallel int) (*SMPProfile, error) {
-	prof := &SMPProfile{reg: metrics.NewRegistry()}
-	rep, err := runSMP(scale, seed, prof, nil, parallel)
-	if err != nil {
-		return nil, err
-	}
-	prof.Seed = rep.Seed
-	prof.Rounds = rep.Rounds
-	prof.Report = rep
-	return prof, nil
 }
 
 // run looks up the capture for (runtime, vcpus); nil if absent.
@@ -208,21 +201,13 @@ func writeTree(w io.Writer, spans []trace.Span, total clock.Time) {
 	walk = func(n *trace.Node, depth int) {
 		for _, c := range n.Children {
 			fmt.Fprintf(w, "  %-44s %10d %14s %14s\n",
-				indent(depth)+c.Phase, c.Count,
+				strings.Repeat("  ", depth)+c.Phase, c.Count,
 				fmtPsAsNs(int64(c.Total)), fmtPsAsNs(int64(c.Self())))
 			walk(c, depth+1)
 		}
 	}
 	walk(trace.Fold(spans), 0)
 	fmt.Fprintf(w, "  %-44s %10s %14s\n\n", "TOTAL", "", fmtPsAsNs(int64(total)))
-}
-
-func indent(depth int) string {
-	s := ""
-	for i := 0; i < depth; i++ {
-		s += "  "
-	}
-	return s
 }
 
 // ChromeTracks assembles the widest (8-vCPU) run of each runtime as one
@@ -254,11 +239,11 @@ func (p *SMPProfile) ChromeJSON() []byte {
 // FoldedStacks renders every run as flamegraph collapsed-stack lines,
 // prefixed "runtime/Nvcpu".
 func (p *SMPProfile) FoldedStacks() string {
-	out := ""
+	var b strings.Builder
 	for _, r := range p.Runs {
-		out += trace.FoldedStacks(fmt.Sprintf("%s/%dvcpu", r.Runtime, r.VCPUs), r.Spans)
+		b.WriteString(trace.FoldedStacks(fmt.Sprintf("%s/%dvcpu", r.Runtime, r.VCPUs), r.Spans))
 	}
-	return out
+	return b.String()
 }
 
 // MetricsJSON renders the registry snapshot (requires a live registry).
@@ -281,7 +266,7 @@ func (p *SMPProfile) WriteMetricsProm(w io.Writer) error {
 // per-phase attribution, with the exact-sum verification as the pass
 // criterion.
 func ExtBreakdown(scale int, w io.Writer) error {
-	prof, err := RunSMPProfiledParallel(scale, SMPSeed, 1)
+	prof, err := RunSMPObserved(scale, SMPSeed, 1)
 	if err != nil {
 		return err
 	}

@@ -33,11 +33,11 @@ func TestSMPProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := RunSMPProfiledParallel(1, SMPSeed, 1)
+	prof, err := RunSMPObserved(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof2, err := RunSMPProfiledParallel(1, SMPSeed, 1)
+	prof2, err := RunSMPObserved(1, SMPSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

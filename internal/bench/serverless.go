@@ -74,22 +74,6 @@ var serverlessFleet = FleetShape{Seed: ServerlessSeed, Nodes: 50, SlotsPerNode: 
 // serverlessModes is the instantiation-mode axis of the fleet stage.
 var serverlessModes = []string{"cold", "eager", "cow", "lazy"}
 
-// ServerlessOpts parameterizes the experiment; zero values mean the
-// committed-artifact defaults.
-type ServerlessOpts struct {
-	Scale    int
-	Parallel int
-	// Nodes overrides the fleet size (default serverlessFleet.Nodes).
-	Nodes int
-	// ChurnRate, when > 0, replaces the load-derived per-runtime
-	// arrival rate of the fleet stage with this absolute rate
-	// (arrivals/sec).
-	ChurnRate float64
-	// ForkMode restricts the fleet stage to one instantiation mode
-	// (cold, eager, cow, lazy; "" = all).
-	ForkMode string
-}
-
 // ServerlessCalibration is one runtime's measured instantiation costs:
 // virtual time from a bare machine to the first completed invocation,
 // per path.
@@ -453,7 +437,7 @@ func serverlessFleetModes(sel string) ([]string, error) {
 
 // RunServerless executes the serverless experiment. Deterministic: the
 // same opts produce the same report, byte for byte, for any Parallel.
-func RunServerless(o ServerlessOpts) (*ServerlessReport, error) {
+func RunServerless(o Options) (*ServerlessReport, error) {
 	shape := serverlessFleet.at(o.Scale, o.Nodes)
 	modes, err := serverlessFleetModes(o.ForkMode)
 	if err != nil {

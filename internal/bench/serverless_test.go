@@ -11,7 +11,7 @@ import (
 // eager restore's below the cold boot's — holds off the committed fleet
 // size too.
 func TestServerlessColdStartOrdering(t *testing.T) {
-	rep, err := RunServerless(ServerlessOpts{Scale: 1, Parallel: DefaultParallel(), Nodes: 10})
+	rep, err := RunServerless(Options{Scale: 1, Parallel: DefaultParallel(), Nodes: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestServerlessColdStartOrdering(t *testing.T) {
 // one instantiation mode, and an unknown mode fails before any cell
 // runs.
 func TestServerlessForkModeFilter(t *testing.T) {
-	rep, err := RunServerless(ServerlessOpts{Scale: 1, Parallel: DefaultParallel(),
+	rep, err := RunServerless(Options{Scale: 1, Parallel: DefaultParallel(),
 		Nodes: 4, ForkMode: "lazy"})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestServerlessForkModeFilter(t *testing.T) {
 			t.Fatalf("unexpected mode in filtered run: %+v", r)
 		}
 	}
-	if _, err := RunServerless(ServerlessOpts{Scale: 1, Parallel: 1, ForkMode: "warm"}); err == nil ||
+	if _, err := RunServerless(Options{Scale: 1, Parallel: 1, ForkMode: "warm"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown fork mode") {
 		t.Fatalf("bad fork mode: err = %v", err)
 	}
@@ -45,7 +45,7 @@ func TestServerlessForkModeFilter(t *testing.T) {
 
 // TestServerlessTable: the table writer renders all three sections.
 func TestServerlessTable(t *testing.T) {
-	rep, err := RunServerless(ServerlessOpts{Scale: 1, Parallel: DefaultParallel(),
+	rep, err := RunServerless(Options{Scale: 1, Parallel: DefaultParallel(),
 		Nodes: 4, ForkMode: "cow"})
 	if err != nil {
 		t.Fatal(err)

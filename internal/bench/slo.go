@@ -59,18 +59,6 @@ const (
 	sloWindowStride = 4
 )
 
-// SLOOpts parameterizes the experiment; zero values mean the
-// committed-artifact defaults.
-type SLOOpts struct {
-	Scale    int
-	Parallel int
-	// Nodes overrides the fleet size (default sloFleet.Nodes).
-	Nodes int
-	// ScrapeInterval overrides the per-cell scrape interval (default
-	// horizon/sloTicks, so every runtime gets the same tick count).
-	ScrapeInterval clock.Time
-}
-
 // SLOWindow is one (decimated) scrape window of the report's SLI
 // table.
 type SLOWindow struct {
@@ -218,7 +206,7 @@ func bundleDigest(b *telemetry.Bundle) (SLOBundleDigest, error) {
 // sloCell runs one runtime's storm cell plus its machine replay. The
 // storm takes three fifths of the nodes down at horizon/3 for a quarter
 // of the horizon.
-func sloCell(o SLOOpts, shape FleetShape, ri int, name string, costs fleet.RuntimeCosts,
+func sloCell(o Options, shape FleetShape, ri int, name string, costs fleet.RuntimeCosts,
 	kind backends.Kind, bopts backends.Options) (SLORow, []SLONamedBundle, *telemetry.Store, error) {
 	var row SLORow
 	var bundles []SLONamedBundle
@@ -424,9 +412,11 @@ func sloWindows(st *telemetry.Store, name string) []SLOWindow {
 	return out
 }
 
-// RunSLO executes the slo experiment. Deterministic: the same opts
-// produce the same report, byte for byte, for any Parallel.
-func RunSLO(o SLOOpts) (*SLOReport, error) {
+// RunSLO executes the slo experiment and writes the per-runtime
+// timelines to o.SLOOut and the postmortem bundles to o.BundleOut.
+// Deterministic: the same opts produce the same report, byte for byte,
+// for any Parallel.
+func RunSLO(o Options) (*SLOReport, error) {
 	shape := sloFleet.at(o.Scale, o.Nodes)
 	specs := runtimeSpecs()
 	costs, cal, err := fleetCalibrateAll("slo", o.Parallel)
@@ -454,6 +444,16 @@ func RunSLO(o SLOOpts) (*SLOReport, error) {
 	rep.Timelines = stores
 	for _, bs := range cellBundles {
 		rep.FullBundles = append(rep.FullBundles, bs...)
+	}
+	if o.SLOOut != "" {
+		if err := WriteSLOTimelines(rep, o.SLOOut); err != nil {
+			return nil, err
+		}
+	}
+	if o.BundleOut != "" {
+		if err := WriteSLOBundles(rep, o.BundleOut); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }
@@ -603,24 +603,4 @@ func (rep *SLOReport) Invariants() error {
 		}
 	}
 	return nil
-}
-
-// runSLOArtifact runs the experiment and writes the per-runtime
-// timelines to -slo-out and the postmortem bundles to -bundle-out.
-func runSLOArtifact(o Options) (Report, error) {
-	rep, err := RunSLO(SLOOpts{Scale: o.Scale, Parallel: o.Parallel, Nodes: o.Nodes, ScrapeInterval: o.ScrapeInterval})
-	if err != nil {
-		return nil, err
-	}
-	if o.SLOOut != "" {
-		if err := WriteSLOTimelines(rep, o.SLOOut); err != nil {
-			return nil, err
-		}
-	}
-	if o.BundleOut != "" {
-		if err := WriteSLOBundles(rep, o.BundleOut); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
 }

@@ -13,7 +13,7 @@ import (
 // timeline per runtime that decodes to a populated store, and one file
 // per postmortem bundle.
 func TestSLOExperiment(t *testing.T) {
-	seq, err := RunSLO(SLOOpts{Parallel: DefaultParallel()})
+	seq, err := RunSLO(Options{Parallel: DefaultParallel()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSLOExperiment(t *testing.T) {
 // zero nodes on a one-node fleet, so FleetShape.storm clamps them to
 // one and every row still evicts.
 func TestStormAtOneNode(t *testing.T) {
-	slo, err := RunSLO(SLOOpts{Parallel: DefaultParallel(), Nodes: 1})
+	slo, err := RunSLO(Options{Parallel: DefaultParallel(), Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStormAtOneNode(t *testing.T) {
 			t.Errorf("slo: %s: the 1-node storm evicted nothing", r.Runtime)
 		}
 	}
-	tail, err := RunTail(TailOpts{Parallel: DefaultParallel(), Nodes: 1})
+	tail, err := RunTail(Options{Parallel: DefaultParallel(), Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,22 +55,43 @@ type SMPReport struct {
 // out to at most parallel goroutines. Deterministic: same scale and
 // seed, same report, byte for byte, for any parallel value.
 func RunSMPParallel(scale int, seed uint64, parallel int) (*SMPReport, error) {
-	return runSMP(scale, seed, nil, nil, parallel)
+	return runSMP(scale, seed, nil, parallel)
 }
 
-// RunSMPAuditedParallel runs the experiment with a machine-event
-// recorder attached at boot to every container in the matrix. The
-// recorder is clock-neutral, so the report matches RunSMPParallel byte
-// for byte. Every cell boots with its own recorder and the per-cell
-// logs are concatenated in cell order, so the log spans all (runtime,
-// vCPU) configurations in experiment order for any parallel value
-// (TLB-config dedup is per-machine, and machines are never shared
-// across cells).
-func RunSMPAuditedParallel(scale int, seed uint64, rec *audit.Recorder, parallel int) (*SMPReport, error) {
-	if rec != nil {
-		rec.Meta = audit.Meta{Kind: "smp", Seed: seed, Scale: scale}
+// RunSMPObserved runs the experiment with every observer attached to
+// every cell: a span recorder, flow metrics and a machine-event audit
+// recorder (attached at boot). The observers are clock-neutral, so the
+// profile's report matches RunSMPParallel byte for byte. Each cell
+// records into its own recorder and registry, assembled in cell order,
+// so the spans, metrics and audit log are byte-identical for any
+// parallel value (TLB-config dedup is per-machine, and machines are
+// never shared across cells).
+func RunSMPObserved(scale int, seed uint64, parallel int) (*SMPProfile, error) {
+	prof := &SMPProfile{reg: metrics.NewRegistry(), log: audit.NewRecorder(nil)}
+	prof.log.Meta = audit.Meta{Kind: "smp", Seed: seed, Scale: scale}
+	rep, err := runSMP(scale, seed, prof, parallel)
+	if err != nil {
+		return nil, err
 	}
-	return runSMP(scale, seed, nil, rec, parallel)
+	prof.Seed, prof.Rounds, prof.Report = rep.Seed, rep.Rounds, rep
+	return prof, nil
+}
+
+// RunSMP is the smp artifact experiment: the plain run, or the observed
+// one when o names a side output, whose files it then writes.
+func RunSMP(o Options) (*SMPReport, error) {
+	scale := max(o.Scale, 1)
+	if o.TraceOut == "" && o.SpansOut == "" && o.MetricsOut == "" && o.AuditOut == "" {
+		return RunSMPParallel(scale, SMPSeed, o.Parallel)
+	}
+	prof, err := RunSMPObserved(scale, SMPSeed, o.Parallel)
+	if err != nil {
+		return nil, err
+	}
+	if err := prof.writeFiles(o); err != nil {
+		return nil, err
+	}
+	return prof.Report, nil
 }
 
 // smpSpecs is the runtime axis of the SMP grid.
@@ -84,73 +105,65 @@ func smpSpecs() []runtimeSpec {
 	}
 }
 
-// runSMP drives the experiment, optionally capturing spans and metrics
-// into prof and machine events into rec. The observers never advance
-// the virtual clock, so the returned report is byte-identical with and
+// smpMachine is what one cell's machine stage leaves for the DES stage
+// and the assembly once its container is gone.
+type smpMachine struct {
+	runtime string
+	// service is the measured per-request service time (1-vCPU cells
+	// only).
+	service    clock.Time
+	shoot      clock.Time
+	shootdowns uint64
+	ipis       uint64
+	// The cell's observers (observed runs only).
+	run *SMPRun
+	reg *metrics.Registry
+	log *audit.Recorder
+}
+
+// runSMP drives the experiment, capturing spans, metrics and machine
+// events into prof when it is set. The observers never advance the
+// virtual clock, so the returned report is byte-identical with and
 // without them.
 //
 // The grid is executed as independent cells — one (runtime, vCPU
-// count) pair each, with its own machine, clock, observers, and (when
-// auditing) recorder — fanned out to at most parallel goroutines by
-// RunIndexed. Cell outputs land in per-cell slots and are assembled in
-// fixed cell order afterwards, so rows, spans, metrics, and audit
-// events come out byte-identical to a sequential run regardless of
-// parallel. The one cross-cell dependency — an n>1 cell needs its
-// runtime's 1-vCPU service time and base throughput for the DES stage
-// and speedup column — is carried by a per-runtime svcShare; only the
-// (cheap) DES stage waits on it, never the machine simulation.
-func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, parallel int) (*SMPReport, error) {
+// count) pair each, with its own machine, clock and observers — in two
+// RunIndexed stages fanned out to at most parallel goroutines. The
+// machine stage runs every cell's container; the DES stage then runs
+// every cell's closed loop from its runtime's 1-vCPU service time, and
+// the speedup column divides by the 1-vCPU throughput once both stages
+// are done. Cell outputs land in per-cell slots and are assembled in
+// fixed cell order, so rows, spans, metrics, and audit events come out
+// byte-identical to a sequential run regardless of parallel.
+func runSMP(scale int, seed uint64, prof *SMPProfile, parallel int) (*SMPReport, error) {
 	specs := smpSpecs()
 	rounds := 8 * scale
 	nVC := len(SMPVCPUCounts)
 	nCells := len(specs) * nVC
-	rows := make([]SMPRow, nCells)
-	var runs []*SMPRun
-	var regs []*metrics.Registry
-	var recs []*audit.Recorder
-	if prof != nil {
-		runs = make([]*SMPRun, nCells)
-		regs = make([]*metrics.Registry, nCells)
-	}
-	if rec != nil {
-		recs = make([]*audit.Recorder, nCells)
-	}
-	shares := make([]*svcShare, len(specs))
-	for i := range shares {
-		shares[i] = newSvcShare()
-	}
+	machines := make([]smpMachine, nCells)
 	err := RunIndexed(parallel, nCells, func(ci int) error {
 		s := specs[ci/nVC]
 		n := SMPVCPUCounts[ci%nVC]
-		share := shares[ci/nVC]
-		if n == 1 {
-			// If this cell errors out before publishing, release the
-			// runtime's dependents with a failure marker (publish is
-			// idempotent, so a successful publish below wins).
-			defer share.publish(0, 0, false)
-		}
+		m := &machines[ci]
 		opts := s.opts
 		opts.NumVCPU = n
-		if rec != nil {
-			recs[ci] = audit.NewRecorder(nil)
-			opts.Audit = recs[ci]
+		if prof != nil {
+			m.log = audit.NewRecorder(nil)
+			opts.Audit = m.log
 		}
 		c, err := backends.New(s.kind, opts)
 		if err != nil {
 			return fmt.Errorf("smp: boot %v x%d: %w", s.kind, n, err)
 		}
+		m.runtime = c.Name
 		var sr *trace.SpanRecorder
-		var run *SMPRun
-		var cellReg *metrics.Registry
 		if prof != nil {
-			cellReg = metrics.NewRegistry()
-			regs[ci] = cellReg
+			m.reg = metrics.NewRegistry()
 			sr = trace.NewSpanRecorder(c.Clk)
-			fm := metrics.NewFlowMetrics(cellReg,
+			fm := metrics.NewFlowMetrics(m.reg,
 				metrics.L("runtime", c.Name), metrics.L("vcpus", itoa(n)))
-			c.Attach(backends.Observers{Spans: sr, Flow: fm, Audit: opts.Audit})
-			run = &SMPRun{Runtime: c.Name, VCPUs: n}
-			runs[ci] = run
+			c.Attach(backends.Observers{Spans: sr, Flow: fm, Audit: m.log})
+			m.run = &SMPRun{Runtime: c.Name, VCPUs: n}
 		}
 		// Warm the allocator and page tables off the clock reading.
 		for i := 0; i < 4; i++ {
@@ -158,7 +171,6 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 				return err
 			}
 		}
-		var service clock.Time
 		if n == 1 {
 			// Base per-request service time, free of shootdowns.
 			start := c.Clk.Now()
@@ -167,10 +179,10 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 					return err
 				}
 			}
-			service = (c.Clk.Now() - start) / smpServiceReqs
-			if run != nil {
-				run.ServiceLoPs = int64(start)
-				run.ServiceHiPs = int64(c.Clk.Now())
+			m.service = (c.Clk.Now() - start) / smpServiceReqs
+			if m.run != nil {
+				m.run.ServiceLoPs = int64(start)
+				m.run.ServiceHiPs = int64(c.Clk.Now())
 			}
 		}
 		// Drive the container across all its vCPUs so every unmap
@@ -185,35 +197,32 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 				}
 			}
 		}
-		// Machine simulation is done; from here on only the DES stage
-		// remains, which for n>1 needs the 1-vCPU cell's outputs.
-		var tput1 float64
-		if n > 1 {
-			if !share.wait() {
-				return fmt.Errorf("smp: %v x%d: 1-vCPU cell failed", s.kind, n)
-			}
-			service, tput1 = share.service, share.tput1
-		}
-		row := SMPRow{
-			Runtime:   c.Name,
-			VCPUs:     n,
-			ServiceNs: float64(service) / float64(clock.Nanosecond),
-		}
-		var shoot clock.Time
 		if e := c.SMPEngine(); e != nil && n > 1 {
-			shoot = e.Stats.MeanShootdown()
-			row.ShootdownNs = float64(shoot) / float64(clock.Nanosecond)
-			row.Shootdowns = e.Stats.Shootdowns
-			row.IPIsSent = e.Stats.IPIsSent
-			if run != nil {
-				run.Shootdowns = e.Stats.Shootdowns
-				run.ShootdownTotalPs = int64(e.Stats.TotalLatency)
+			m.shoot = e.Stats.MeanShootdown()
+			m.shootdowns = e.Stats.Shootdowns
+			m.ipis = e.Stats.IPIsSent
+			if m.run != nil {
+				m.run.Shootdowns = e.Stats.Shootdowns
+				m.run.ShootdownTotalPs = int64(e.Stats.TotalLatency)
 			}
 		}
 		if prof != nil {
-			run.Spans = sr.Spans()
-			c.CollectMetrics(cellReg, metrics.L("vcpus", itoa(n)))
+			m.run.Spans = sr.Spans()
+			c.CollectMetrics(m.reg, metrics.L("vcpus", itoa(n)))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// The DES stage. SMPVCPUCounts starts at 1, so a runtime's 1-vCPU
+	// cell is the first of its nVC.
+	rows := make([]SMPRow, nCells)
+	err = RunIndexed(parallel, nCells, func(ci int) error {
+		m := &machines[ci]
+		n := SMPVCPUCounts[ci%nVC]
+		service := machines[ci-ci%nVC].service
 		// Closed-loop throughput: one shootdown per retired request
 		// (each unmaps one resident page); siblings lose roughly the
 		// remote handler's share of the measured latency.
@@ -226,72 +235,53 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, rec *audit.Recorder, paral
 		}
 		if n > 1 {
 			sl.ShootdownEvery = 1
-			sl.ShootdownStall = shoot
-			sl.RemoteStall = shoot / 2
+			sl.ShootdownStall = m.shoot
+			sl.RemoteStall = m.shoot / 2
 		}
-		if prof != nil {
-			h := cellReg.Histogram("smp_request_latency_ns",
+		if m.reg != nil {
+			h := m.reg.Histogram("smp_request_latency_ns",
 				"Closed-loop response latency in the DES throughput model.", nil,
-				metrics.L("runtime", c.Name), metrics.L("vcpus", itoa(n)))
+				metrics.L("runtime", m.runtime), metrics.L("vcpus", itoa(n)))
 			sl.Observe = h.Observe
 		}
 		ops, _, _ := sl.Throughput()
-		row.Throughput = ops
-		if n == 1 {
-			tput1 = ops
-			share.publish(service, ops, true)
+		rows[ci] = SMPRow{
+			Runtime:     m.runtime,
+			VCPUs:       n,
+			ServiceNs:   float64(service) / float64(clock.Nanosecond),
+			ShootdownNs: float64(m.shoot) / float64(clock.Nanosecond),
+			Shootdowns:  m.shootdowns,
+			IPIsSent:    m.ipis,
+			Throughput:  ops,
 		}
-		if tput1 > 0 {
-			row.Speedup = ops / tput1
-		}
-		rows[ci] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for ci := range rows {
+		if base := rows[ci-ci%nVC].Throughput; base > 0 {
+			rows[ci].Speedup = rows[ci].Throughput / base
+		}
+	}
+
 	// Assemble per-cell outputs in fixed cell order, reproducing the
 	// sequential artifacts byte for byte.
 	rep := &SMPReport{Seed: seed, Rounds: rounds, Rows: rows}
 	if prof != nil {
-		prof.Runs = append(prof.Runs, runs...)
-		for _, r := range regs {
-			prof.reg.Merge(r)
-		}
-	}
-	if rec != nil {
 		total := 0
-		for _, r := range recs {
-			total += r.Len()
+		for i := range machines {
+			m := &machines[i]
+			prof.Runs = append(prof.Runs, m.run)
+			prof.reg.Merge(m.reg)
+			total += m.log.Len()
 		}
-		rec.Reserve(total)
-		for _, r := range recs {
-			rec.AppendFrom(r)
+		prof.log.Reserve(total)
+		for i := range machines {
+			prof.log.AppendFrom(machines[i].log)
 		}
 	}
 	return rep, nil
-}
-
-// runSMPArtifact runs the experiment under whichever observers the side
-// outputs need; the report is byte-identical either way, because the
-// observers never advance the virtual clock.
-func runSMPArtifact(o Options) (Report, error) {
-	switch {
-	case o.TraceOut != "" || o.SpansOut != "" || o.MetricsOut != "":
-		prof, err := RunSMPProfiledParallel(o.Scale, SMPSeed, o.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		return prof.Report, prof.writeFiles(o)
-	case o.AuditOut != "":
-		rec := audit.NewRecorder(nil)
-		rep, err := RunSMPAuditedParallel(o.Scale, SMPSeed, rec, o.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		return rep, rec.WriteFile(o.AuditOut)
-	}
-	return RunSMPParallel(o.Scale, SMPSeed, o.Parallel)
 }
 
 // WriteTable renders the report as the scaling table.

@@ -294,11 +294,13 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 	return row, blob, nil
 }
 
-// RunSnapshot executes the snapshot experiment: one independent cell
-// per runtime, fanned out to at most parallel goroutines. Deterministic:
-// same scale and interval, byte-identical report and checkpoint blobs
-// for any parallel value.
-func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
+// RunSnapshot executes the snapshot experiment, one independent cell
+// per runtime fanned out to at most o.Parallel goroutines, and writes
+// the CKI cell's checkpoint image to o.SnapOut. Deterministic: same
+// scale and interval, byte-identical report and checkpoint blobs for
+// any parallel value.
+func RunSnapshot(o Options) (*SnapshotReport, error) {
+	scale, interval := max(o.Scale, 1), max(o.Interval, 1)
 	specs := runtimeSpecs()
 	rep := &SnapshotReport{
 		Scale:    scale,
@@ -306,7 +308,7 @@ func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
 		Rows:     make([]SnapshotRow, len(specs)),
 		blobs:    make([][]byte, len(specs)),
 	}
-	err := RunIndexed(parallel, len(specs), func(i int) error {
+	err := RunIndexed(o.Parallel, len(specs), func(i int) error {
 		row, blob, err := snapshotCell(specs[i].kind, specs[i].opts, scale, interval)
 		if err != nil {
 			return err
@@ -318,21 +320,16 @@ func RunSnapshot(scale, parallel, interval int) (*SnapshotReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	if o.SnapOut != "" {
+		blob := rep.CheckpointBlob("CKI-BM")
+		if blob == nil {
+			return nil, errors.New("snapshot: no CKI checkpoint in report")
+		}
+		if err := os.WriteFile(o.SnapOut, blob, 0o644); err != nil {
+			return nil, err
+		}
+	}
 	return rep, nil
-}
-
-// runSnapshotArtifact runs the experiment and writes the CKI cell's
-// checkpoint image to -snap-out.
-func runSnapshotArtifact(o Options) (Report, error) {
-	rep, err := RunSnapshot(o.Scale, o.Parallel, max(o.Interval, 1))
-	if err != nil || o.SnapOut == "" {
-		return rep, err
-	}
-	blob := rep.CheckpointBlob("CKI-BM")
-	if blob == nil {
-		return nil, errors.New("snapshot: no CKI checkpoint in report")
-	}
-	return rep, os.WriteFile(o.SnapOut, blob, 0o644)
 }
 
 // WriteTable renders the report as a table.

@@ -46,15 +46,6 @@ const (
 	tailTopK = 3
 )
 
-// TailOpts parameterizes the experiment; zero values mean the
-// committed-artifact defaults.
-type TailOpts struct {
-	Scale    int
-	Parallel int
-	// Nodes overrides the fleet size (default tailFleet.Nodes).
-	Nodes int
-}
-
 // TailComponents is one request's latency decomposed into causal
 // components. All durations are picoseconds — the virtual clock's own
 // unit — because the conservation law is exact: QueuePs + BootPs +
@@ -366,7 +357,7 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 
 // RunTail executes the tail experiment. Deterministic: the same opts
 // produce the same report, byte for byte, for any Parallel.
-func RunTail(o TailOpts) (*TailReport, error) {
+func RunTail(o Options) (*TailReport, error) {
 	shape := tailFleet.at(o.Scale, o.Nodes)
 	costs, cal, err := fleetCalibrateAll("tail", o.Parallel)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // TestTailTable: the table writer renders the attribution summary and
 // the waterfall digest without error.
 func TestTailTable(t *testing.T) {
-	rep, err := RunTail(TailOpts{Scale: 1, Parallel: DefaultParallel(), Nodes: 8})
+	rep, err := RunTail(Options{Scale: 1, Parallel: DefaultParallel(), Nodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
