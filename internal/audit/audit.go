@@ -472,18 +472,16 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// EventsFrom returns a copy of the events recorded at index n and
-// later — the incremental-cursor companion to Events, used by the
-// telemetry flight recorder to poll only what arrived since its last
+// View returns the recorded events in order as a read-only view of
+// the recorder's buffer, valid until the next Emit, Reset or
+// AppendFrom: the copy-free companion to Events, through which the
+// telemetry flight recorder polls only what arrived since its last
 // visit.
-func (r *Recorder) EventsFrom(n int) []Event {
-	if r == nil || n >= len(r.events) {
+func (r *Recorder) View() []Event {
+	if r == nil {
 		return nil
 	}
-	if n < 0 {
-		n = 0
-	}
-	return append([]Event(nil), r.events[n:]...)
+	return r.events
 }
 
 // Len reports the number of recorded events.

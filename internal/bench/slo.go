@@ -192,14 +192,14 @@ func sloNodeSpecs(mttrCeilNs float64) []telemetry.SLOSpec {
 }
 
 func bundleDigest(b *telemetry.Bundle) (SLOBundleDigest, error) {
-	data, err := b.JSON()
+	sum, err := b.Digest()
 	if err != nil {
 		return SLOBundleDigest{}, err
 	}
 	return SLOBundleDigest{
 		Reason: b.Reason, AtNs: b.AtNs,
 		Series: len(b.Series), Spans: len(b.Spans), Events: len(b.Events),
-		FNV: telemetry.FNV64a(data),
+		FNV: sum,
 	}, nil
 }
 

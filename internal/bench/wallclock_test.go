@@ -19,7 +19,7 @@ func TestRunWallclockSmoke(t *testing.T) {
 		Scale:     1,
 		Parallel:  2,
 		BenchTime: 5 * time.Millisecond,
-		Reps:      1,
+		Reps:      3,
 		Seeds:     2,
 	})
 	if err != nil {

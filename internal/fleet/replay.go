@@ -108,7 +108,8 @@ type ReplayRound struct {
 	Sup   *backends.Supervisor
 	// Recorder is trimmed after every round: it retains only the spans
 	// recorded since the previous onRound, so poll it with a Len cursor
-	// (SpansFrom) rather than reading Spans at the end.
+	// (the SpansFrom view, read before the round returns) rather than
+	// reading Spans at the end.
 	Recorder *trace.SpanRecorder
 	Metrics  *metrics.Registry
 }

@@ -36,12 +36,14 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("telemetry: bad CKITS1 data at offset %d: %s", e.Off, e.Msg)
 }
 
-// FNV64a is the artifact fingerprint hash shared by the binary
-// trailer and bundle digests.
-func FNV64a(data []byte) uint64 { return fnv64a(data) }
+// fnvOffset is the FNV-64a initial state: the artifact fingerprint
+// hash shared by the binary trailer and bundle digests.
+const fnvOffset = 0xcbf29ce484222325
 
-func fnv64a(data []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
+func fnv64a(data []byte) uint64 { return fnvUpdate(fnvOffset, data) }
+
+// fnvUpdate folds data into the running FNV-64a state h.
+func fnvUpdate(h uint64, data []byte) uint64 {
 	for _, b := range data {
 		h ^= uint64(b)
 		h *= 0x100000001b3

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/trace"
@@ -17,17 +15,19 @@ import (
 // the dumped bundle a committed-artifact candidate.
 
 // FlightRecorder keeps the last SpanDepth spans and EventDepth audit
-// events seen through Poll.
+// events seen through Poll, in two fixed-capacity rings.
 type FlightRecorder struct {
 	// Node and Runtime label every bundle this recorder dumps.
 	Node    int
 	Runtime string
 
+	// SpanDepth and EventDepth are the ring capacities; they are fixed
+	// once the first Poll has run.
 	SpanDepth  int
 	EventDepth int
 
-	spans   []trace.Span
-	events  []audit.Event
+	spans   ring[trace.Span]
+	events  ring[audit.Event]
 	spanCur int
 	evCur   int
 }
@@ -50,44 +50,75 @@ func NewFlightRecorder(spanDepth, eventDepth int) *FlightRecorder {
 	return &FlightRecorder{SpanDepth: spanDepth, EventDepth: eventDepth}
 }
 
-func trimSpans(s []trace.Span, depth int) []trace.Span {
-	if len(s) > depth {
-		return append(s[:0], s[len(s)-depth:]...)
-	}
-	return s
+// ring is a FIFO of at most depth entries in one slab, allocated by
+// the first push: it fills the slab, then each push overwrites the
+// oldest entries in place.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest entry once the ring is full
 }
 
-func trimEvents(s []audit.Event, depth int) []audit.Event {
-	if len(s) > depth {
-		return append(s[:0], s[len(s)-depth:]...)
+// push adds the newest min(len(src), depth) entries of src.
+func (r *ring[T]) push(src []T, depth int) {
+	if len(src) == 0 {
+		return
 	}
-	return s
+	if r.buf == nil {
+		r.buf = make([]T, 0, depth)
+	}
+	if len(src) > depth {
+		src = src[len(src)-depth:]
+	}
+	if room := depth - len(r.buf); room > 0 {
+		n := min(room, len(src))
+		r.buf = append(r.buf, src[:n]...)
+		src = src[n:]
+	}
+	for len(src) > 0 {
+		n := copy(r.buf[r.head:], src)
+		src = src[n:]
+		r.head = (r.head + n) % depth
+	}
 }
 
-// Poll pulls everything recorded since the last Poll into the rings.
-// Either recorder may be nil. Pure observation: the sources are only
-// read, and nothing advances any clock.
+// halves returns the ring's contents in order as two views: the
+// older entries, then the newer.
+func (r *ring[T]) halves() (older, newer []T) {
+	return r.buf[r.head:], r.buf[:r.head]
+}
+
+// contents returns a copy of the ring's contents, oldest first; nil
+// while the ring is empty.
+func (r *ring[T]) contents() []T {
+	older, newer := r.halves()
+	return append(append([]T(nil), older...), newer...)
+}
+
+// Poll copies everything recorded since the last Poll into the rings,
+// reading the recorders' retained entries in place. Either recorder
+// may be nil. Pure observation: the sources are only read, and nothing
+// advances any clock.
 func (f *FlightRecorder) Poll(sr *trace.SpanRecorder, ar *audit.Recorder) {
 	if f == nil {
 		return
 	}
 	if sr != nil {
-		f.spans = append(f.spans, sr.SpansFrom(f.spanCur)...)
+		f.spans.push(sr.SpansFrom(f.spanCur), f.SpanDepth)
 		f.spanCur = sr.Len()
-		f.spans = trimSpans(f.spans, f.SpanDepth)
 	}
 	if ar != nil {
-		f.events = append(f.events, ar.EventsFrom(f.evCur)...)
+		if ev := ar.View(); f.evCur < len(ev) {
+			f.events.push(ev[f.evCur:], f.EventDepth)
+		}
 		f.evCur = ar.Len()
-		f.events = trimEvents(f.events, f.EventDepth)
 	}
 }
 
-// Spans returns the current span ring contents (oldest first).
-func (f *FlightRecorder) Spans() []trace.Span { return f.spans }
+// Spans returns a copy of the span ring's contents (oldest first).
+func (f *FlightRecorder) Spans() []trace.Span { return f.spans.contents() }
 
-// Events returns the current audit ring contents (oldest first).
-func (f *FlightRecorder) Events() []audit.Event { return f.events }
+// Events returns a copy of the audit ring's contents (oldest first).
+func (f *FlightRecorder) Events() []audit.Event { return f.events.contents() }
 
 // BundleEvent is one audit record rendered for a bundle.
 type BundleEvent struct {
@@ -155,29 +186,38 @@ func (f *FlightRecorder) Dump(reason string, at clock.Time, alert *Alert, st *St
 			}
 		}
 	}
+	b.Spans, b.Events = []trace.Span{}, []BundleEvent{}
 	if f != nil {
-		// The span filter is the same one behind ckitrace -since/-until.
-		b.Spans = trace.FilterSpans(f.spans, since, at)
-		for _, e := range f.events {
-			if e.At < since || e.At > at {
-				continue
-			}
-			b.Events = append(b.Events, BundleEvent{
-				AtPs: int64(e.At), Kind: e.Kind.String(),
-				VCPU: int(e.VCPU), Detail: e.Detail(),
+		// The span window is the same one behind ckitrace -since/-until.
+		b.Spans = collect(&f.spans, func(s *trace.Span) bool { return s.StartsIn(since, at) },
+			func(s *trace.Span) trace.Span { return *s })
+		b.Events = collect(&f.events, func(e *audit.Event) bool { return e.At >= since && e.At <= at },
+			func(e *audit.Event) BundleEvent {
+				return BundleEvent{AtPs: int64(e.At), Kind: e.Kind.String(), VCPU: int(e.VCPU), Detail: e.Detail()}
 			})
-		}
-	}
-	if b.Spans == nil {
-		b.Spans = []trace.Span{}
-	}
-	if b.Events == nil {
-		b.Events = []BundleEvent{}
 	}
 	return b
 }
 
-// JSON renders the bundle as deterministic indented JSON.
-func (b *Bundle) JSON() ([]byte, error) {
-	return json.MarshalIndent(b, "", "  ")
+// collect converts the ring entries that keep accepts, oldest first,
+// into a slice sized exactly.
+func collect[T, U any](r *ring[T], keep func(*T) bool, conv func(*T) U) []U {
+	older, newer := r.halves()
+	n := 0
+	for _, h := range [2][]T{older, newer} {
+		for i := range h {
+			if keep(&h[i]) {
+				n++
+			}
+		}
+	}
+	out := make([]U, 0, n)
+	for _, h := range [2][]T{older, newer} {
+		for i := range h {
+			if keep(&h[i]) {
+				out = append(out, conv(&h[i]))
+			}
+		}
+	}
+	return out
 }

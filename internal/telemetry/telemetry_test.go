@@ -69,6 +69,53 @@ func TestScrapeKinds(t *testing.T) {
 	}
 }
 
+// TestScrapeSeriesRegisteredMidRun: a series registered between
+// scrapes shifts the Visit position of every series after it; each
+// scrape must still land every window on its own series, none
+// duplicated, with counter deltas and histogram window counts intact.
+func TestScrapeSeriesRegisteredMidRun(t *testing.T) {
+	reg := metrics.NewRegistry()
+	a1 := reg.Counter("a_total", "", metrics.L("x", "1"))
+	g := reg.Gauge("g", "")
+	h := reg.Histogram("h_ns", "", []int64{100, 200})
+	var a0 *metrics.Counter
+	st := NewStore(clock.Microsecond, 0)
+	scrapeN(st, reg, 12, func(tick int) {
+		switch tick {
+		case 4: // lands before g and h in Visit order
+			a0 = reg.Counter("a_total", "", metrics.L("x", "0"))
+		case 8: // a late label set on the last family
+			reg.Histogram("h_ns", "", []int64{100, 200}, metrics.L("y", "late"))
+		}
+		a1.Add(1)
+		if a0 != nil {
+			a0.Add(10)
+		}
+		g.Set(float64(tick))
+		h.Observe(150 * clock.Nanosecond)
+	})
+	if n := len(st.Series()); n != 5 {
+		t.Fatalf("%d series stored, want 5", n)
+	}
+	check := func(name string, sel map[string]string, n int, ok func(i int, w Window) bool) {
+		t.Helper()
+		s := st.Lookup(name, sel)
+		if s == nil || len(s.Windows) != n {
+			t.Fatalf("%s%v: %+v, want %d windows", name, sel, s, n)
+		}
+		for i, w := range s.Windows {
+			if !ok(i, w) {
+				t.Errorf("%s%v window %d wrong: %+v", name, sel, i, w)
+			}
+		}
+	}
+	check("a_total", map[string]string{"x": "1"}, 12, func(i int, w Window) bool { return w.Delta == 1 && w.Total == float64(i+1) })
+	check("a_total", map[string]string{"x": "0"}, 8, func(i int, w Window) bool { return w.Delta == 10 && w.Tick == i+4 })
+	check("g", nil, 12, func(i int, w Window) bool { return w.Value == float64(i) })
+	check("h_ns", map[string]string{}, 12, func(i int, w Window) bool { return w.Count == 1 && w.Total == float64(i+1) })
+	check("h_ns", map[string]string{"y": "late"}, 4, func(i int, w Window) bool { return w.Count == 0 && w.Tick == i+8 })
+}
+
 // TestRingEviction: the store keeps exactly Depth windows per series
 // and FirstTick tracks what was dropped.
 func TestRingEviction(t *testing.T) {
@@ -92,6 +139,20 @@ func TestRingEviction(t *testing.T) {
 	// Totals stay cumulative across evictions.
 	if s.Windows[0].Total != 7 || s.Windows[0].Delta != 1 {
 		t.Fatalf("post-eviction window 0: %+v", s.Windows[0])
+	}
+	// Many evictions later the ring still holds exactly the newest
+	// Depth windows in tick order.
+	for tick := 10; tick < 100; tick++ {
+		c.Inc()
+		st.Scrape(reg, clock.Time(tick+1)*st.Interval)
+		if len(s.Windows) != 4 || s.FirstTick != tick-3 {
+			t.Fatalf("tick %d: %d windows from tick %d", tick, len(s.Windows), s.FirstTick)
+		}
+		for i, w := range s.Windows {
+			if w.Tick != s.FirstTick+i || w.Total != float64(w.Tick+1) {
+				t.Fatalf("tick %d: window %d is %+v", tick, i, w)
+			}
+		}
 	}
 }
 
@@ -403,8 +464,9 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder: the rings bound memory, Poll is incremental, and
-// Dump captures exactly the tail around the instant.
+// TestFlightRecorder: the rings bound memory, Poll is incremental (one
+// entry at a time or in a batch larger than the rings), and Dump
+// captures exactly the tail around the instant.
 func TestFlightRecorder(t *testing.T) {
 	clk := &clock.Clock{}
 	sr := trace.NewSpanRecorder(clk)
@@ -427,7 +489,6 @@ func TestFlightRecorder(t *testing.T) {
 	if fr.Spans()[0].At != 12*clock.Microsecond {
 		t.Fatalf("oldest retained span at %v", fr.Spans()[0].At)
 	}
-
 	reg := metrics.NewRegistry()
 	c := reg.Counter("reqs_total", "")
 	st := NewStore(clock.Microsecond, 0)
@@ -469,6 +530,28 @@ func TestFlightRecorder(t *testing.T) {
 	if b2.Alert != a || b2.Reason != "alert" {
 		t.Fatalf("alert bundle wrong: %+v", b2)
 	}
+
+	// One batch larger than the depth keeps only its newest entries.
+	if fr.Events()[0].A != 12 {
+		t.Fatalf("oldest retained event is #%d, want #12", fr.Events()[0].A)
+	}
+	var batch clock.Time
+	for i := 20; i < 40; i++ {
+		id := sr.Begin("req")
+		ar.Emit(audit.EvSyscall, 0, 0, uint64(i), 0, 0)
+		if i == 32 {
+			batch = clk.Now()
+		}
+		clk.Advance(clock.Microsecond)
+		sr.End(id)
+	}
+	fr.Poll(sr, ar)
+	if sp, ev := fr.Spans(), fr.Events(); len(sp) != 8 || len(ev) != 8 ||
+		sp[0].At != batch || ev[0].A != 32 || ev[7].A != 39 {
+		t.Fatalf("after a 20-entry batch the rings hold %d spans from %v and %d events %+v; want 8 from %v and events 32..39",
+			len(sp), sp[0].At, len(ev), ev, batch)
+	}
+
 }
 
 // TestScrapeDeterminism: two identical scrape sequences produce

@@ -133,17 +133,20 @@ func (r *SpanRecorder) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// SpansFrom returns a copy of the retained spans with ID n and later.
+// SpansFrom returns the retained spans with ID n and later as a
+// read-only view of the recorder's buffer, valid until the next Begin,
+// EmitAt, Trim or Reset: a caller that keeps spans copies them.
 // Telemetry pollers use it as an incremental cursor: remember Len(),
-// then fetch only what arrived since.
+// then read only what arrived since.
 func (r *SpanRecorder) SpansFrom(n int) []Span {
-	if r == nil || n >= r.Len() {
+	if r == nil {
 		return nil
 	}
-	if n < r.base {
-		n = r.base
+	n = max(n, r.base)
+	if n >= r.Len() {
+		return nil
 	}
-	return append([]Span(nil), r.spans[n-r.base:]...)
+	return r.spans[n-r.base:]
 }
 
 // Len reports the number of spans ever recorded, trimmed ones included:
@@ -157,7 +160,8 @@ func (r *SpanRecorder) Len() int {
 
 // Trim drops every retained span older than the oldest still-open one,
 // keeping the buffer's capacity, so a long run whose readers only poll
-// new spans (SpansFrom with a Len cursor) records in bounded memory.
+// new spans (the SpansFrom view with a Len cursor) records in bounded
+// memory.
 // IDs, Parent links and Len are unaffected: a trimmed recorder yields
 // exactly the spans an untrimmed one would from the cursor on.
 func (r *SpanRecorder) Trim() {
@@ -224,19 +228,27 @@ func RootsIn(spans []Span, lo, hi clock.Time) []Span {
 	return out
 }
 
-// FilterSpans returns the spans whose start time falls in
-// [since, until]; until == 0 means unbounded above. Order is preserved.
-// It backs ckitrace -since/-until and the flight-recorder dump path.
+// StartsIn reports whether the span's start time falls in
+// [since, until]; until == 0 means unbounded above. It is the window
+// behind ckitrace -since/-until and the flight-recorder dump path.
+func (s *Span) StartsIn(since, until clock.Time) bool {
+	return s.At >= since && (until == 0 || s.At <= until)
+}
+
+// FilterSpans returns the spans that start in [since, until] (see
+// StartsIn), in order, in a slice sized exactly.
 func FilterSpans(spans []Span, since, until clock.Time) []Span {
-	out := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if s.At < since {
-			continue
+	n := 0
+	for i := range spans {
+		if spans[i].StartsIn(since, until) {
+			n++
 		}
-		if until != 0 && s.At > until {
-			continue
+	}
+	out := make([]Span, 0, n)
+	for i := range spans {
+		if spans[i].StartsIn(since, until) {
+			out = append(out, spans[i])
 		}
-		out = append(out, s)
 	}
 	return out
 }

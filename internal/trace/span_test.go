@@ -125,9 +125,9 @@ func TestEmitAtIsAsync(t *testing.T) {
 
 // A trimmed recorder is indistinguishable from an untrimmed one through
 // its cursor API: the same IDs, Parent links and Len, and the same
-// SpansFrom answers for every cursor at or past the trim point. A span
-// left open across a Trim is retained and closes with its full
-// duration.
+// SpansFrom answers for every cursor at or past the trim point, each a
+// view of the recorder's own buffer rather than a copy. A span left
+// open across a Trim is retained and closes with its full duration.
 func TestTrimMatchesUntrimmed(t *testing.T) {
 	full, trimmed := NewSpanRecorder(&clock.Clock{}), NewSpanRecorder(&clock.Clock{})
 	both := func(f func(r *SpanRecorder) int) {
@@ -162,6 +162,9 @@ func TestTrimMatchesUntrimmed(t *testing.T) {
 		got, want := trimmed.SpansFrom(cursor), full.SpansFrom(cursor)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: SpansFrom(%d)\n got %+v\nwant %+v", round, cursor, got, want)
+		}
+		if len(got) == 0 || &got[0] != &trimmed.spans[cursor-trimmed.base] {
+			t.Fatalf("round %d: SpansFrom(%d) is not a view of the retained buffer", round, cursor)
 		}
 		if ret := trimmed.Spans(); len(ret) > 0 &&
 			!reflect.DeepEqual(ret, full.Spans()[full.Len()-len(ret):]) {
