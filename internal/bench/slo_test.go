@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,11 +14,27 @@ import (
 
 // TestSLOExperiment pins the experiment's side outputs: one CKITS1
 // timeline per runtime that decodes to a populated store, and one file
-// per postmortem bundle.
+// per postmortem bundle, each written and digested from exactly the
+// bytes json.MarshalIndent gives, the bundle encoder's oracle.
 func TestSLOExperiment(t *testing.T) {
 	seq, err := RunSLO(Options{Parallel: DefaultParallel()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, nb := range seq.FullBundles {
+		want, err := json.MarshalIndent(nb.Bundle, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := nb.Bundle.JSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s bundle %d: Bundle.JSON differs from MarshalIndent (err %v)", nb.Runtime, i, err)
+		}
+		h := fnv.New64a()
+		h.Write(want)
+		if sum, err := nb.Bundle.Digest(); err != nil || sum != h.Sum64() {
+			t.Errorf("%s bundle %d: Digest %#x (err %v), want %#x", nb.Runtime, i, sum, err, h.Sum64())
+		}
 	}
 
 	// The writers must emit one timeline per runtime and one file per
