@@ -69,9 +69,9 @@ func (f ForkMode) String() string {
 type forkPages struct {
 	c     *Container
 	store *snapshot.PageStore
-	// digests indexes the forked image's resident pages (rewritten
-	// PCIDs) by content digest.
-	digests map[snapshot.PageKey]uint64
+	// digests is the snapshot's digest index, shared by every fork of
+	// it; it resolves the fork's rewritten PCIDs by ASID.
+	digests *snapshot.DigestIndex
 	// local: shared pages are backed by container-owned frames rather
 	// than the store's masters (HVM/PVM private guest memory, CKI
 	// ownership validation).
@@ -79,7 +79,7 @@ type forkPages struct {
 }
 
 func (fp *forkPages) Frame(pcid uint16, va uint64) (mem.PFN, bool, error) {
-	digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]
+	digest, ok := fp.digests.Digest(pcid, va)
 	if !ok {
 		return 0, false, fmt.Errorf("backends: fork share for unknown page pcid %#x va %#x", pcid, va)
 	}
@@ -102,13 +102,13 @@ func (fp *forkPages) Frame(pcid uint16, va uint64) (mem.PFN, bool, error) {
 }
 
 func (fp *forkPages) Break(pcid uint16, va uint64) {
-	if digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]; ok {
+	if digest, ok := fp.digests.Digest(pcid, va); ok {
 		fp.store.Break(digest)
 	}
 }
 
 func (fp *forkPages) Release(pcid uint16, va uint64) {
-	if digest, ok := fp.digests[snapshot.PageKey{PCID: pcid, VA: va}]; ok {
+	if digest, ok := fp.digests.Digest(pcid, va); ok {
 		fp.store.Release(digest)
 	}
 }
@@ -158,16 +158,21 @@ func prefetchSet(vcpus []snapshot.VCPUImage) map[uint64]struct{} {
 }
 
 // ForkFromSnapshot boots container newID on machine m from snap,
-// sharing resident pages through store according to mode. The store
-// must belong to m (its masters live in m's host memory) and newID must
-// not collide with a live container. The fork's post-boot state is NOT
-// fingerprint-checked against the snapshot — its PCIDs differ by
-// construction and a lazy fork is deliberately not fully resident; see
-// (*Container).FlushedFingerprint for the equality that is checked by
-// tests after full touch-in.
-func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, store *snapshot.PageStore, newID int, mode ForkMode) (*Container, error) {
+// sharing resident pages through store according to mode. idx is
+// snap's digest index (snapshot.NewDigestIndex), built once and passed
+// to every fork of snap; ForkEager reads no index and accepts nil. The
+// store must belong to m (its masters live in m's host memory) and
+// newID must not collide with a live container. The fork's post-boot
+// state is NOT fingerprint-checked against the snapshot — its PCIDs
+// differ by construction and a lazy fork is deliberately not fully
+// resident; see (*Container).FlushedFingerprint for the equality that
+// is checked by tests after full touch-in.
+func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, idx *snapshot.DigestIndex, store *snapshot.PageStore, newID int, mode ForkMode) (*Container, error) {
 	if newID<<8 > 0xff00 || newID < 1 {
 		return nil, fmt.Errorf("backends: fork container ID %d outside the PCID group range", newID)
+	}
+	if mode != ForkEager && (idx == nil || !idx.Of(snap)) {
+		return nil, fmt.Errorf("backends: %v fork needs the snapshot's own digest index", mode)
 	}
 	opts := OptionsFromConfig(snap.Config)
 	c, err := NewOnMachine(m, Kind(snap.Config.Kind), opts, newID)
@@ -193,7 +198,7 @@ func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, store *snapshot.PageS
 		c.K.ForkSrc = &forkPages{
 			c:       c,
 			store:   store,
-			digests: snapshot.ImageDigests(img),
+			digests: idx,
 			local:   c.K.Mem != m.HostMem || c.Kind == CKI,
 		}
 	}
@@ -261,6 +266,10 @@ func Discard(m *Machine, c *Container) error {
 	}
 	m.FlushContainerTLB(k.ContainerID)
 	m.HostMem.FreeOwned(k.ContainerID)
-	m.HostMem.FreeOwned(cki.KSMOwner(k.ContainerID))
+	if c.Kind == CKI {
+		// Only a KSM allocates under KSMOwner; each FreeOwned walks
+		// every allocated chunk of host memory.
+		m.HostMem.FreeOwned(cki.KSMOwner(k.ContainerID))
+	}
 	return nil
 }

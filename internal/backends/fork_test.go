@@ -2,8 +2,10 @@ package backends
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"repro/internal/cki"
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -82,6 +84,7 @@ func TestForkFingerprintMatchesEagerRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			idx := snapshot.NewDigestIndex(snap)
 
 			m2 := forkMachine(t, cfg.Opts)
 			eager, err := Restore(m2, snap)
@@ -102,7 +105,7 @@ func TestForkFingerprintMatchesEagerRestore(t *testing.T) {
 				// Same ID as the snapshot on a fresh machine, so the
 				// fork's PCIDs — and thus its canonical form — are
 				// directly comparable to the eager restore's.
-				f, err := ForkFromSnapshot(m3, snap, store, snap.ContainerID, mode)
+				f, err := ForkFromSnapshot(m3, snap, idx, store, snap.ContainerID, mode)
 				if err != nil {
 					t.Fatalf("%v fork: %v", mode, err)
 				}
@@ -162,16 +165,17 @@ func TestForkSiblingTeardown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			idx := snapshot.NewDigestIndex(snap)
 			if err := Discard(m, c1); err != nil {
 				t.Fatal(err)
 			}
 
 			store := snapshot.NewPageStore(m.HostMem)
-			a, err := ForkFromSnapshot(m, snap, store, 2, ForkCOW)
+			a, err := ForkFromSnapshot(m, snap, idx, store, 2, ForkCOW)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ForkFromSnapshot(m, snap, store, 3, ForkCOW)
+			b, err := ForkFromSnapshot(m, snap, idx, store, 3, ForkCOW)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,10 +266,11 @@ func TestForkGateBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := snapshot.NewDigestIndex(snap)
 	gateCalls := func(mode ForkMode) uint64 {
 		m := forkMachine(t, Options{})
 		store := snapshot.NewPageStore(m.HostMem)
-		c, err := ForkFromSnapshot(m, snap, store, snap.ContainerID, mode)
+		c, err := ForkFromSnapshot(m, snap, idx, store, snap.ContainerID, mode)
 		if err != nil {
 			t.Fatalf("%v fork: %v", mode, err)
 		}
@@ -278,5 +283,137 @@ func TestForkGateBatch(t *testing.T) {
 	eager, cow := gateCalls(ForkEager), gateCalls(ForkCOW)
 	if cow*2 >= eager {
 		t.Fatalf("gate batching saved too little: cow fork %d gate calls vs eager %d", cow, eager)
+	}
+}
+
+// TestForkAllocs pins that a fork rehashes and recopies nothing. With
+// the snapshot's digest index built once, a second COW fork resolves
+// its shares against that same index rather than a digest map of its
+// own, and its tmpfs shares the image's bytes rather than copying them:
+// a fork plus its Discard allocates a small fraction of the template's
+// 4 MiB tmpfs.
+func TestForkAllocs(t *testing.T) {
+	const fileSize = 4 << 20
+	m := forkMachine(t, Options{})
+	c1, err := NewOnMachine(m, CKI, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := c1.K
+	fd, err := k.Open("/fn.db", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, fileSize)
+	for i := range data {
+		data[i] = byte(i*131 + i/mem.PageSize)
+	}
+	if _, err := k.Write(fd, data); err != nil {
+		t.Fatal(err)
+	}
+	ino, err := k.FS.Lookup("/fn.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := k.MmapCall(8*mem.PageSize, guest.ProtRead, ino, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.TouchRange(addr, 8*mem.PageSize, mmu.Read); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Checkpoint(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Discard(m, c1); err != nil {
+		t.Fatal(err)
+	}
+	idx := snapshot.NewDigestIndex(snap)
+	store := snapshot.NewPageStore(m.HostMem)
+	fork := func() *Container {
+		f, err := ForkFromSnapshot(m, snap, idx, store, 2, ForkCOW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	discard := func(f *Container) {
+		if err := Discard(m, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	discard(fork())
+
+	f := fork()
+	if fp, ok := f.K.ForkSrc.(*forkPages); !ok || fp.digests != idx {
+		t.Fatal("second fork does not resolve its shares against the snapshot's index")
+	}
+	fino, err := f.K.FS.Lookup("/fn.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Image.Files {
+		if fi := &snap.Image.Files[i]; fi.Path == "/fn.db" && &fino.Data[0] != &fi.Data[0] {
+			t.Fatal("second fork copied the image's file bytes at restore")
+		}
+	}
+	discard(f)
+
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		discard(fork())
+	}
+	runtime.ReadMemStats(&after)
+	if perFork := (after.TotalAlloc - before.TotalAlloc) / runs; perFork >= fileSize/4 {
+		t.Fatalf("fork+discard allocates %d B, want < %d (a quarter of the tmpfs)", perFork, fileSize/4)
+	}
+}
+
+// TestKSMOwnerOnlyUnderCKI: Discard reclaims KSMOwner frames only for
+// CKI containers, because no other runtime ever allocates one — through
+// boot, workload, checkpoint, or a COW fork and its touch-in. CKI is
+// the control: its KSM does own frames.
+func TestKSMOwnerOnlyUnderCKI(t *testing.T) {
+	set := append(AllKinds(), struct {
+		Kind Kind
+		Opts Options
+	}{GVisor, Options{}})
+	for _, cfg := range set {
+		m := forkMachine(t, cfg.Opts)
+		c1, err := NewOnMachine(m, cfg.Kind, cfg.Opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(c1.Name, func(t *testing.T) {
+			const pages = 8
+			addr := forkWorkload(t, c1, pages, 2)
+			snap, err := Checkpoint(c1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := ForkFromSnapshot(m, snap, snapshot.NewDigestIndex(snap),
+				snapshot.NewPageStore(m.HostMem), 2, ForkCOW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.K.TouchRange(addr, pages*mem.PageSize, mmu.Write); err != nil {
+				t.Fatal(err)
+			}
+			ksm := 0
+			for p := mem.PFN(0); p < mem.PFN(m.HostMem.Frames()); p++ {
+				if o := m.HostMem.Owner(p); o == cki.KSMOwner(1) || o == cki.KSMOwner(2) {
+					ksm++
+				}
+			}
+			if cfg.Kind == CKI && ksm == 0 {
+				t.Fatal("CKI containers own no KSM frames: the scan sees nothing")
+			}
+			if cfg.Kind != CKI && ksm != 0 {
+				t.Fatalf("%d frames owned by a KSM under %s", ksm, c1.Name)
+			}
+		})
 	}
 }

@@ -261,6 +261,8 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 	machine := func() (*backends.Machine, error) {
 		return backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
 	}
+	// One digest index serves every fork of the template.
+	idx := snapshot.NewDigestIndex(snap)
 
 	// Eager: restore replays every resident page, then invoke.
 	m2, err := machine()
@@ -281,7 +283,7 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 	if err != nil {
 		return nil, err
 	}
-	cw, err := backends.ForkFromSnapshot(m3, snap, snapshot.NewPageStore(m3.HostMem),
+	cw, err := backends.ForkFromSnapshot(m3, snap, idx, snapshot.NewPageStore(m3.HostMem),
 		snap.ContainerID, backends.ForkCOW)
 	if err != nil {
 		return nil, fmt.Errorf("%s: cow fork: %w", c.Name, err)
@@ -297,7 +299,7 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 	if err != nil {
 		return nil, err
 	}
-	lz, err := backends.ForkFromSnapshot(m4, snap, snapshot.NewPageStore(m4.HostMem),
+	lz, err := backends.ForkFromSnapshot(m4, snap, idx, snapshot.NewPageStore(m4.HostMem),
 		snap.ContainerID, backends.ForkLazy)
 	if err != nil {
 		return nil, fmt.Errorf("%s: lazy fork: %w", c.Name, err)
@@ -309,7 +311,7 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 	out.lazy = m4.Clk.Now()
 	out.lazyFaults = lz.K.Stats.LazyFaults
 
-	churn, err := serverlessChurnLoop(scale, c.Name, snap, addr)
+	churn, err := serverlessChurnLoop(scale, c.Name, snap, idx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +325,7 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 // oldest, then drains the window and records whether the store leaked.
 // Container IDs come from a small reused pool, like a real node's slot
 // identifiers.
-func serverlessChurnLoop(scale int, name string, snap *snapshot.Snapshot, addr uint64) (ServerlessChurn, error) {
+func serverlessChurnLoop(scale int, name string, snap *snapshot.Snapshot, idx *snapshot.DigestIndex, addr uint64) (ServerlessChurn, error) {
 	out := ServerlessChurn{Runtime: name, Forks: serverlessChurnForks * scale, Siblings: serverlessSiblings}
 	// Twice the single-container arena: the rolling window keeps
 	// several contiguous per-container segments live at once, and the
@@ -348,7 +350,7 @@ func serverlessChurnLoop(scale int, name string, snap *snapshot.Snapshot, addr u
 		if i%2 == 1 {
 			mode = backends.ForkLazy
 		}
-		f, err := backends.ForkFromSnapshot(m, snap, store, id, mode)
+		f, err := backends.ForkFromSnapshot(m, snap, idx, store, id, mode)
 		if err != nil {
 			return out, fmt.Errorf("%s: churn fork %d: %w", name, i, err)
 		}

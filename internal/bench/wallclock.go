@@ -459,8 +459,9 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 
 	// The fork-from-snapshot host hot paths: steady-state snapshot
 	// encode into a reused buffer (the supervisor's per-round
-	// checkpoint) and per-page digest resolution against the
-	// content-addressed page store (one Lookup per restored page).
+	// checkpoint), a whole COW fork, and per-page digest resolution
+	// against the content-addressed page store (one Lookup per
+	// restored page).
 	sc, err := backends.New(backends.CKI, backends.Options{TLBEntries: serverlessTLBEntries})
 	if err != nil {
 		return nil, fmt.Errorf("wallclock: snapshot boot: %w", err)
@@ -479,6 +480,30 @@ func RunWallclock(opts WallclockOpts) (*WallclockReport, error) {
 			encBuf = snapshot.EncodeTo(snap, encBuf[:0])
 		}
 	}))
+	// One CKI COW fork of the template and its Discard, with the digest
+	// index built once outside the loop as the churn loop builds it.
+	fm, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
+	if err != nil {
+		return nil, fmt.Errorf("wallclock: fork machine: %w", err)
+	}
+	fidx, fstore := snapshot.NewDigestIndex(snap), snapshot.NewPageStore(fm.HostMem)
+	var forkErr error
+	rep.Benches = append(rep.Benches, runBench("fork/cow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := backends.ForkFromSnapshot(fm, snap, fidx, fstore, 2, backends.ForkCOW)
+			if err == nil {
+				err = backends.Discard(fm, f)
+			}
+			if err != nil {
+				forkErr = err
+				return
+			}
+		}
+	}))
+	if forkErr != nil {
+		return nil, fmt.Errorf("wallclock: fork: %w", forkErr)
+	}
 	// The KSM's per-vCPU top-copy re-verification, run on every remote
 	// leg of a CKI shootdown.
 	ksm, _, _, _ := sc.CKIInternals()
@@ -648,7 +673,7 @@ func (rep *WallclockReport) Invariants() error {
 		}
 		byName[e.Name] = e
 	}
-	for _, name := range []string{"getpid_flow/RunC", "getpid_flow/CKI-BM", "smp_cell_round/RunC", "smp_cell_round/CKI-BM"} {
+	for _, name := range []string{"getpid_flow/RunC", "getpid_flow/CKI-BM", "smp_cell_round/RunC", "smp_cell_round/CKI-BM", "fork/cow"} {
 		if _, ok := byName[name]; !ok {
 			return fmt.Errorf("wallclock: missing bench entry %q", name)
 		}

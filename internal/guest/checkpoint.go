@@ -282,12 +282,16 @@ func (k *Kernel) RestoreImageMode(img *Image, mode RestoreMode, prefetch map[uin
 	k.Cur = nil
 	k.runq = nil
 
+	// Each inode shares the image's bytes until its first write copies
+	// them (capacity capped, so no append reaches past them). The
+	// virtual cost stays the copy a kernel restoring tmpfs pays.
 	k.FS.files = make(map[string]*Inode)
 	for i := range img.Files {
 		fi := &img.Files[i]
+		n := len(fi.Data)
 		k.FS.files[fi.Path] = &Inode{
 			Ino: fi.Ino, Name: fi.Path, Dir: fi.Dir, Dirty: fi.Dirty,
-			Data: append([]byte(nil), fi.Data...),
+			Data: fi.Data[:n:n], shared: true,
 		}
 		k.charge(copyCost(len(fi.Data)))
 	}

@@ -23,6 +23,10 @@ type Inode struct {
 	Dir bool
 	// Dirty models unsynced state for fsync accounting.
 	Dirty bool
+	// shared marks Data as aliasing a checkpoint image's bytes (set by
+	// restore). Images are immutable, so the inode takes a private copy
+	// before its first in-place write: grow and own do that copy.
+	shared bool
 }
 
 // Size returns the file length.
@@ -33,19 +37,29 @@ func (i *Inode) Size() uint64 { return uint64(len(i.Data)) }
 // runs out, so a run of appends copies the file O(log n) times instead
 // of once per write. The bytes between len and cap may be stale — a
 // shrinking Ftruncate keeps the capacity — which is why the new range
-// is cleared rather than assumed zero.
+// is cleared rather than assumed zero. A shared inode always copies:
+// even growth within capacity would clear bytes of the image.
 func (i *Inode) grow(size uint64) {
 	old := uint64(len(i.Data))
 	if size <= old {
 		return
 	}
-	if c := uint64(cap(i.Data)); size > c {
+	if c := uint64(cap(i.Data)); size > c || i.shared {
 		grown := make([]byte, old, max(size, 2*c))
 		copy(grown, i.Data)
 		i.Data = grown
+		i.shared = false
 	}
 	i.Data = i.Data[:size]
 	clear(i.Data[old:])
+}
+
+// own gives a shared inode private bytes before an in-place overwrite.
+func (i *Inode) own() {
+	if i.shared {
+		i.Data = append([]byte(nil), i.Data...)
+		i.shared = false
+	}
 }
 
 func newFS(k *Kernel) *FS {
@@ -219,7 +233,10 @@ func (k *Kernel) fileWrite(f *File, data []byte) (int, error) {
 			pos = ino.Size()
 		}
 		end := pos + uint64(len(data))
+		// grow copies a shared inode it extends and own one it only
+		// overwrites: one copy either way.
 		ino.grow(end)
+		ino.own()
 		copy(ino.Data[pos:end], data)
 		f.pos = end
 		ino.Dirty = true

@@ -115,6 +115,8 @@ type family struct {
 type Registry struct {
 	families []*family
 	byName   map[string]*family
+	// view is the scratch Visit refills for each series.
+	view SeriesView
 }
 
 // NewRegistry creates an empty registry.
@@ -458,14 +460,21 @@ type SeriesView struct {
 // registration order within a family. The iteration order is
 // deterministic for a deterministic workload, which is what lets a
 // telemetry scraper assign stable series identities without sorting.
-// Nil-safe: visiting a nil registry is a no-op.
-func (r *Registry) Visit(fn func(SeriesView)) {
+// Every call of fn gets the same view, refilled per series: it is valid
+// only during that call, and fn must not retain the pointer. (The view
+// lives in the registry, which, like its instruments, is not safe for
+// concurrent use.) Nil-safe: visiting a nil registry is a no-op.
+func (r *Registry) Visit(fn func(*SeriesView)) {
 	if r == nil {
 		return
 	}
+	v := &r.view
 	for _, f := range r.families {
+		v.Name, v.Kind = f.name, kindNames[f.kind]
 		for _, s := range f.series {
-			v := SeriesView{Name: f.name, Kind: kindNames[f.kind], Labels: s.labels}
+			v.Labels = s.labels
+			v.Counter, v.Value = 0, 0
+			v.Bounds, v.Counts, v.Inf, v.Sum, v.Count = nil, nil, 0, 0, 0
 			switch f.kind {
 			case kindCounter:
 				v.Counter = s.c.Value()
@@ -473,11 +482,8 @@ func (r *Registry) Visit(fn func(SeriesView)) {
 				v.Value = s.g.Value()
 			case kindHistogram:
 				if s.h != nil {
-					v.Bounds = s.h.bounds
-					v.Counts = s.h.counts
-					v.Inf = s.h.inf
-					v.Sum = s.h.sum
-					v.Count = s.h.n
+					v.Bounds, v.Counts = s.h.bounds, s.h.counts
+					v.Inf, v.Sum, v.Count = s.h.inf, s.h.sum, s.h.n
 				}
 			}
 			fn(v)

@@ -148,16 +148,21 @@ var zeroPageDigest = filePageDigest(nil, 0)
 
 // filePageDigest hashes the 4 KiB window of data at off, zero-padded
 // past the end of the file — exactly the payload a demand fault would
-// observe.
+// observe. A zero byte leaves FNV-64a's xor step unchanged, so the
+// padding costs the multiply alone.
 func filePageDigest(data []byte, off uint64) uint64 {
+	const prime = 0x100000001b3
 	h := uint64(0xcbf29ce484222325)
-	for i := uint64(0); i < mem.PageSize; i++ {
-		var b byte
-		if idx := off + i; idx < uint64(len(data)) {
-			b = data[idx]
+	n := 0
+	if off < uint64(len(data)) {
+		for _, b := range data[off:min(off+mem.PageSize, uint64(len(data)))] {
+			h ^= uint64(b)
+			h *= prime
+			n++
 		}
-		h ^= uint64(b)
-		h *= 0x100000001b3
+	}
+	for ; n < mem.PageSize; n++ {
+		h *= prime
 	}
 	return h
 }
@@ -186,8 +191,8 @@ func PageDigest(img *guest.Image, pi *guest.ProcImage, va uint64) uint64 {
 }
 
 // ImageDigests digests every resident page of the image, keyed by
-// (PCID, VA) — the index ForkFromSnapshot's share hooks resolve
-// against.
+// (PCID, VA). It is the reference DigestIndex is checked against: it
+// hashes the whole image on every call, so forks use a DigestIndex.
 func ImageDigests(img *guest.Image) map[PageKey]uint64 {
 	out := make(map[PageKey]uint64)
 	for i := range img.Procs {
@@ -197,4 +202,48 @@ func ImageDigests(img *guest.Image) map[PageKey]uint64 {
 		}
 	}
 	return out
+}
+
+// DigestIndex maps every resident page of one snapshot to its content
+// digest: the index a fork's share hooks resolve against. The image
+// never changes after capture, so the index is built once per snapshot
+// and is immutable afterwards; every fork of the snapshot, concurrent
+// ones included, reads the same index.
+//
+// Keys are (ASID, VA), the ASID being a PCID's low 8 bits. A fork moves
+// each PCID into its own container's group but keeps the ASID, so the
+// fork's container ID never enters a lookup. Within one image the ASID
+// is as unique as the PCID: every live address space of a container
+// shares the container's group.
+type DigestIndex struct {
+	snap    *Snapshot
+	digests map[asidPage]uint64
+}
+
+type asidPage struct {
+	va   uint64
+	asid uint8
+}
+
+// NewDigestIndex digests every resident page of snap once.
+func NewDigestIndex(snap *Snapshot) *DigestIndex {
+	img := &snap.Image
+	ix := &DigestIndex{snap: snap, digests: make(map[asidPage]uint64, img.ResidentPages())}
+	for i := range img.Procs {
+		p := &img.Procs[i]
+		for _, pg := range p.Resident {
+			ix.digests[asidPage{va: pg.VA, asid: uint8(p.PCID)}] = PageDigest(img, p, pg.VA)
+		}
+	}
+	return ix
+}
+
+// Of reports whether the index was built from snap.
+func (ix *DigestIndex) Of(snap *Snapshot) bool { return ix.snap == snap }
+
+// Digest returns the digest of the resident page at va of the address
+// space tagged pcid, in the snapshot's PCID group or any fork's.
+func (ix *DigestIndex) Digest(pcid uint16, va uint64) (uint64, bool) {
+	d, ok := ix.digests[asidPage{va: va, asid: uint8(pcid)}]
+	return d, ok
 }

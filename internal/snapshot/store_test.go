@@ -131,6 +131,21 @@ func TestPageDigests(t *testing.T) {
 	if filePageDigest([]byte{1}, 1) != zeroPageDigest {
 		t.Fatal("window past EOF must equal the zero page")
 	}
+	// Every window is the FNV-64a of its explicitly padded 4 KiB: a
+	// full page, one cut by EOF, and one starting past it.
+	data := make([]byte, 2*mem.PageSize+100)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	for _, off := range []uint64{0, 100, mem.PageSize, 2 * mem.PageSize, 3 * mem.PageSize} {
+		page := make([]byte, mem.PageSize)
+		if off < uint64(len(data)) {
+			copy(page, data[off:])
+		}
+		if got, want := filePageDigest(data, off), fnv64a(page); got != want {
+			t.Fatalf("window at %#x: digest %#x, want %#x", off, got, want)
+		}
+	}
 	// A file-backed VMA whose file the image does not carry reads as
 	// the zero page.
 	orphan := *img
@@ -148,6 +163,23 @@ func TestPageDigests(t *testing.T) {
 	}
 	if got := ds[PageKey{PCID: 0x101, VA: 0x7f0000000000}]; got != filePg {
 		t.Fatalf("indexed file digest %#x != %#x", got, filePg)
+	}
+
+	// The per-snapshot index answers by ASID: the same lookups from any
+	// container's PCID group, nothing for an ASID the image lacks.
+	idx := NewDigestIndex(s)
+	if !idx.Of(s) || idx.Of(sample()) {
+		t.Fatal("index does not know the snapshot it was built from")
+	}
+	for _, pcid := range []uint16{0x101, 0x201, 0xff01} {
+		for key, want := range ds {
+			if got, ok := idx.Digest(pcid, key.VA); !ok || got != want {
+				t.Fatalf("index pcid %#x va %#x = %#x, %v; want %#x", pcid, key.VA, got, ok, want)
+			}
+		}
+	}
+	if _, ok := idx.Digest(0x102, 0x1000000); ok {
+		t.Fatal("index answered for an ASID the image does not have")
 	}
 }
 

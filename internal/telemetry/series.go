@@ -217,8 +217,8 @@ func (st *Store) Scrape(reg *metrics.Registry, now clock.Time) {
 	st.lastAt = now
 	atNs := int64(now / clock.Nanosecond)
 	pos := 0
-	reg.Visit(func(v metrics.SeriesView) {
-		s := st.resolve(pos, &v)
+	reg.Visit(func(v *metrics.SeriesView) {
+		s := st.resolve(pos, v)
 		pos++
 		w := Window{Tick: tick, AtNs: atNs}
 		switch v.Kind {
