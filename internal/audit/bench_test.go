@@ -8,49 +8,6 @@ import (
 	"repro/internal/clock"
 )
 
-// BenchmarkAuditRecord measures Emit on a warm recorder — the cost every
-// instrumented hardware chokepoint pays when a log is being taken.
-func BenchmarkAuditRecord(b *testing.B) {
-	clk := new(clock.Clock)
-	r := NewRecorder(clk)
-	r.Reserve(b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Emit(EvSyscall, 0, 0x101, uint64(i), 0, 0)
-	}
-}
-
-// BenchmarkAuditRecordNil measures the disabled-observer path: with no
-// recorder attached the chokepoints must cost a branch and nothing else.
-func BenchmarkAuditRecordNil(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Emit(EvSyscall, 0, 0x101, uint64(i), 0, 0)
-	}
-}
-
-// BenchmarkAuditEncode measures the streaming binary encoder per record.
-func BenchmarkAuditEncode(b *testing.B) {
-	clk := new(clock.Clock)
-	r := NewRecorder(clk)
-	for i := 0; i < 4096; i++ {
-		r.Emit(EvPTEWrite, i%4, 0x101, uint64(i), uint64(i)*3, uint64(i)*7)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.EncodeTo(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// ns/op above covers 4096 records; report the per-record figure too.
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/record")
-}
-
 // TestAuditEmitAllocs pins the recording hot paths at zero allocations
 // in steady state: a reserved recorder, and the nil no-op recorder.
 func TestAuditEmitAllocs(t *testing.T) {

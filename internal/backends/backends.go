@@ -72,6 +72,19 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
+// Label is the report name of a container of kind booted with opts:
+// the kind, suffixed -BM or -NST for the virtualized kinds.
+func Label(kind Kind, opts Options) string {
+	switch {
+	case kind == RunC || kind == GVisor:
+		return kind.String()
+	case opts.Nested:
+		return kind.String() + "-NST"
+	default:
+		return kind.String() + "-BM"
+	}
+}
+
 // Options configures a container.
 type Options struct {
 	// Nested deploys the container inside an L1 IaaS VM (§2.2). It
@@ -290,14 +303,7 @@ func NewOnMachine(m *Machine, kind Kind, opts Options, containerID int) (*Contai
 		CPU:     m.CPU,
 		smp:     m.SMP,
 	}
-	c.Name = kind.String()
-	if kind != RunC && kind != GVisor {
-		if opts.Nested {
-			c.Name += "-NST"
-		} else {
-			c.Name += "-BM"
-		}
-	}
+	c.Name = Label(kind, opts)
 	// First attachment stage: the CPU/MMU/engine recorders go live before
 	// the boot-time register writes below, so a replay of the log starts
 	// from the same fresh-core state the live machine saw.

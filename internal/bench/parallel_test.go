@@ -6,9 +6,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/backends"
-	"repro/internal/workloads"
 )
 
 // The byte-identity contract: every artifact a grid experiment emits —
@@ -192,75 +189,5 @@ func TestRunIndexed(t *testing.T) {
 	})
 	if err != errA || calls != 3 {
 		t.Errorf("sequential error path: err=%v calls=%d, want %v after 3 calls", err, calls, errA)
-	}
-}
-
-// BenchmarkGetpidFlow measures the host cost of the trivial-syscall
-// flow per runtime — the per-simulated-instruction floor of the whole
-// simulator.
-func BenchmarkGetpidFlow(b *testing.B) {
-	for _, s := range smpSpecs() {
-		c, err := backends.New(s.kind, s.opts)
-		if err != nil {
-			b.Fatalf("boot %v: %v", s.kind, err)
-		}
-		b.Run(c.Name, func(b *testing.B) {
-			c.K.Getpid()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.K.Getpid()
-			}
-		})
-	}
-}
-
-// BenchmarkSMPCell measures one 2-vCPU grid-cell round (migrate + one
-// map/touch/unmap request per vCPU, shootdown included) per runtime —
-// the unit of work the parallel runner schedules.
-func BenchmarkSMPCell(b *testing.B) {
-	for _, s := range smpSpecs() {
-		opts := s.opts
-		opts.NumVCPU = 2
-		c, err := backends.New(s.kind, opts)
-		if err != nil {
-			b.Fatalf("boot %v x2: %v", s.kind, err)
-		}
-		for i := 0; i < 4; i++ {
-			if err := workloads.PageRequest(c.K); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for v := 0; v < 2; v++ {
-					if err := c.MigrateVCPU(v); err != nil {
-						b.Fatal(err)
-					}
-					if err := workloads.PageRequest(c.K); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSMPGrid measures the full experiment sequentially vs fanned
-// out — the wall-clock win the parallel runner exists for.
-func BenchmarkSMPGrid(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-grid benchmark in -short mode")
-	}
-	for _, par := range []int{1, 4} {
-		b.Run(map[int]string{1: "parallel1", 4: "parallel4"}[par], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunSMPParallel(1, SMPSeed, par); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -3,18 +3,21 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"testing"
 	"time"
 )
 
 // TestRunWallclockSmoke runs the wall-clock experiment at a tiny
-// measurement budget and checks its invariants — the schema plus the
-// pinned zero-allocation budgets and the flat flush curve — on the fresh
+// measurement budget and checks its invariants (one entry per table row,
+// the pinned zero-allocation budgets, the flat flush curve) on the fresh
 // report, its JSON round trip, and the committed BENCH_wallclock.json.
+// The run leaves the process's -test.benchtime as it found it.
 func TestRunWallclockSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement in -short mode")
 	}
+	benchtime := flag.Lookup("test.benchtime").Value.String()
 	rep, err := RunWallclock(WallclockOpts{
 		Scale:     1,
 		Parallel:  2,
@@ -24,6 +27,9 @@ func TestRunWallclockSmoke(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := flag.Lookup("test.benchtime").Value.String(); got != benchtime {
+		t.Errorf("-test.benchtime = %s after RunWallclock, was %s", got, benchtime)
 	}
 	if err := rep.Invariants(); err != nil {
 		t.Fatal(err)
@@ -43,5 +49,16 @@ func TestRunWallclockSmoke(t *testing.T) {
 		if err := back.Invariants(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// BenchmarkWallclock runs each wall-clock row as a sub-benchmark, the
+// way to measure or profile one layer's hot path:
+//
+//	go test ./internal/bench -run '^$' -bench 'Wallclock/fleet/arrival/1000nodes' -cpuprofile cpu.out
+func BenchmarkWallclock(b *testing.B) {
+	fx := new(wallclockFixtures)
+	for _, row := range wallclockRows(fx) {
+		b.Run(row.name, row.bench)
 	}
 }

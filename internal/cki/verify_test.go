@@ -120,14 +120,3 @@ func TestRefreshTopCopyAllocs(t *testing.T) {
 		t.Errorf("RefreshTopCopy allocates %v per run, want 0", allocs)
 	}
 }
-
-func BenchmarkRefreshTopCopy(b *testing.B) {
-	f, top, _ := refreshFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ksm.RefreshTopCopy(top, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

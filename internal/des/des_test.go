@@ -268,8 +268,8 @@ func TestSimMatchesReference(t *testing.T) {
 
 var (
 	flatService = func(int) clock.Time { return 10 * clock.Microsecond }
-	benchClosed = ClosedLoop{Clients: 64, Workers: 4, RTT: 40 * clock.Microsecond, Service: flatService, Horizon: 20 * clock.Millisecond}
-	benchSMP    = SMPLoop{
+	loopClosed  = ClosedLoop{Clients: 64, Workers: 4, RTT: 40 * clock.Microsecond, Service: flatService, Horizon: 20 * clock.Millisecond}
+	loopSMP     = SMPLoop{
 		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: flatService,
 		ShootdownEvery: 1, ShootdownStall: 2 * clock.Microsecond, RemoteStall: clock.Microsecond,
 		Horizon: 20 * clock.Millisecond,
@@ -280,7 +280,7 @@ var (
 // count: nothing per event, so a 100x longer run allocates the same.
 func TestLoopAllocs(t *testing.T) {
 	allocs := func(h clock.Time) (closed, smp float64) {
-		cl, sl := benchClosed, benchSMP
+		cl, sl := loopClosed, loopSMP
 		cl.Horizon, sl.Horizon = h, h
 		closed = testing.AllocsPerRun(3, func() { cl.Throughput() })
 		smp = testing.AllocsPerRun(3, func() { sl.Throughput() })
@@ -293,22 +293,5 @@ func TestLoopAllocs(t *testing.T) {
 	}
 	if shortSMP != longSMP {
 		t.Errorf("SMPLoop allocs: %v at 5ms, %v at 500ms; want equal", shortSMP, longSMP)
-	}
-}
-
-// benchOps keeps the benchmarked results live.
-var benchOps float64
-
-func BenchmarkClosedLoop(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchOps, _ = benchClosed.Throughput()
-	}
-}
-
-func BenchmarkSMPLoop(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchOps, _, _ = benchSMP.Throughput()
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -1125,32 +1124,6 @@ func TestRunAllocs(t *testing.T) {
 		if fixed[0] != fixed[1] || fixed[1] >= 100 {
 			t.Errorf("%s: %.0f allocs besides Latencies for ~2k arrivals, %.0f for ~20k; want equal and < 100",
 				sched.Name(), fixed[0], fixed[1])
-		}
-	}
-}
-
-// benchResult keeps the benchmarked result live.
-var benchResult *Result
-
-// BenchmarkRun runs ~20k arrivals at 50, 250 and 1000 nodes under each
-// scheduler and reports the cost per arrival, which the rank index and
-// the recycled slab keep flat in the fleet size.
-func BenchmarkRun(b *testing.B) {
-	for _, sched := range []Scheduler{BinPack{}, Spread{}} {
-		for _, nodes := range []int{50, 250, 1000} {
-			b.Run(fmt.Sprintf("%s/%d", sched.Name(), nodes), func(b *testing.B) {
-				b.ReportAllocs()
-				arrivals := 0
-				for i := 0; i < b.N; i++ {
-					res, err := Run(allocConfig(nodes, 20_000, sched))
-					if err != nil {
-						b.Fatal(err)
-					}
-					arrivals += res.Arrived
-					benchResult = res
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
-			})
 		}
 	}
 }

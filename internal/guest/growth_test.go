@@ -95,26 +95,3 @@ func TestFileAppendAllocs(t *testing.T) {
 		t.Errorf("refill after Ftruncate(0): %v allocs, want 0", refill)
 	}
 }
-
-// BenchmarkFileAppend is one 256-byte journal append; the journal is
-// truncated every 4096 records (1 MiB), as a commit does.
-func BenchmarkFileAppend(b *testing.B) {
-	k := runc(b).K
-	fd, err := k.Open("/journal", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := make([]byte, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		off := uint64(i%4096) * 256
-		if off == 0 {
-			if err := k.Ftruncate(fd, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := k.Pwrite(fd, rec, off); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

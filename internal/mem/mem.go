@@ -195,19 +195,39 @@ func (m *PhysMem) AllocSegment(n, owner int) (Segment, error) {
 	}
 	t := tagOf(owner)
 	base := m.segCursor - PFN(n)
-	// Ensure the run is genuinely free (the single-frame allocator never
-	// strays above segCursor, but a prior Free could have been misused).
+	// The run just below segCursor is free unless Alloc's rotating
+	// cursor handed out a frame there while FreeOwned had moved
+	// segCursor back up; then the segment takes the highest free run
+	// below that frame.
 	for p := base; p < m.segCursor; p++ {
 		if m.tag(p) != 0 {
-			return Segment{}, ErrFragmented
+			var ok bool
+			if base, ok = m.freeRunBelow(p, n); !ok {
+				return Segment{}, ErrFragmented
+			}
+			break
 		}
 	}
-	for p := base; p < m.segCursor; p++ {
+	for p := base; p < base+PFN(n); p++ {
 		m.chunk(p).tag[p&chunkMask] = t
 	}
 	m.inUse += n
 	m.segCursor = base
 	return Segment{Base: base, Frames: n}, nil
+}
+
+// freeRunBelow returns the base of the highest run of n free frames
+// that ends at or below top.
+func (m *PhysMem) freeRunBelow(top PFN, n int) (PFN, bool) {
+	for base, run := top, 0; base > 1; {
+		base--
+		if run++; m.tag(base) != 0 {
+			run = 0
+		} else if run == n {
+			return base, true
+		}
+	}
+	return 0, false
 }
 
 // Free releases a single frame.

@@ -238,16 +238,23 @@ func (r *refMem) AllocSegment(n, owner int) (Segment, error) {
 	if n <= 0 {
 		return Segment{}, ErrFragmented // PhysMem formats its own error here
 	}
-	if r.segCursor < PFN(n)+1 {
-		return Segment{}, ErrFragmented
-	}
-	base := r.segCursor - PFN(n)
-	for p := base; p < r.segCursor; p++ {
-		if r.allocated[p] {
+	// The highest run of n free frames below segCursor.
+	base := r.segCursor
+	for {
+		if base < PFN(n)+1 {
 			return Segment{}, ErrFragmented
 		}
+		base -= PFN(n)
+		free := true
+		for p := base; p < base+PFN(n); p++ {
+			free = free && !r.allocated[p]
+		}
+		if free {
+			break
+		}
+		base += PFN(n) - 1
 	}
-	for p := base; p < r.segCursor; p++ {
+	for p := base; p < base+PFN(n); p++ {
 		r.allocated[p] = true
 		r.owner[p] = int32(owner)
 	}
@@ -448,6 +455,43 @@ func TestSegmentCursorRecovers(t *testing.T) {
 	}
 }
 
+// Once FreeOwned has moved the segment cursor back to the top, Alloc's
+// rotating cursor can hand out a single frame in the run the next
+// segment would bump into. The segment then takes the highest free run
+// below that frame instead of failing with almost all memory free.
+func TestSegmentSkipsStrayFrame(t *testing.T) {
+	m := New(64)
+	if _, err := m.AllocSegment(8, 5); err != nil {
+		t.Fatal(err)
+	}
+	m.FreeOwned(5)
+	for {
+		p, err := m.Alloc(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == 56 {
+			break
+		}
+		if err := m.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.InUse() != 1 {
+		t.Fatalf("InUse = %d, want the one stray frame", m.InUse())
+	}
+	s, err := m.AllocSegment(8, 6)
+	if err != nil {
+		t.Fatalf("AllocSegment with 1 of 64 frames in use: %v", err)
+	}
+	if s.Base != 48 {
+		t.Errorf("segment at %d, want 48: the highest free run below frame 56", s.Base)
+	}
+	if m.Owner(56) != 1 {
+		t.Errorf("stray frame 56 owner = %d, want 1", m.Owner(56))
+	}
+}
+
 // The word accessors are the innermost loop of every page-table walk:
 // no allocation once a frame's contents exist, and none to read a frame
 // that was never written.
@@ -465,20 +509,5 @@ func TestWordAccessAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("word access allocates %v per run, want 0", allocs)
-	}
-}
-
-// benchWord keeps the benchmarked reads live.
-var benchWord uint64
-
-func BenchmarkReadWord(b *testing.B) {
-	m := New(1 << 16)
-	for p := PFN(1); p < 1<<16; p += 1 << 10 {
-		m.WriteWord(p.Addr(), uint64(p))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchWord += m.ReadWord(PFN(1+(i%64)<<10).Addr() + uint64(i%WordsPerPage)*8)
 	}
 }

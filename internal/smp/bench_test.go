@@ -9,40 +9,6 @@ import (
 	"repro/internal/mmu"
 )
 
-func newBenchEngine(b *testing.B, n int) *Engine {
-	b.Helper()
-	costs := clock.DefaultCosts()
-	m := mem.New(256)
-	cpu := hw.NewCPU(0, true)
-	unit := mmu.New(m, costs)
-	cpu.SetTLBHooks(unit.Hooks())
-	e, err := New(new(clock.Clock), costs, m, cpu, unit, n)
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	return e
-}
-
-// BenchmarkShootdown measures the full default-flow shootdown protocol
-// (bare ICR sends, native remote service) with no observers attached —
-// the path every mediated PTE downgrade pays inside a grid cell.
-func BenchmarkShootdown(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		b.Run(map[int]string{2: "2vcpu", 4: "4vcpu", 8: "8vcpu"}[n], func(b *testing.B) {
-			e := newBenchEngine(b, n)
-			targets := e.Others(0, n)
-			spec := ShootdownSpec{Initiator: 0, Targets: targets, PCID: testPCID, VA: testVA}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Shootdown(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestShootdownAllocs pins the unobserved shootdown protocol at zero
 // allocations per run: the scratch target buffer is reused and the
 // nil-observer emission paths cost a branch each.

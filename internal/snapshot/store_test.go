@@ -207,38 +207,3 @@ func TestEncodeTo(t *testing.T) {
 		t.Fatalf("EncodeTo with a warm buffer allocates %v times per call, want 0", allocs)
 	}
 }
-
-// BenchmarkSnapshotEncode measures the steady-state encode of a
-// representative snapshot into a reused buffer (the supervisor's
-// per-round checkpoint path).
-func BenchmarkSnapshotEncode(b *testing.B) {
-	s := sample()
-	buf := make([]byte, 0, Size(s))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = EncodeTo(s, buf[:0])
-	}
-	if len(buf) == 0 {
-		b.Fatal("empty encode")
-	}
-}
-
-// BenchmarkPageStoreLookup measures the fork fast path's per-page
-// digest resolution.
-func BenchmarkPageStoreLookup(b *testing.B) {
-	ps := NewPageStore(mem.New(1 << 12))
-	const digests = 512
-	for d := uint64(0); d < digests; d++ {
-		if _, err := ps.Intern(d * 0x9e3779b97f4a7c15); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := ps.Lookup(uint64(i%digests) * 0x9e3779b97f4a7c15); !ok {
-			b.Fatal("lookup miss")
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package tlb
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -11,84 +10,6 @@ import (
 func fill(tl *TLB, pcid uint16, n int) {
 	for i := 0; i < n; i++ {
 		tl.Insert(pcid, uint64(i)<<mem.PageShift, Entry{PFN: mem.PFN(i)})
-	}
-}
-
-// BenchmarkTLBLookupInsertFlush covers the four TLB operations every
-// simulated memory access can pay. All of them must stay allocation-free
-// in steady state (TestTLBHotPathAllocs pins that).
-func BenchmarkTLBLookupInsertFlush(b *testing.B) {
-	b.Run("LookupHit", func(b *testing.B) {
-		tl := New(DefaultCapacity)
-		fill(tl, 1, 1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tl.Lookup(1, uint64(i%1024)<<mem.PageShift)
-		}
-	})
-	b.Run("LookupMiss", func(b *testing.B) {
-		tl := New(DefaultCapacity)
-		fill(tl, 1, 1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tl.Lookup(1, uint64(1<<30)+uint64(i%1024)<<mem.PageShift)
-		}
-	})
-	b.Run("InsertEvict", func(b *testing.B) {
-		tl := New(DefaultCapacity)
-		fill(tl, 1, 2*DefaultCapacity) // warm to steady-state eviction
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tl.Insert(1, uint64(2*DefaultCapacity+i)<<mem.PageShift, Entry{PFN: 1})
-		}
-	})
-	b.Run("FlushPage", func(b *testing.B) {
-		tl := New(DefaultCapacity)
-		fill(tl, 1, 1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			va := uint64(i%1024) << mem.PageShift
-			tl.FlushPage(1, va)
-			tl.Insert(1, va, Entry{PFN: 1})
-		}
-	})
-	b.Run("FlushPCID", func(b *testing.B) {
-		tl := New(DefaultCapacity)
-		fill(tl, 1, DefaultCapacity/2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A small victim context amid a half-full TLB: the single-
-			// context flush the shootdown remote handlers run.
-			tl.Insert(9, uint64(i)<<mem.PageShift, Entry{PFN: 1})
-			tl.FlushPCID(9)
-		}
-	})
-}
-
-// BenchmarkTLBFlushPCIDByCapacity is the regression benchmark for the
-// old O(total-entries) single-context flush: flushing a 64-entry
-// context must cost the same whether the TLB holds 2 Ki or 64 Ki other
-// entries. Before the per-PCID index this scaled linearly with
-// occupancy (the flush walked the whole flat map).
-func BenchmarkTLBFlushPCIDByCapacity(b *testing.B) {
-	for _, capacity := range []int{2048, 16384, 65536} {
-		b.Run(fmt.Sprintf("cap%d", capacity), func(b *testing.B) {
-			tl := New(capacity)
-			fill(tl, 1, capacity-128) // background occupancy in another context
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 64; j++ {
-					tl.Insert(9, uint64(j)<<mem.PageShift, Entry{PFN: 1})
-				}
-				tl.FlushPCID(9)
-			}
-		})
 	}
 }
 

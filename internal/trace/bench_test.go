@@ -41,31 +41,6 @@ func TestObservedSpanAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanEmission measures span recording with and without an
-// attached recorder — the per-phase cost of the observability layer.
-func BenchmarkSpanEmission(b *testing.B) {
-	b.Run("nil", func(b *testing.B) {
-		var r *SpanRecorder
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := r.Begin("syscall")
-			r.End(id)
-		}
-	})
-	b.Run("observed", func(b *testing.B) {
-		clk := new(clock.Clock)
-		r := NewSpanRecorder(clk)
-		r.Reserve(b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := r.Begin("syscall")
-			r.End(id)
-		}
-	})
-}
-
 // TestTrimmedRecorderAllocs pins the bounded-memory replay pattern at
 // zero allocations: recording a round of spans, polling past them and
 // trimming reuses the same buffer forever.
