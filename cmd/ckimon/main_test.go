@@ -46,21 +46,34 @@ func TestValidateModes(t *testing.T) {
 	}
 }
 
-var binPath string
+// binPath is the built ckimon; timelines and bundles are the CKITS1
+// timelines and postmortem bundles one `ckibench -exp slo` run wrote.
+var (
+	binPath            string
+	timelines, bundles []string
+)
 
-// TestMain builds the real binary once: exit codes are asserted
-// against it directly, because `go run` collapses every failure to
-// exit 1 and would mask usage errors (2) as runtime errors (1).
+// TestMain builds the real binaries once and records the slo side
+// outputs: exit codes are asserted against the binary directly, because
+// `go run` collapses every failure to exit 1 and would mask usage
+// errors (2) as runtime errors (1).
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "ckimon-bin")
 	if err != nil {
 		panic(err)
 	}
-	binPath = filepath.Join(dir, "ckimon")
-	if out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput(); err != nil {
-		os.RemoveAll(dir)
-		panic("go build: " + err.Error() + "\n" + string(out))
+	setup := func(name string, args ...string) {
+		if out, err := exec.Command(name, args...).CombinedOutput(); err != nil {
+			os.RemoveAll(dir)
+			panic(name + ": " + err.Error() + "\n" + string(out))
+		}
 	}
+	binPath = filepath.Join(dir, "ckimon")
+	tl, pm := filepath.Join(dir, "timelines"), filepath.Join(dir, "bundles")
+	setup("go", "build", "-o", dir, ".", "../ckibench")
+	setup(filepath.Join(dir, "ckibench"), "-exp", "slo", "-slo-out", tl, "-bundle-out", pm)
+	timelines, _ = filepath.Glob(filepath.Join(tl, "*.ckits"))
+	bundles, _ = filepath.Glob(filepath.Join(pm, "*.json"))
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -110,20 +123,35 @@ func attrFixture(t *testing.T) string {
 }
 
 // TestExitCodes pins the exit-code contract: 2 for usage errors, 1
-// for runtime failures, 0 with the expected rendering otherwise.
+// for runtime failures, 0 with the expected rendering otherwise. The
+// committed BENCH_slo.json and BENCH_tail.json stand for fresh runs
+// (TestArtifactContracts keeps them byte-identical to one), and every
+// timeline and bundle of the slo run TestMain recorded must render.
 func TestExitCodes(t *testing.T) {
+	if len(timelines) == 0 || len(bundles) == 0 {
+		t.Fatalf("ckibench -exp slo wrote %d timelines and %d bundles", len(timelines), len(bundles))
+	}
 	fixture := attrFixture(t)
 	empty := filepath.Join(t.TempDir(), "empty.json")
 	if err := os.WriteFile(empty, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	full, err := os.ReadFile(timelines[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(t.TempDir(), "truncated.ckits")
+	if err := os.WriteFile(truncated, full[:len(full)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	missing := filepath.Join(t.TempDir(), "missing.json")
-	cases := []struct {
+	type exitCase struct {
 		name string
 		args []string
 		code int
 		want string
-	}{
+	}
+	cases := []exitCase{
 		{"attr renders", []string{"-attr", fixture}, 0, "who pays the tail"},
 		{"attr summary", []string{"-attr", fixture}, 0, "Tail-latency attribution"},
 		{"no mode", nil, 2, "exactly one of"},
@@ -132,6 +160,15 @@ func TestExitCodes(t *testing.T) {
 		{"attr with tail", []string{"-attr", fixture, "-tail", "5"}, 2, "refine -in"},
 		{"attr missing file", []string{"-attr", missing}, 1, "no such file"},
 		{"attr empty report", []string{"-attr", empty}, 1, "no rows"},
+		{"committed slo report", []string{"-slo", "../../BENCH_slo.json"}, 0, "SLO burn-rate alerting"},
+		{"committed tail attribution", []string{"-attr", "../../BENCH_tail.json"}, 0, "who pays the tail"},
+		{"truncated timeline", []string{"-in", truncated, "-tail", "3"}, 1, "bad CKITS1 data"},
+	}
+	for _, f := range timelines {
+		cases = append(cases, exitCase{"timeline " + filepath.Base(f), []string{"-in", f, "-tail", "3"}, 0, "earlier windows elided"})
+	}
+	for _, f := range bundles {
+		cases = append(cases, exitCase{"bundle " + filepath.Base(f), []string{"-bundle", f}, 0, "series captured"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -175,18 +175,32 @@ func tailFixture(t *testing.T) (string, string) {
 	return path, id
 }
 
+// committedTail is the committed tail report; TestArtifactContracts
+// keeps it byte-identical to a fresh `ckibench -exp tail -json` run.
+const committedTail = "../../BENCH_tail.json"
+
 // TestExitCodes pins the exit-code contract of the flow and tail modes:
 // 2 for usage errors, 1 for runtime failures, 0 with the expected
-// rendering otherwise.
+// rendering otherwise. Every request the committed tail report lists
+// must render its waterfall.
 func TestExitCodes(t *testing.T) {
 	fixture, id := tailFixture(t)
 	missing := filepath.Join(t.TempDir(), "missing.json")
-	cases := []struct {
+	code, list := run(t, "-tail", committedTail)
+	if code != 0 {
+		t.Fatalf("-tail %s: exit %d:\n%s", committedTail, code, list)
+	}
+	listed := strings.Split(strings.TrimSpace(list), "\n")[1:]
+	if len(listed) == 0 {
+		t.Fatalf("-tail %s lists no requests:\n%s", committedTail, list)
+	}
+	type exitCase struct {
 		name string
 		args []string
 		code int
 		want string
-	}{
+	}
+	cases := []exitCase{
 		{"static default", nil, 0, "TOTAL"},
 		{"smp breakdown", []string{"-in", spansPath, "-breakdown"}, 0, "TOTAL"},
 		{"smp breakdown dropped span", []string{"-in", droppedPath, "-breakdown"}, 1, "unattributed time"},
@@ -207,6 +221,15 @@ func TestExitCodes(t *testing.T) {
 		{"hvm-nst syscall", []string{"-flow", "syscall", "-runtime", "hvm-nst"}, 0, "syscall / HVM-NST"},
 		{"gvisor", []string{"-runtime", "gvisor"}, 0, "pgfault / gVisor"},
 		{"all hypercall skips runc", []string{"-flow", "hypercall", "-runtime", "all"}, 0, "hypercall / CKI"},
+		{"all syscall", []string{"-flow", "syscall"}, 0, "syscall / CKI"},
+	}
+	for _, line := range listed {
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			t.Fatalf("-tail %s: unparsable line %q", committedTail, line)
+		}
+		cases = append(cases, exitCase{"committed waterfall " + f[1],
+			[]string{"-tail", committedTail, "-request", f[1]}, 0, "request " + f[1]})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

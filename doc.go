@@ -13,10 +13,9 @@
 //	cmd/ckibench   – regenerate the paper's tables and figures
 //	cmd/ckirun     – run one workload on one container runtime
 //	cmd/ckitrace   – print per-flow cost decompositions
-//	examples/...   – quickstart, nested cloud, KV store, attack sim
 //
 // The root package contains no code: the library lives under internal/
-// (this repository is a self-contained research artifact; the examples
-// and commands are its public surface), and bench_test.go holds the
-// testing.B benchmarks, one per table and figure.
+// (this repository is a self-contained research artifact; the commands
+// are its public surface). The root tests hold the end-to-end
+// integration test and Example, the library used directly.
 package repro

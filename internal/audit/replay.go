@@ -211,11 +211,6 @@ func (s *State) Counts() map[Kind]uint64 {
 	return out
 }
 
-// Injected returns the fault-injection events in the prefix.
-func (s *State) Injected() []Event {
-	return append([]Event(nil), s.injected...)
-}
-
 // scratch materializes the shadow page-table frames into a sparse
 // physical memory large enough for inspect to walk.
 func (s *State) scratch() *mem.PhysMem {

@@ -396,7 +396,7 @@ func (m *Machine) InjectFaults(inj faults.Injector) {
 	m.Host.Inj = inj
 }
 
-// MustNew is New, panicking on error (benchmarks and examples).
+// MustNew is New, panicking on error (experiments and tests).
 func MustNew(kind Kind, opts Options) *Container {
 	c, err := New(kind, opts)
 	if err != nil {
@@ -524,8 +524,8 @@ func (c *Container) DeliverVirtIRQ() {
 func (c *Container) VirtioKick() error { return c.pv.VirtioKick(c.K) }
 
 // AllKinds enumerates six runtime configurations: HVM-NST, PVM-NST,
-// RunC, HVM-BM, PVM-BM and CKI. The backends tests, the root
-// integration test and examples/quickstart iterate over it. The paper's
+// RunC, HVM-BM, PVM-BM and CKI. The backends tests and the root
+// integration test and Example iterate over it. The paper's
 // tables and figures pick their runtimes by label from the bench
 // package's own table instead.
 func AllKinds() []struct {

@@ -73,6 +73,10 @@ func TestSecurityGuestCannotTouchKSMMemory(t *testing.T) {
 	_ = ksm
 }
 
+// TestSecurityCrossContainerMapping drives the KSM's page-table checks
+// from the booted guest kernel: no write may hand it another
+// container's memory, an unvetted page table, kernel code of its own
+// making, or the KSM's own mapping.
 func TestSecurityCrossContainerMapping(t *testing.T) {
 	c, ksm, _, _ := ckiContainer(t)
 	// A frame belonging to "another container" on the same host.
@@ -80,17 +84,46 @@ func TestSecurityCrossContainerMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ksm.AllocGuestFrame()
-	if err != nil {
-		t.Fatal(err)
+	frame := func() mem.PFN {
+		pfn, err := ksm.AllocGuestFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pfn
 	}
-	if err := ksm.DeclarePTP(pt, pagetable.LevelPT); err != nil {
-		t.Fatal(err)
+	declaredPT := func() mem.PFN {
+		pt := frame()
+		if err := ksm.DeclarePTP(pt, pagetable.LevelPT); err != nil {
+			t.Fatal(err)
+		}
+		return pt
 	}
-	err = ksm.WritePTE(pagetable.LevelPT, pt, 0,
-		pagetable.Make(foreign, pagetable.FlagPresent|pagetable.FlagUser|pagetable.FlagWritable|pagetable.FlagNX, 0))
-	if !errors.Is(err, cki.ErrNotOwned) {
-		t.Errorf("cross-container map err = %v, want ErrNotOwned", err)
+	attacks := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"map another container's frame", func() error {
+			return ksm.WritePTE(pagetable.LevelPT, declaredPT(), 0,
+				pagetable.Make(foreign, pagetable.FlagPresent|pagetable.FlagUser|pagetable.FlagWritable|pagetable.FlagNX, 0))
+		}, cki.ErrNotOwned},
+		{"declare a pre-seeded page table", func() error {
+			dirty := frame()
+			pagetable.WriteEntry(c.HostMem, dirty, 0, pagetable.Make(foreign, pagetable.FlagPresent, 0))
+			return ksm.DeclarePTP(dirty, pagetable.LevelPT)
+		}, cki.ErrNotZeroed},
+		{"map a wrpkrs gadget kernel-executable", func() error {
+			return ksm.WritePTE(pagetable.LevelPT, declaredPT(), 1,
+				pagetable.Make(frame(), pagetable.FlagPresent, 0)) // U=0, NX=0
+		}, cki.ErrKernelExec},
+		{"unmap the KSM's PML4 slot", func() error {
+			return ksm.WritePTE(pagetable.LevelPML4, c.K.Cur.AS.Root, cki.KSMPML4Slot, 0)
+		}, cki.ErrReservedSlot},
+	}
+	for _, a := range attacks {
+		if err := a.run(); !errors.Is(err, a.want) {
+			t.Errorf("%s: err = %v, want %v", a.name, err, a.want)
+		}
 	}
 }
 
@@ -100,9 +133,18 @@ func TestSecurityContainerSurvivesAttackStorm(t *testing.T) {
 	cpu.SetMode(hw.ModeKernel)
 	for i := 0; i < 50; i++ {
 		_ = cpu.Cli()
-		_ = gate.AbuseJumpToExit(0)
-		_ = sw.ForgeInterrupt(hw.VectorTimer)
+		if err := gate.AbuseJumpToExit(0); !errors.Is(err, cki.ErrGateAbuse) {
+			t.Fatalf("ROP jump to the gate's exit: err = %v, want ErrGateAbuse", err)
+		}
+		if err := sw.ForgeInterrupt(hw.VectorTimer); !errors.Is(err, cki.ErrInterruptForgery) {
+			t.Fatalf("forged interrupt: err = %v, want ErrInterruptForgery", err)
+		}
 		_, _ = ksm.LoadCR3(0, mem.PFN(12345))
+		cpu.SetStackValid(false) // garbage rsp: IST still delivers the tick
+		if err := sw.HardwareInterrupt(hw.VectorTimer); err != nil {
+			t.Fatalf("timer tick with a sabotaged stack: %v", err)
+		}
+		cpu.SetStackValid(true)
 	}
 	cpu.SetMode(hw.ModeUser)
 	// The container still works: syscalls, memory, files.

@@ -438,7 +438,7 @@ func Fig16(scale int, w io.Writer) error {
 			append([]string{"runtime"}, intLabels(clients)...)...)
 		for _, label := range []string{"CKI-NST", "PVM-NST", "HVM-NST", "CKI-BM", "PVM-BM", "HVM-BM"} {
 			rt := paperRuntime(label)
-			model, err := ServiceModelFor(a.app, rt.kind, rt.opts)
+			model, err := serviceModelFor(a.app, rt.kind, rt.opts)
 			if err != nil {
 				return err
 			}
@@ -463,13 +463,13 @@ func Fig16(scale int, w io.Writer) error {
 	return nil
 }
 
-// ServiceModelFor measures per-request service times at several
+// serviceModelFor measures per-request service times at several
 // coalescing depths on a live container and interpolates by backlog.
 // Depths are capped at the application's own batch limit: memcached's
 // worker threads drain queues before they deepen, so its interrupts and
 // doorbells never coalesce far, while single-threaded redis backlogs
 // deeper (the difference behind Fig. 16's 6.8× vs 2.0× gains).
-func ServiceModelFor(app workloads.KVApp, kind backends.Kind, opts backends.Options) (des.ServiceModel, error) {
+func serviceModelFor(app workloads.KVApp, kind backends.Kind, opts backends.Options) (des.ServiceModel, error) {
 	var depths []int
 	for _, d := range []int{1, 2, 4, 8, 16} {
 		if d <= app.Batch {

@@ -575,9 +575,11 @@ func wallclockRows(fx *wallclockFixtures) []wallclockRow {
 	// Fleet control-plane cost per arrival at two fleet sizes: a spread
 	// run of ~20k streamed Poisson arrivals at 1.05x capacity on nodes x
 	// 4 slots, with a tenth of the nodes evicted at half the horizon.
-	// One run lasts only milliseconds, so the row is the best of three.
+	// One run lasts only milliseconds, so the row is the best of seven:
+	// one run slowed by a loaded host cannot set either point of the
+	// flatness gate in Invariants.
 	for _, nodes := range []int{50, 1000} {
-		rows = append(rows, wallclockRow{name: fmt.Sprintf("fleet/arrival/%dnodes", nodes), bestOf: 3, bench: func(b *testing.B) {
+		rows = append(rows, wallclockRow{name: fmt.Sprintf("fleet/arrival/%dnodes", nodes), bestOf: 7, bench: func(b *testing.B) {
 			shape := FleetShape{Scale: 1, Nodes: nodes, SlotsPerNode: 4, QueueLimit: 16, MeanReqs: 8}
 			costs := fleet.RuntimeCosts{Boot: 300 * clock.Microsecond, Service: 50 * clock.Microsecond, WarmRestore: 60 * clock.Microsecond}
 			rate := 1.05 * shape.capacity(costs)

@@ -321,11 +321,3 @@ func (k *KSM) PerVCPUStackFrame(vcpu int) (mem.PFN, error) {
 	}
 	return k.perVCPU[vcpu].stack[0], nil
 }
-
-// CtxFrame exposes the saved-context frame of a vCPU.
-func (k *KSM) CtxFrame(vcpu int) (mem.PFN, error) {
-	if vcpu < 0 || vcpu >= k.NumVCPU {
-		return 0, ErrWrongVCPU
-	}
-	return k.perVCPU[vcpu].ctx, nil
-}

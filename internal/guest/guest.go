@@ -253,8 +253,8 @@ type Proc struct {
 	// Exited marks a zombie awaiting wait().
 	Exited   bool
 	ExitCode int
-	// Affinity pins the process to one vCPU; -1 lets the SMP scheduler
-	// place it on the least-loaded vCPU.
+	// Affinity is a vCPU pin (-1 for none). No scheduler reads it;
+	// CKISNAP1 snapshots encode it, so it survives checkpoint/restore.
 	Affinity int
 	// segv is the registered user fault handler (sigaction SIGSEGV).
 	segv SegvHandler

@@ -16,31 +16,14 @@ import (
 
 // scheduling body costs.
 var (
-	sysBodyFork     = clock.FromNanos(9000)
-	sysBodyExecve   = clock.FromNanos(21000)
-	sysBodyExit     = clock.FromNanos(2600)
-	sysBodyWait     = clock.FromNanos(150)
-	sysBodyYield    = clock.FromNanos(80)
-	sysBodyAffinity = clock.FromNanos(120)
-	costSchedPick   = clock.FromNanos(150)
-	costRegsSave    = clock.FromNanos(60)
+	sysBodyFork   = clock.FromNanos(9000)
+	sysBodyExecve = clock.FromNanos(21000)
+	sysBodyExit   = clock.FromNanos(2600)
+	sysBodyWait   = clock.FromNanos(150)
+	sysBodyYield  = clock.FromNanos(80)
+	costSchedPick = clock.FromNanos(150)
+	costRegsSave  = clock.FromNanos(60)
 )
-
-// SetAffinity pins a process to one vCPU (sched_setaffinity with a
-// single-bit mask); -1 restores least-loaded placement. The SMP
-// scheduler consults it when distributing work across vCPUs.
-func (k *Kernel) SetAffinity(pid, vcpu int) error {
-	k.charge(sysBodyAffinity)
-	p := k.procs[pid]
-	if p == nil {
-		return ECHILD
-	}
-	if vcpu < -1 {
-		return EINVAL
-	}
-	p.Affinity = vcpu
-	return nil
-}
 
 // StartInit creates and activates PID 1 with an empty address space.
 func (k *Kernel) StartInit() (*Proc, error) {
@@ -76,9 +59,6 @@ func (k *Kernel) newProc(parent int) (*Proc, error) {
 
 // Proc returns the process with the given PID, or nil.
 func (k *Kernel) Proc(pid int) *Proc { return k.procs[pid] }
-
-// NumProcs returns the number of live processes.
-func (k *Kernel) NumProcs() int { return len(k.procs) }
 
 // Fork clones the current process: VMAs are copied, resident pages are
 // duplicated into fresh frames (each map going through the runtime's

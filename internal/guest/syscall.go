@@ -3,7 +3,6 @@ package guest
 import (
 	"repro/internal/clock"
 	"repro/internal/faults"
-	"repro/internal/mmu"
 )
 
 // The syscall layer. Every call runs the runtime's entry flow, the
@@ -359,13 +358,6 @@ func (k *Kernel) Hypercall(nr int, args ...uint64) (uint64, error) {
 	k.Met.ObserveHypercall(k.Clk.Now() - start)
 	return r, err
 }
-
-// ReadAt is a convenience wrapper combining Touch and data transfer for
-// workloads that access mapped memory (charges nothing beyond Touch).
-func (k *Kernel) ReadAt(va uint64) error { return k.Touch(va, mmu.Read) }
-
-// WriteAt is the write counterpart of ReadAt.
-func (k *Kernel) WriteAt(va uint64) error { return k.Touch(va, mmu.Write) }
 
 // Compute charges pure user-mode computation time (and lets the timer
 // preempt long-running loops).

@@ -13,7 +13,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/mem"
-	"repro/internal/virtio"
 )
 
 // Stats counts host-kernel events.
@@ -34,9 +33,6 @@ type Kernel struct {
 	// Root is the host's own page-table root (PCID 0). Its contents are
 	// minimal: the host's flows never fault in the simulation.
 	Root mem.PFN
-
-	queues  map[uint64]*virtio.Queue
-	console []string
 
 	// Inj, when non-nil, can fail hypercall dispatch with a transient
 	// ErrHypercallFault (faults.Hypercall).
@@ -61,10 +57,9 @@ func New(m *mem.PhysMem, costs *clock.Costs) (*Kernel, error) {
 		return nil, fmt.Errorf("host: allocating root: %w", err)
 	}
 	return &Kernel{
-		Mem:    m,
-		Costs:  costs,
-		Root:   root,
-		queues: make(map[uint64]*virtio.Queue),
+		Mem:   m,
+		Costs: costs,
+		Root:  root,
 	}, nil
 }
 
@@ -73,16 +68,6 @@ func New(m *mem.PhysMem, costs *clock.Costs) (*Kernel, error) {
 func (k *Kernel) DelegateSegment(frames, owner int) (mem.Segment, error) {
 	return k.Mem.AllocSegment(frames, owner)
 }
-
-// RegisterQueue attaches a virtqueue under a device id so kicks can
-// reach it.
-func (k *Kernel) RegisterQueue(id uint64, q *virtio.Queue) { k.queues[id] = q }
-
-// Queue returns a registered virtqueue.
-func (k *Kernel) Queue(id uint64) *virtio.Queue { return k.queues[id] }
-
-// Console returns the accumulated console output.
-func (k *Kernel) Console() []string { return k.console }
 
 // Hypercall numbers handled here mirror guest.Hc*. The dispatch cost is
 // charged by the runtime's gate; this method charges only per-request
@@ -118,7 +103,6 @@ func (k *Kernel) Hypercall(clk *clock.Clock, nr int, args ...uint64) (uint64, er
 	case HcConsole:
 		clk.Advance(bodyConsole)
 		k.Stats.Consoles++
-		k.console = append(k.console, fmt.Sprintf("hc-console(%v)", args))
 		return 0, nil
 	case HcPause:
 		clk.Advance(bodyPause)

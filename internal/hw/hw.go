@@ -235,9 +235,6 @@ func (c *CPU) IF() bool { return c.intEnabled }
 func (c *CPU) GSBase() uint64   { return c.gsBase }
 func (c *CPU) KernelGS() uint64 { return c.kernelGS }
 
-// SetGSBase writes the active gs base (unprivileged via wrgsbase).
-func (c *CPU) SetGSBase(v uint64) { c.gsBase = v }
-
 // guestDeprivileged reports whether the PKS extension currently treats
 // the executing kernel-mode code as a deprivileged guest kernel.
 func (c *CPU) guestDeprivileged() bool {

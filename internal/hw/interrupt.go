@@ -51,17 +51,11 @@ type Frame struct {
 	HW bool
 }
 
-// StackValid models whether the current kernel stack pointer is usable
-// for a hardware frame push. A malicious guest kernel can always load a
-// garbage rsp; on stock hardware the next interrupt then triple-faults
-// the machine. Attack tests flip this to false.
+// SetStackValid models whether the current kernel stack pointer is
+// usable for a hardware frame push. A malicious guest kernel can always
+// load a garbage rsp; on stock hardware the next interrupt then
+// triple-faults the machine. Attack tests flip this to false.
 func (c *CPU) SetStackValid(v bool) { c.stackValid = v }
-
-// StackValid reports the modelled stack-pointer validity.
-func (c *CPU) StackValid() bool { return c.stackValid }
-
-// PendingOnIF reports whether delivery must wait because IF is clear.
-func (c *CPU) PendingOnIF() bool { return !c.intEnabled }
 
 // DeliverHW vectors a hardware interrupt. It performs exactly what the
 // (extended) hardware does — IST stack switch, frame push, PKRS save and

@@ -66,11 +66,10 @@ func (s Segment) End() PFN { return s.Base + PFN(s.Frames) }
 
 // Errors returned by the allocators.
 var (
-	ErrOutOfMemory  = errors.New("mem: out of physical memory")
-	ErrFragmented   = errors.New("mem: no contiguous run large enough")
-	ErrDoubleFree   = errors.New("mem: frame already free")
-	ErrOutOfRange   = errors.New("mem: frame out of range")
-	ErrNotAllocated = errors.New("mem: frame not allocated")
+	ErrOutOfMemory = errors.New("mem: out of physical memory")
+	ErrFragmented  = errors.New("mem: no contiguous run large enough")
+	ErrDoubleFree  = errors.New("mem: frame already free")
+	ErrOutOfRange  = errors.New("mem: frame out of range")
 )
 
 // Frames are tracked in chunks of chunkFrames consecutive frames, found

@@ -74,9 +74,6 @@ func (e PTE) PFN() mem.PFN { return mem.PFNOf(uint64(e & addrMask)) }
 // PKey returns the protection key (0..15).
 func (e PTE) PKey() int { return int(e&pkeyMask) >> pkeyShift }
 
-// WithFlags returns e with extra flags set.
-func (e PTE) WithFlags(f PTE) PTE { return e | f }
-
 // WithPKey returns e with the protection key replaced.
 func (e PTE) WithPKey(k int) PTE {
 	return e&^pkeyMask | (PTE(k) << pkeyShift & pkeyMask)

@@ -232,11 +232,5 @@ func DecodeBinary(data []byte) (*Store, error) {
 	if r.off != len(body) {
 		return nil, &DecodeError{Off: r.off, Msg: "trailing bytes after last series"}
 	}
-	if len(st.series) > 0 {
-		last := st.series[0]
-		if n := len(last.Windows); n > 0 {
-			st.lastAt = clock.Time(last.Windows[n-1].AtNs) * clock.Nanosecond
-		}
-	}
 	return st, nil
 }

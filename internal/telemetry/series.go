@@ -106,7 +106,6 @@ type Store struct {
 	// to on earlier scrapes, so a steady-state scrape builds no keys.
 	visited []*Series
 	ticks   int
-	lastAt  clock.Time
 }
 
 // DefaultDepth is the per-series window ring size when NewStore gets 0.
@@ -122,9 +121,6 @@ func NewStore(interval clock.Time, depth int) *Store {
 
 // Ticks reports how many scrapes the store has taken.
 func (st *Store) Ticks() int { return st.ticks }
-
-// LastAt reports the virtual time of the most recent scrape.
-func (st *Store) LastAt() clock.Time { return st.lastAt }
 
 // Series returns the stored series in first-seen order (the live
 // slice; callers must not mutate).
@@ -214,7 +210,6 @@ func (s *Series) push(w Window, depth int) {
 func (st *Store) Scrape(reg *metrics.Registry, now clock.Time) {
 	tick := st.ticks
 	st.ticks++
-	st.lastAt = now
 	atNs := int64(now / clock.Nanosecond)
 	pos := 0
 	reg.Visit(func(v *metrics.SeriesView) {
@@ -327,9 +322,6 @@ func (st *Store) Merge(src *Store) {
 	}
 	if src.ticks > st.ticks {
 		st.ticks = src.ticks
-	}
-	if src.lastAt > st.lastAt {
-		st.lastAt = src.lastAt
 	}
 }
 

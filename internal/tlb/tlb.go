@@ -117,13 +117,6 @@ func New(capacity int) *TLB {
 // Stats returns a copy of the event counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the counters (aggregate and per-PCID).
-func (t *TLB) ResetStats() {
-	t.stats = Stats{}
-	t.perPCID = make(map[uint16]*PCIDStat)
-	t.curStat = nil
-}
-
 func (t *TLB) pcidStat(pcid uint16) *PCIDStat {
 	if st := t.curStat; st != nil && st.PCID == pcid {
 		return st
