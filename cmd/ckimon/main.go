@@ -240,7 +240,9 @@ func renderAttr(path string) {
 
 // validateModes is the flag-combination rule, separated from main so
 // it is unit-testable: exactly one mode, refinements only with -in.
-func validateModes(slo, in, bundle, attr, series string, tail int) error {
+// set holds the flags given on the command line (flag.Visit), so a
+// refinement counts even when it repeats its default.
+func validateModes(slo, in, bundle, attr string, set map[string]bool, tail int) error {
 	modes := 0
 	for _, m := range []string{slo, in, bundle, attr} {
 		if m != "" {
@@ -250,7 +252,7 @@ func validateModes(slo, in, bundle, attr, series string, tail int) error {
 	if modes != 1 {
 		return errors.New("exactly one of -slo, -in, -bundle, -attr is required")
 	}
-	if (series != "" || tail != 20) && in == "" {
+	if (set["series"] || set["tail"]) && in == "" {
 		return errors.New("-series/-tail refine -in")
 	}
 	if tail < 0 {
@@ -267,8 +269,9 @@ func main() {
 	series := flag.String("series", "", "with -in: show only this series name")
 	tail := flag.Int("tail", 20, "with -in: show at most the last N windows per series (0 = all)")
 	flag.Parse()
-
-	if err := validateModes(*slo, *in, *bundle, *attr, *series, *tail); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateModes(*slo, *in, *bundle, *attr, set, *tail); err != nil {
 		usage("%v", err)
 	}
 

@@ -12,33 +12,40 @@ import (
 )
 
 // TestValidateModes covers the mode rules: exactly one of
-// -slo/-in/-bundle/-attr, refinements only with -in.
+// -slo/-in/-bundle/-attr, refinements (-series, -tail; set lists the
+// flags given) only with -in.
 func TestValidateModes(t *testing.T) {
 	cases := []struct {
-		name                       string
-		slo, in, bundle, attr, srs string
-		tail                       int
-		wantErr                    bool
+		name                  string
+		slo, in, bundle, attr string
+		set                   []string
+		tail                  int
+		wantErr               bool
 	}{
-		{"slo", "r.json", "", "", "", "", 20, false},
-		{"in", "", "tl.ckits", "", "", "", 20, false},
-		{"bundle", "", "", "b.json", "", "", 20, false},
-		{"attr", "", "", "", "BENCH_tail.json", "", 20, false},
-		{"in refined", "", "tl.ckits", "", "", "fleet_rejected_total", 5, false},
-		{"in tail zero", "", "tl.ckits", "", "", "", 0, false},
+		{"slo", "r.json", "", "", "", nil, 20, false},
+		{"in", "", "tl.ckits", "", "", nil, 20, false},
+		{"bundle", "", "", "b.json", "", nil, 20, false},
+		{"attr", "", "", "", "BENCH_tail.json", nil, 20, false},
+		{"in refined", "", "tl.ckits", "", "", []string{"series", "tail"}, 5, false},
+		{"in tail zero", "", "tl.ckits", "", "", []string{"tail"}, 0, false},
 
-		{"no mode", "", "", "", "", "", 20, true},
-		{"two modes slo+in", "r.json", "tl.ckits", "", "", "", 20, true},
-		{"two modes slo+attr", "r.json", "", "", "BENCH_tail.json", "", 20, true},
-		{"two modes attr+bundle", "", "", "b.json", "BENCH_tail.json", "", 20, true},
-		{"series without in", "r.json", "", "", "", "x", 20, true},
-		{"series with attr", "", "", "", "BENCH_tail.json", "x", 20, true},
-		{"tail with attr", "", "", "", "BENCH_tail.json", "", 5, true},
-		{"tail negative", "", "tl.ckits", "", "", "", -1, true},
+		{"no mode", "", "", "", "", nil, 20, true},
+		{"two modes slo+in", "r.json", "tl.ckits", "", "", nil, 20, true},
+		{"two modes slo+attr", "r.json", "", "", "BENCH_tail.json", nil, 20, true},
+		{"two modes attr+bundle", "", "", "b.json", "BENCH_tail.json", nil, 20, true},
+		{"series without in", "r.json", "", "", "", []string{"series"}, 20, true},
+		{"series with attr", "", "", "", "BENCH_tail.json", []string{"series"}, 20, true},
+		{"tail with attr", "", "", "", "BENCH_tail.json", []string{"tail"}, 5, true},
+		{"tail default with slo", "r.json", "", "", "", []string{"tail"}, 20, true},
+		{"tail negative", "", "tl.ckits", "", "", []string{"tail"}, -1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateModes(tc.slo, tc.in, tc.bundle, tc.attr, tc.srs, tc.tail)
+			set := map[string]bool{}
+			for _, n := range tc.set {
+				set[n] = true
+			}
+			err := validateModes(tc.slo, tc.in, tc.bundle, tc.attr, set, tc.tail)
 			if (err != nil) != tc.wantErr {
 				t.Errorf("validateModes(%+v) = %v, wantErr=%v", tc, err, tc.wantErr)
 			}
@@ -158,6 +165,7 @@ func TestExitCodes(t *testing.T) {
 		{"attr with slo", []string{"-attr", fixture, "-slo", "r.json"}, 2, "exactly one of"},
 		{"attr with series", []string{"-attr", fixture, "-series", "x"}, 2, "refine -in"},
 		{"attr with tail", []string{"-attr", fixture, "-tail", "5"}, 2, "refine -in"},
+		{"slo with default tail", []string{"-slo", "../../BENCH_slo.json", "-tail", "20"}, 2, "refine -in"},
 		{"attr missing file", []string{"-attr", missing}, 1, "no such file"},
 		{"attr empty report", []string{"-attr", empty}, 1, "no rows"},
 		{"committed slo report", []string{"-slo", "../../BENCH_slo.json"}, 0, "SLO burn-rate alerting"},

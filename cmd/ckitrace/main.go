@@ -65,8 +65,12 @@ func usage(format string, args ...interface{}) {
 // silently ignoring the losers. The four modes are mutually exclusive:
 // -metrics, -in (plus exactly one view selector), -tail (optionally
 // with -request), and the live flow tree (-flow/-runtime).
-// Separated from flag.Visit so the rules are unit-testable.
-func validateSet(set map[string]bool) error {
+// top is -top's value, which must be at least 1 when set. Separated
+// from flag.Visit so the rules are unit-testable.
+func validateSet(set map[string]bool, top int) error {
+	if set["top"] && top < 1 {
+		return fmt.Errorf("-top %d: must be at least 1", top)
+	}
 	views := []string{"breakdown", "top", "chrome", "folded"}
 	nviews := 0
 	for _, v := range views {
@@ -117,10 +121,10 @@ func validateSet(set map[string]bool) error {
 	return nil
 }
 
-func validateFlags() {
+func validateFlags(top int) {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateSet(set); err != nil {
+	if err := validateSet(set, top); err != nil {
 		usage("%v", err)
 	}
 }
@@ -295,7 +299,7 @@ func main() {
 	tailIn := flag.String("tail", "", "BENCH_tail report JSON from ckibench -exp tail -json")
 	request := flag.String("request", "", "with -tail: render this request's causal waterfall (16-hex id)")
 	flag.Parse()
-	validateFlags()
+	validateFlags(*top)
 
 	if *metricsIn != "" {
 		renderMetrics(*metricsIn)

@@ -55,11 +55,16 @@ func TestValidateSet(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateSet(tc.set)
+			err := validateSet(tc.set, 10)
 			if (err != nil) != tc.wantErr {
 				t.Errorf("validateSet(%v) = %v, wantErr=%v", tc.set, err, tc.wantErr)
 			}
 		})
+	}
+	for _, top := range []int{0, -3} {
+		if err := validateSet(mk("in", "top"), top); err == nil {
+			t.Errorf("validateSet accepted -in -top %d", top)
+		}
 	}
 }
 
@@ -205,6 +210,8 @@ func TestExitCodes(t *testing.T) {
 		{"smp breakdown", []string{"-in", spansPath, "-breakdown"}, 0, "TOTAL"},
 		{"smp breakdown dropped span", []string{"-in", droppedPath, "-breakdown"}, 1, "unattributed time"},
 		{"smp top", []string{"-in", spansPath, "-top", "5"}, 0, "RunC 1vcpu — top 5 phases by self time"},
+		{"smp top zero", []string{"-in", spansPath, "-top", "0"}, 2, "-top 0: must be at least 1"},
+		{"smp top negative", []string{"-in", spansPath, "-top", "-3"}, 2, "-top -3: must be at least 1"},
 		{"smp folded", []string{"-in", spansPath, "-folded"}, 0, "RunC/1vcpu;access"},
 		{"smp metrics", []string{"-metrics", metricsPath}, 0, "smp_request_latency_ns"},
 		{"tail list", []string{"-tail", fixture}, 0, id},

@@ -233,15 +233,28 @@ func (m *Machine) EnableSMP(n int) error {
 // FlushContainerTLB scrubs the core's TLB — and every SMP vCPU's — of
 // entries belonging to container id. Guest PCIDs encode the container
 // in their high byte, which also covers the KSM-area translations (the
-// gate touches those under the guest's PCID). The supervisor calls this
-// when recycling a dead container so its replacement never resolves
-// through a corpse's page tables.
+// gate touches those under the guest's PCID). Reclaiming a container
+// calls this so its replacement never resolves through a corpse's page
+// tables.
 func (m *Machine) FlushContainerTLB(id int) {
 	pred := func(pcid uint16) bool { return int(pcid>>8) == id }
 	m.MMU.Audit.Emit(audit.EvTLBFlushGroup, 0, 0, uint64(id), 0, 0)
 	m.MMU.TLB.FlushIf(pred)
 	if m.SMP != nil {
 		m.SMP.FlushAllTLBs(pred)
+	}
+}
+
+// reclaim returns a dead or discarded container's resources to the
+// machine: its PCID group leaves every TLB, then its frames are freed,
+// and under CKI its KSM's frames too. Only a KSM allocates under
+// KSMOwner, and each FreeOwned walks every allocated chunk of host
+// memory, so the other runtimes skip that walk.
+func (m *Machine) reclaim(kind Kind, id int) {
+	m.FlushContainerTLB(id)
+	m.HostMem.FreeOwned(id)
+	if kind == CKI {
+		m.HostMem.FreeOwned(cki.KSMOwner(id))
 	}
 }
 

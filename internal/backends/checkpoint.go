@@ -269,18 +269,45 @@ func CheckpointBytes(c *Container) ([]byte, error) {
 // state is verified against the snapshot's canonical fingerprint before
 // the container is handed back.
 func Restore(m *Machine, snap *snapshot.Snapshot) (*Container, error) {
-	return restore(m, snap, nil)
+	return instantiate(m, snap, snap.ContainerID, guest.RestoreEager, nil, nil, nil)
 }
 
-// restore is Restore booting the twin with the audit recorder rec
-// attached, exactly as a cold boot with Options.Audit would: on a shared
-// machine a nil rec would detach the co-resident containers' log.
-func restore(m *Machine, snap *snapshot.Snapshot, rec *audit.Recorder) (*Container, error) {
+// instantiate is the one snapshot bring-up behind Restore, the
+// supervisor's warm restart and ForkFromSnapshot: boot container id on
+// m from snap's config with the audit recorder rec attached (exactly as
+// a cold boot with Options.Audit would; on a shared machine a nil rec
+// detaches the co-resident containers' log), then replay the image in
+// host context. Its inputs decide the rest:
+//   - an id other than snap.ContainerID rewrites every identity in the
+//     image (rewriteForFork);
+//   - RestoreCOW and RestoreLazy map pages from store, resolved through
+//     idx (snap's own digest index), and under CKI run the whole
+//     mapping storm in one gate batch; RestoreEager reads neither;
+//   - a kept identity with every page eager is verified against the
+//     snapshot's canonical fingerprint. Any other bring-up differs from
+//     it by construction (PCIDs, residency).
+func instantiate(m *Machine, snap *snapshot.Snapshot, id int, mode guest.RestoreMode,
+	idx *snapshot.DigestIndex, store *snapshot.PageStore, rec *audit.Recorder) (*Container, error) {
+	if id<<8 > 0xff00 || id < 1 {
+		return nil, fmt.Errorf("backends: container ID %d outside the PCID group range", id)
+	}
+	shared := mode != guest.RestoreEager
+	if shared && (idx == nil || !idx.Of(snap)) {
+		return nil, fmt.Errorf("backends: copy-on-write and lazy bring-up need the snapshot's own digest index")
+	}
 	opts := OptionsFromConfig(snap.Config)
 	opts.Audit = rec
-	c, err := NewOnMachine(m, Kind(snap.Config.Kind), opts, snap.ContainerID)
+	c, err := NewOnMachine(m, Kind(snap.Config.Kind), opts, id)
 	if err != nil {
 		return nil, fmt.Errorf("backends: restore boot: %w", err)
+	}
+	img, vcpus := &snap.Image, snap.VCPUs
+	if id != snap.ContainerID {
+		img, vcpus = rewriteForFork(snap, id)
+	}
+	var prefetch map[uint64]struct{}
+	if mode == guest.RestoreLazy {
+		prefetch = prefetchSet(vcpus)
 	}
 	// Restore runs in host context, exactly like boot: the replayed
 	// mapping traffic below is host-driven reconstruction, not guest
@@ -289,16 +316,44 @@ func restore(m *Machine, snap *snapshot.Snapshot, rec *audit.Recorder) (*Contain
 	if f := c.CPU.Wrpkrs(0); f != nil {
 		return nil, fmt.Errorf("backends: restore pkrs: %v", f)
 	}
-	if err := c.K.RestoreImage(&snap.Image); err != nil {
+	if shared {
+		c.K.ForkSrc = &forkPages{
+			c:       c,
+			store:   store,
+			digests: idx,
+			local:   c.K.Mem != m.HostMem || c.Kind == CKI,
+		}
+	}
+	replay := func() error { return c.K.RestoreImageMode(img, mode, prefetch) }
+	_, gate, _, isCKI := c.CKIInternals()
+	batch := shared && isCKI
+	if batch {
+		// One gate transition for the whole mapping storm (§4.2 legs
+		// amortized across every mediated PTE store of the fork).
+		err = gate.Batch(replay)
+	} else {
+		err = replay()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("backends: restore image: %w", err)
+	}
+	if batch {
+		// The batch exit leg restored guest PKRS; the remaining steps
+		// run host-side again.
+		if f := c.CPU.Wrpkrs(0); f != nil {
+			return nil, fmt.Errorf("backends: restore pkrs: %v", f)
+		}
 	}
 	if err := c.refreshTopCopies(); err != nil {
 		return nil, err
 	}
-	if err := c.refillTLB(m, snap.VCPUs); err != nil {
+	if err := c.refillTLB(m, vcpus); err != nil {
 		return nil, err
 	}
 	c.CPU.SetMode(hw.ModeUser)
+	if shared || id != snap.ContainerID {
+		return c, nil
+	}
 	fp, err := c.CanonicalFingerprint()
 	if err != nil {
 		return nil, err

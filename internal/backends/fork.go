@@ -30,40 +30,11 @@ package backends
 import (
 	"fmt"
 
-	"repro/internal/audit"
-	"repro/internal/cki"
 	"repro/internal/guest"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/snapshot"
 )
-
-// ForkMode selects how ForkFromSnapshot materializes resident pages.
-type ForkMode int
-
-const (
-	// ForkEager replays every resident page through the demand-fault
-	// path at fork time (the rewritten-identity analogue of Restore).
-	ForkEager ForkMode = iota
-	// ForkCOW maps every resident page shared read-only from the page
-	// store; the first write breaks the share into a private copy.
-	ForkCOW
-	// ForkLazy maps only the snapshot's warm-TLB working set and
-	// defers every other resident page to its first touch.
-	ForkLazy
-)
-
-func (f ForkMode) String() string {
-	switch f {
-	case ForkEager:
-		return "eager"
-	case ForkCOW:
-		return "cow"
-	case ForkLazy:
-		return "lazy"
-	}
-	return fmt.Sprintf("ForkMode(%d)", int(f))
-}
 
 // forkPages backs guest fork shares with the machine's page store.
 type forkPages struct {
@@ -157,98 +128,26 @@ func prefetchSet(vcpus []snapshot.VCPUImage) map[uint64]struct{} {
 	return out
 }
 
-// ForkFromSnapshot boots container newID on machine m from snap,
-// sharing resident pages through store according to mode. idx is
-// snap's digest index (snapshot.NewDigestIndex), built once and passed
-// to every fork of snap; ForkEager reads no index and accepts nil. The
-// store must belong to m (its masters live in m's host memory) and
-// newID must not collide with a live container. The fork's post-boot
-// state is NOT fingerprint-checked against the snapshot — its PCIDs
-// differ by construction and a lazy fork is deliberately not fully
-// resident; see (*Container).FlushedFingerprint for the equality that
-// is checked by tests after full touch-in.
-func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, idx *snapshot.DigestIndex, store *snapshot.PageStore, newID int, mode ForkMode) (*Container, error) {
-	if newID<<8 > 0xff00 || newID < 1 {
-		return nil, fmt.Errorf("backends: fork container ID %d outside the PCID group range", newID)
-	}
-	if mode != ForkEager && (idx == nil || !idx.Of(snap)) {
-		return nil, fmt.Errorf("backends: %v fork needs the snapshot's own digest index", mode)
-	}
-	opts := OptionsFromConfig(snap.Config)
-	c, err := NewOnMachine(m, Kind(snap.Config.Kind), opts, newID)
-	if err != nil {
-		return nil, fmt.Errorf("backends: fork boot: %w", err)
-	}
-	img, vcpus := rewriteForFork(snap, newID)
-	// Like Restore, the replay below is host-driven reconstruction.
-	c.CPU.SetMode(hw.ModeKernel)
-	if f := c.CPU.Wrpkrs(0); f != nil {
-		return nil, fmt.Errorf("backends: fork pkrs: %v", f)
-	}
-	gmode := guest.RestoreEager
-	var prefetch map[uint64]struct{}
-	switch mode {
-	case ForkCOW:
-		gmode = guest.RestoreCOW
-	case ForkLazy:
-		gmode = guest.RestoreLazy
-		prefetch = prefetchSet(vcpus)
-	}
-	if mode != ForkEager {
-		c.K.ForkSrc = &forkPages{
-			c:       c,
-			store:   store,
-			digests: idx,
-			local:   c.K.Mem != m.HostMem || c.Kind == CKI,
-		}
-	}
-	restore := func() error { return c.K.RestoreImageMode(img, gmode, prefetch) }
-	if _, gate, _, ok := c.CKIInternals(); ok && mode != ForkEager {
-		// One gate transition for the whole mapping storm (§4.2 legs
-		// amortized across every mediated PTE store of the fork).
-		inner := restore
-		restore = func() error { return gate.Batch(inner) }
-	}
-	if err := restore(); err != nil {
-		return nil, fmt.Errorf("backends: fork image: %w", err)
-	}
-	// The batch exit leg restored guest PKRS; the remaining boot steps
-	// run host-side again.
-	if f := c.CPU.Wrpkrs(0); f != nil {
-		return nil, fmt.Errorf("backends: fork pkrs: %v", f)
-	}
-	if err := c.refreshTopCopies(); err != nil {
-		return nil, err
-	}
-	if err := c.refillTLB(m, vcpus); err != nil {
-		return nil, err
-	}
-	c.CPU.SetMode(hw.ModeUser)
-	return c, nil
-}
-
-// FlushedFingerprint flushes the container's TLB group on every vCPU
-// and computes the canonical fingerprint. Warm-TLB contents depend on
-// the path taken to a state (restore refill vs fork touch-in), so
-// cross-path equality — eager restore vs fully touched-in fork — is
-// defined over the flushed state.
-func (c *Container) FlushedFingerprint() (uint64, error) {
-	id := c.K.ContainerID
-	pred := func(pcid uint16) bool { return int(pcid>>8) == id }
-	c.MMU.Audit.Emit(audit.EvTLBFlushGroup, 0, 0, uint64(id), 0, 0)
-	c.MMU.TLB.FlushIf(pred)
-	if c.smp != nil {
-		c.smp.FlushAllTLBs(pred)
-	}
-	return c.CanonicalFingerprint()
+// ForkFromSnapshot boots container newID on machine m from snap under
+// page policy mode: RestoreCOW shares every resident page through
+// store, RestoreLazy maps only the snapshot's warm-TLB working set and
+// defers the rest to first touch, RestoreEager replays every page. idx
+// is snap's digest index (snapshot.NewDigestIndex), built once for
+// every fork of snap; RestoreEager reads neither idx nor store. The
+// store must belong to m and newID must not collide with a live
+// container. Only an eager fork at snap's own ID (a Restore) is
+// fingerprint-checked; once fully touched in, any fork equals an eager
+// restore up to its warm TLB (TestForkFingerprintMatchesEagerRestore).
+func ForkFromSnapshot(m *Machine, snap *snapshot.Snapshot, idx *snapshot.DigestIndex, store *snapshot.PageStore, newID int, mode guest.RestoreMode) (*Container, error) {
+	return instantiate(m, snap, newID, mode, idx, store, nil)
 }
 
 // Discard tears down a forked (or restored) container on machine m:
 // live address spaces are destroyed through the guest — which returns
 // every outstanding fork-share reference to the page store — then the
-// TLBs are scrubbed and all frames owned by the container (and by its
-// KSM, under CKI) reclaimed. Store master frames carry StoreOwner, so
-// the reclaim can never free a page still shared by sibling forks.
+// container is reclaimed (Machine.reclaim). Store master frames carry
+// StoreOwner, so the reclaim can never free a page still shared by
+// sibling forks.
 func Discard(m *Machine, c *Container) error {
 	c.CPU.SetMode(hw.ModeKernel)
 	if f := c.CPU.Wrpkrs(0); f != nil {
@@ -264,12 +163,6 @@ func Discard(m *Machine, c *Container) error {
 			return fmt.Errorf("backends: discard pid %d: %w", pid, err)
 		}
 	}
-	m.FlushContainerTLB(k.ContainerID)
-	m.HostMem.FreeOwned(k.ContainerID)
-	if c.Kind == CKI {
-		// Only a KSM allocates under KSMOwner; each FreeOwned walks
-		// every allocated chunk of host memory.
-		m.HostMem.FreeOwned(cki.KSMOwner(k.ContainerID))
-	}
+	m.reclaim(c.Kind, k.ContainerID)
 	return nil
 }

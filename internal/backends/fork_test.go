@@ -94,12 +94,16 @@ func TestForkFingerprintMatchesEagerRestore(t *testing.T) {
 			if err := eager.K.TouchRange(addr, pages*mem.PageSize, mmu.Write); err != nil {
 				t.Fatal(err)
 			}
-			want, err := eager.FlushedFingerprint()
+			// Warm-TLB contents depend on the path taken to a state
+			// (restore refill vs fork touch-in), so the comparison is over
+			// the state with the container's PCID group flushed.
+			m2.FlushContainerTLB(eager.K.ContainerID)
+			want, err := eager.CanonicalFingerprint()
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			for _, mode := range []ForkMode{ForkCOW, ForkLazy} {
+			for _, mode := range []guest.RestoreMode{guest.RestoreCOW, guest.RestoreLazy} {
 				m3 := forkMachine(t, cfg.Opts)
 				store := snapshot.NewPageStore(m3.HostMem)
 				// Same ID as the snapshot on a fresh machine, so the
@@ -107,39 +111,40 @@ func TestForkFingerprintMatchesEagerRestore(t *testing.T) {
 				// directly comparable to the eager restore's.
 				f, err := ForkFromSnapshot(m3, snap, idx, store, snap.ContainerID, mode)
 				if err != nil {
-					t.Fatalf("%v fork: %v", mode, err)
+					t.Fatalf("fork mode %d: %v", mode, err)
 				}
-				if mode == ForkLazy && f.K.Cur.AS.LazyPending() == 0 {
+				if mode == guest.RestoreLazy && f.K.Cur.AS.LazyPending() == 0 {
 					t.Fatalf("lazy fork deferred nothing")
 				}
 				if err := f.K.TouchRange(addr, pages*mem.PageSize, mmu.Write); err != nil {
-					t.Fatalf("%v touch-in: %v", mode, err)
+					t.Fatalf("fork mode %d touch-in: %v", mode, err)
 				}
 				if n := f.K.Cur.AS.SharedResident(); n != 0 {
-					t.Fatalf("%v fork: %d pages still shared after full write touch-in", mode, n)
+					t.Fatalf("fork mode %d: %d pages still shared after full write touch-in", mode, n)
 				}
 				if n := f.K.Cur.AS.LazyPending(); n != 0 {
-					t.Fatalf("%v fork: %d pages still lazy after full touch-in", mode, n)
+					t.Fatalf("fork mode %d: %d pages still lazy after full touch-in", mode, n)
 				}
-				if mode == ForkCOW && f.K.Stats.ShareBreaks == 0 {
+				if mode == guest.RestoreCOW && f.K.Stats.ShareBreaks == 0 {
 					t.Fatalf("cow fork: no share breaks recorded")
 				}
 				// A lazy fork may defer its whole heap (empty prefetch
 				// set): then write touch-in materializes private pages
 				// directly and no share ever forms — still counted.
-				if mode == ForkLazy && f.K.Stats.LazyFaults == 0 {
+				if mode == guest.RestoreLazy && f.K.Stats.LazyFaults == 0 {
 					t.Fatalf("lazy fork: no lazy faults recorded")
 				}
-				got, err := f.FlushedFingerprint()
+				m3.FlushContainerTLB(f.K.ContainerID)
+				got, err := f.CanonicalFingerprint()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("%v fork fingerprint %#016x != eager restore %#016x", mode, got, want)
+					t.Fatalf("fork mode %d fingerprint %#016x != eager restore %#016x", mode, got, want)
 				}
 				// The fully privatized fork holds no store references.
 				if st := store.Stats(); st.SharedRefs != 0 || st.UniquePages != 0 {
-					t.Fatalf("%v fork: store still holds refs after touch-in: %+v", mode, st)
+					t.Fatalf("fork mode %d: store still holds refs after touch-in: %+v", mode, st)
 				}
 			}
 		})
@@ -147,10 +152,10 @@ func TestForkFingerprintMatchesEagerRestore(t *testing.T) {
 }
 
 // TestForkSiblingTeardown pins the fork-lineage accounting: evicting
-// one COW sibling (Discard = guest teardown + FreeOwned, the supervisor
-// and fleet reclaim path) must not reclaim master frames still mapped
-// by the other sibling, because masters carry StoreOwner rather than
-// any container's ID.
+// one COW sibling (Discard = guest teardown + the reclaim the supervisor
+// shares) must not reclaim master frames still mapped by the other
+// sibling, because masters carry StoreOwner rather than any
+// container's ID.
 func TestForkSiblingTeardown(t *testing.T) {
 	for _, kind := range []Kind{RunC, CKI, PVM} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -171,11 +176,11 @@ func TestForkSiblingTeardown(t *testing.T) {
 			}
 
 			store := snapshot.NewPageStore(m.HostMem)
-			a, err := ForkFromSnapshot(m, snap, idx, store, 2, ForkCOW)
+			a, err := ForkFromSnapshot(m, snap, idx, store, 2, guest.RestoreCOW)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ForkFromSnapshot(m, snap, idx, store, 3, ForkCOW)
+			b, err := ForkFromSnapshot(m, snap, idx, store, 3, guest.RestoreCOW)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +258,7 @@ func TestForkSiblingTeardown(t *testing.T) {
 
 // TestForkGateBatch pins the CKI amortization: a COW fork runs its
 // whole mapping storm inside one gate batch, so it crosses the KSM
-// gate far fewer times than an eager fork of the same image, whose
+// gate far fewer times than an eager Restore of the same image, whose
 // per-page faults and PTE stores each pay their own transition.
 func TestForkGateBatch(t *testing.T) {
 	m1 := forkMachine(t, Options{})
@@ -266,13 +271,9 @@ func TestForkGateBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := snapshot.NewDigestIndex(snap)
-	gateCalls := func(mode ForkMode) uint64 {
-		m := forkMachine(t, Options{})
-		store := snapshot.NewPageStore(m.HostMem)
-		c, err := ForkFromSnapshot(m, snap, idx, store, snap.ContainerID, mode)
+	gateCalls := func(c *Container, err error) uint64 {
 		if err != nil {
-			t.Fatalf("%v fork: %v", mode, err)
+			t.Fatal(err)
 		}
 		ksm, _, _, ok := c.CKIInternals()
 		if !ok {
@@ -280,9 +281,13 @@ func TestForkGateBatch(t *testing.T) {
 		}
 		return ksm.Stats.GateCalls
 	}
-	eager, cow := gateCalls(ForkEager), gateCalls(ForkCOW)
+	m := forkMachine(t, Options{})
+	eager := gateCalls(Restore(m, snap))
+	m = forkMachine(t, Options{})
+	cow := gateCalls(ForkFromSnapshot(m, snap, snapshot.NewDigestIndex(snap),
+		snapshot.NewPageStore(m.HostMem), snap.ContainerID, guest.RestoreCOW))
 	if cow*2 >= eager {
-		t.Fatalf("gate batching saved too little: cow fork %d gate calls vs eager %d", cow, eager)
+		t.Fatalf("gate batching saved too little: cow fork %d gate calls vs eager restore %d", cow, eager)
 	}
 }
 
@@ -332,7 +337,7 @@ func TestForkAllocs(t *testing.T) {
 	idx := snapshot.NewDigestIndex(snap)
 	store := snapshot.NewPageStore(m.HostMem)
 	fork := func() *Container {
-		f, err := ForkFromSnapshot(m, snap, idx, store, 2, ForkCOW)
+		f, err := ForkFromSnapshot(m, snap, idx, store, 2, guest.RestoreCOW)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,10 +377,11 @@ func TestForkAllocs(t *testing.T) {
 	}
 }
 
-// TestKSMOwnerOnlyUnderCKI: Discard reclaims KSMOwner frames only for
-// CKI containers, because no other runtime ever allocates one — through
-// boot, workload, checkpoint, or a COW fork and its touch-in. CKI is
-// the control: its KSM does own frames.
+// TestKSMOwnerOnlyUnderCKI: reclaim (Discard and the supervisor's
+// restart) frees KSMOwner frames only for CKI containers, because no
+// other runtime ever allocates one — through boot, workload,
+// checkpoint, or a COW fork and its touch-in. CKI is the control: its
+// KSM does own frames.
 func TestKSMOwnerOnlyUnderCKI(t *testing.T) {
 	set := append(AllKinds(), struct {
 		Kind Kind
@@ -395,7 +401,7 @@ func TestKSMOwnerOnlyUnderCKI(t *testing.T) {
 				t.Fatal(err)
 			}
 			f, err := ForkFromSnapshot(m, snap, snapshot.NewDigestIndex(snap),
-				snapshot.NewPageStore(m.HostMem), 2, ForkCOW)
+				snapshot.NewPageStore(m.HostMem), 2, guest.RestoreCOW)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,9 @@ func (b *hvmPV) setVCPU(v int) {
 
 func newHVMPV(c *Container, id int) (*hvmPV, error) {
 	gm := mem.New(c.Opts.GuestFrames)
-	root, err := c.HostMem.Alloc(mem.NoOwner)
+	// The EPT is the container's: tagged with its ID, every table page
+	// goes back to the host when the container is reclaimed.
+	root, err := c.HostMem.Alloc(id)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +72,7 @@ func newHVMPV(c *Container, id int) (*hvmPV, error) {
 	b.eptMap = &pagetable.Mapper{
 		Mem:   c.HostMem,
 		Root:  root,
-		Alloc: func() (mem.PFN, error) { return c.HostMem.Alloc(mem.NoOwner) },
+		Alloc: func() (mem.PFN, error) { return c.HostMem.Alloc(id) },
 		Sink:  pagetable.RawSink(c.HostMem),
 	}
 	return b, nil

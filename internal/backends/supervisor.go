@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cki"
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/guest"
@@ -293,21 +292,16 @@ func (s *Supervisor) tryRestart(i int) bool {
 	}
 	old := s.Cl.Containers[i]
 	id := old.K.ContainerID
-	// Reclaim the dead container's physical frames — including its
-	// KSM's, for CKI — before booting the replacement into them.
-	s.Cl.M.HostMem.FreeOwned(id)
-	s.Cl.M.HostMem.FreeOwned(cki.KSMOwner(id))
-	// Scrub the dead container's PCID group from every TLB: the frames
-	// just reclaimed will back the replacement's page tables, and a
-	// surviving translation tagged with a recycled PCID would resolve
-	// through the corpse's tables.
-	s.Cl.M.FlushContainerTLB(id)
+	// Reclaim the dead container before booting the replacement into
+	// its frames: a surviving translation tagged with a recycled PCID
+	// would resolve through the corpse's tables.
+	s.Cl.M.reclaim(old.Kind, id)
 	warm := false
 	var c *Container
 	if s.Policy.WarmRestart && len(h.lastSnap) > 0 {
 		snap, err := snapshot.Decode(h.lastSnap)
 		if err == nil {
-			c, err = restore(s.Cl.M, snap, old.Opts.Audit)
+			c, err = instantiate(s.Cl.M, snap, snap.ContainerID, guest.RestoreEager, nil, nil, old.Opts.Audit)
 		}
 		if err == nil {
 			warm = true
@@ -319,10 +313,8 @@ func (s *Supervisor) tryRestart(i int) bool {
 			h.SnapshotFallbacks++
 			h.lastSnap = nil
 			// A failed restore may have part-booted a replacement;
-			// reclaim its frames again before the cold boot below.
-			s.Cl.M.HostMem.FreeOwned(id)
-			s.Cl.M.HostMem.FreeOwned(cki.KSMOwner(id))
-			s.Cl.M.FlushContainerTLB(id)
+			// reclaim it too before the cold boot below.
+			s.Cl.M.reclaim(old.Kind, id)
 		}
 	}
 	if c == nil {

@@ -258,58 +258,39 @@ func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (
 		return nil, fmt.Errorf("%s: checkpoint: %w", c.Name, err)
 	}
 
-	machine := func() (*backends.Machine, error) {
-		return backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
-	}
-	// One digest index serves every fork of the template.
+	// Eager restore, COW fork and lazy fork, each on a fresh machine at
+	// the template's own ID and timed to its first response. One digest
+	// index serves every fork of the template.
 	idx := snapshot.NewDigestIndex(snap)
-
-	// Eager: restore replays every resident page, then invoke.
-	m2, err := machine()
-	if err != nil {
-		return nil, err
+	for _, in := range []struct {
+		name  string
+		mode  guest.RestoreMode
+		ready *clock.Time
+	}{
+		{"restore", guest.RestoreEager, &out.eager},
+		{"cow fork", guest.RestoreCOW, &out.cow},
+		{"lazy fork", guest.RestoreLazy, &out.lazy},
+	} {
+		m, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
+		if err != nil {
+			return nil, err
+		}
+		f, err := backends.ForkFromSnapshot(m, snap, idx, snapshot.NewPageStore(m.HostMem), snap.ContainerID, in.mode)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", c.Name, in.name, err)
+		}
+		deferred := f.K.Cur.AS.LazyPending()
+		if err := serverlessInvoke(f.K, addr); err != nil {
+			return nil, err
+		}
+		*in.ready = m.Clk.Now()
+		switch in.mode {
+		case guest.RestoreCOW:
+			out.shareBreaks = f.K.Stats.ShareBreaks
+		case guest.RestoreLazy:
+			out.deferred, out.lazyFaults = deferred, f.K.Stats.LazyFaults
+		}
 	}
-	ec, err := backends.Restore(m2, snap)
-	if err != nil {
-		return nil, fmt.Errorf("%s: restore: %w", c.Name, err)
-	}
-	if err := serverlessInvoke(ec.K, addr); err != nil {
-		return nil, err
-	}
-	out.eager = m2.Clk.Now()
-
-	// COW fork: every resident page mapped shared from the store.
-	m3, err := machine()
-	if err != nil {
-		return nil, err
-	}
-	cw, err := backends.ForkFromSnapshot(m3, snap, idx, snapshot.NewPageStore(m3.HostMem),
-		snap.ContainerID, backends.ForkCOW)
-	if err != nil {
-		return nil, fmt.Errorf("%s: cow fork: %w", c.Name, err)
-	}
-	if err := serverlessInvoke(cw.K, addr); err != nil {
-		return nil, err
-	}
-	out.cow = m3.Clk.Now()
-	out.shareBreaks = cw.K.Stats.ShareBreaks
-
-	// Lazy fork: only the warm-TLB working set mapped up front.
-	m4, err := machine()
-	if err != nil {
-		return nil, err
-	}
-	lz, err := backends.ForkFromSnapshot(m4, snap, idx, snapshot.NewPageStore(m4.HostMem),
-		snap.ContainerID, backends.ForkLazy)
-	if err != nil {
-		return nil, fmt.Errorf("%s: lazy fork: %w", c.Name, err)
-	}
-	out.deferred = lz.K.Cur.AS.LazyPending()
-	if err := serverlessInvoke(lz.K, addr); err != nil {
-		return nil, err
-	}
-	out.lazy = m4.Clk.Now()
-	out.lazyFaults = lz.K.Stats.LazyFaults
 
 	churn, err := serverlessChurnLoop(scale, c.Name, snap, idx, addr)
 	if err != nil {
@@ -346,9 +327,9 @@ func serverlessChurnLoop(scale int, name string, snap *snapshot.Snapshot, idx *s
 	var ring []*backends.Container
 	for i := 0; i < out.Forks; i++ {
 		id := 2 + i%serverlessIDPool
-		mode := backends.ForkCOW
+		mode := guest.RestoreCOW
 		if i%2 == 1 {
-			mode = backends.ForkLazy
+			mode = guest.RestoreLazy
 		}
 		f, err := backends.ForkFromSnapshot(m, snap, idx, store, id, mode)
 		if err != nil {

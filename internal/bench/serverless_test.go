@@ -107,7 +107,7 @@ func TestDigestIndexMatchesImageDigests(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					f, err := backends.ForkFromSnapshot(m, snap, idx, snapshot.NewPageStore(m.HostMem), id, backends.ForkCOW)
+					f, err := backends.ForkFromSnapshot(m, snap, idx, snapshot.NewPageStore(m.HostMem), id, guest.RestoreCOW)
 					if err != nil {
 						t.Fatalf("fork %d: %v", id, err)
 					}

@@ -230,7 +230,7 @@ func runSMP(scale int, seed uint64, prof *SMPProfile, parallel int) (*SMPReport,
 			Clients: 4 * n,
 			VCPUs:   n,
 			RTT:     20 * clock.Microsecond,
-			Service: func(int) clock.Time { return service },
+			Service: service,
 			Horizon: clock.Time(scale) * 20 * clock.Millisecond,
 		}
 		if n > 1 {

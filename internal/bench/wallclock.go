@@ -15,6 +15,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/des"
 	"repro/internal/fleet"
+	"repro/internal/guest"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -288,7 +289,7 @@ func wallclockRows(fx *wallclockFixtures) []wallclockRow {
 	flatService := func(int) clock.Time { return 10 * clock.Microsecond }
 	closedLoop := des.ClosedLoop{Clients: 64, Workers: 4, RTT: 40 * clock.Microsecond, Service: flatService, Horizon: 20 * clock.Millisecond}
 	smpLoop := des.SMPLoop{
-		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: flatService,
+		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: 10 * clock.Microsecond,
 		ShootdownEvery: 1, ShootdownStall: 2 * clock.Microsecond, RemoteStall: clock.Microsecond,
 		Horizon: 20 * clock.Millisecond,
 	}
@@ -408,7 +409,7 @@ func wallclockRows(fx *wallclockFixtures) []wallclockRow {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := backends.ForkFromSnapshot(f.m, f.snap, f.idx, f.store, 2, backends.ForkCOW)
+				c, err := backends.ForkFromSnapshot(f.m, f.snap, f.idx, f.store, 2, guest.RestoreCOW)
 				if err == nil {
 					err = backends.Discard(f.m, c)
 				}

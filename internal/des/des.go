@@ -262,8 +262,9 @@ type SMPLoop struct {
 	VCPUs int
 	// RTT is the client↔server round trip plus think time.
 	RTT clock.Time
-	// Service maps backlog depth to per-request service time.
-	Service ServiceModel
+	// Service is the per-request service time. Dispatch is eager, so a
+	// request never sees a backlog other than itself.
+	Service clock.Time
 	// ShootdownEvery triggers one TLB shootdown every this many
 	// completions (0 disables — the pure scaling baseline).
 	ShootdownEvery int
@@ -309,7 +310,7 @@ func (sl SMPLoop) Throughput() (opsPerSec float64, meanLatency clock.Time, shoot
 					v = i
 				}
 			}
-			done := max(now, nextFree[v]) + sl.Service(1)
+			done := max(now, nextFree[v]) + sl.Service
 			nextFree[v] = done
 			ev.At(done, loopEvent{arrived: now, core: v, done: true})
 			continue

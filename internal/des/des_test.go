@@ -270,7 +270,7 @@ var (
 	flatService = func(int) clock.Time { return 10 * clock.Microsecond }
 	loopClosed  = ClosedLoop{Clients: 64, Workers: 4, RTT: 40 * clock.Microsecond, Service: flatService, Horizon: 20 * clock.Millisecond}
 	loopSMP     = SMPLoop{
-		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: flatService,
+		Clients: 32, VCPUs: 8, RTT: 20 * clock.Microsecond, Service: 10 * clock.Microsecond,
 		ShootdownEvery: 1, ShootdownStall: 2 * clock.Microsecond, RemoteStall: clock.Microsecond,
 		Horizon: 20 * clock.Millisecond,
 	}

@@ -243,22 +243,18 @@ func (k *Kernel) captureProc(p *Proc) (ProcImage, error) {
 	return pi, nil
 }
 
-// RestoreImage rebuilds the image on this freshly booted kernel. The
-// caller must hand in a kernel straight out of boot (one init process,
-// nothing resident); everything the image describes is reconstructed
-// through the runtime's paravirt hooks, so the mediated PTE path —
-// including CKI's KSM validation and top-copy maintenance — sees every
-// rebuilt entry. Preemption is disabled for the duration and re-armed
-// to the image's timeslice at the end.
-func (k *Kernel) RestoreImage(img *Image) error {
-	return k.RestoreImageMode(img, RestoreEager, nil)
-}
-
-// RestoreImageMode is RestoreImage with a fork-time page policy:
-// RestoreCOW maps resident pages shared read-only through the Fork
-// hook instead of demand-faulting them, and RestoreLazy additionally
-// defers every page outside prefetch (page-aligned VAs) to its first
-// touch. Both fork modes require a ForkPages hook to be installed.
+// RestoreImageMode rebuilds the image on this freshly booted kernel.
+// The caller must hand in a kernel straight out of boot (one init
+// process, nothing resident); everything the image describes is
+// reconstructed through the runtime's paravirt hooks, so the mediated
+// PTE path — including CKI's KSM validation and top-copy maintenance —
+// sees every rebuilt entry. mode is the page policy: RestoreEager
+// demand-faults every resident page, RestoreCOW maps them shared
+// read-only through the ForkPages hook instead, and RestoreLazy
+// additionally defers every page outside prefetch (page-aligned VAs) to
+// its first touch. Both sharing modes require a ForkPages hook to be
+// installed. Preemption is disabled for the duration and re-armed to
+// the image's timeslice at the end.
 func (k *Kernel) RestoreImageMode(img *Image, mode RestoreMode, prefetch map[uint64]struct{}) error {
 	if k.dead {
 		return fmt.Errorf("guest: restore onto a dead kernel")

@@ -49,8 +49,7 @@ type ForkPages interface {
 type RestoreMode int
 
 const (
-	// RestoreEager demand-faults every resident page at restore time —
-	// the plain RestoreImage behavior.
+	// RestoreEager demand-faults every resident page at restore time.
 	RestoreEager RestoreMode = iota
 	// RestoreCOW maps every resident page shared read-only through the
 	// ForkPages hook; the first write breaks the share.

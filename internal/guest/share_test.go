@@ -88,7 +88,7 @@ func TestRestoredFilesShareUntilWrite(t *testing.T) {
 	// image bytes as the restored kernel's while they happen.
 	m := machine()
 	sibling, err := backends.ForkFromSnapshot(m, snap, snapshot.NewDigestIndex(snap),
-		snapshot.NewPageStore(m.HostMem), snap.ContainerID, backends.ForkCOW)
+		snapshot.NewPageStore(m.HostMem), snap.ContainerID, guest.RestoreCOW)
 	if err != nil {
 		t.Fatal(err)
 	}
