@@ -28,7 +28,21 @@ type Canon struct {
 
 // NewCanon returns an empty accumulator.
 func NewCanon() *Canon {
-	return &Canon{h: fnvOffset, rename: make(map[uint64]uint64)}
+	c := &Canon{}
+	c.Reset()
+	return c
+}
+
+// Reset empties the accumulator for another fingerprint. The rename
+// map is cleared, not replaced, so a reused Canon allocates nothing
+// once the map has grown to the machine's frame count.
+func (c *Canon) Reset() {
+	c.h = fnvOffset
+	if c.rename == nil {
+		c.rename = make(map[uint64]uint64)
+	} else {
+		clear(c.rename)
+	}
 }
 
 const (

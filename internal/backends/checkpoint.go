@@ -16,6 +16,7 @@ package backends
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/clock"
@@ -77,18 +78,17 @@ type vcpuView struct {
 	mmu *mmu.Unit
 }
 
-// vcpuViews returns every vCPU of the machine the container sits on:
-// the SMP engine's set when one is attached (vCPU 0 wraps the machine
-// core), else the machine core alone.
-func (c *Container) vcpuViews() []vcpuView {
+// appendVCPUViews appends every vCPU of the machine the container sits
+// on to dst: the SMP engine's set when one is attached (vCPU 0 wraps
+// the machine core), else the machine core alone.
+func (c *Container) appendVCPUViews(dst []vcpuView) []vcpuView {
 	if c.smp != nil {
-		out := make([]vcpuView, 0, len(c.smp.VCPUs))
 		for _, v := range c.smp.VCPUs {
-			out = append(out, vcpuView{id: v.ID, cpu: v.CPU, mmu: v.MMU})
+			dst = append(dst, vcpuView{id: v.ID, cpu: v.CPU, mmu: v.MMU})
 		}
-		return out
+		return dst
 	}
-	return []vcpuView{{id: 0, cpu: c.CPU, mmu: c.MMU}}
+	return append(dst, vcpuView{id: 0, cpu: c.CPU, mmu: c.MMU})
 }
 
 // slotVA recovers the base VA of a TLB slot from its VPN.
@@ -101,23 +101,40 @@ func slotVA(s tlb.Slot) uint64 {
 
 const hugeShift = 21 // log2(mem.HugePageSize)
 
-// captureVCPUs snapshots per-vCPU architectural state plus the
-// container's user-range TLB tags. Only (PCID, VA) tags are stored:
-// frame numbers are machine-bound, and TLB coherence guarantees the
-// restorer can re-derive each entry by translating the VA through the
-// rebuilt page tables.
-func captureVCPUs(c *Container) []snapshot.VCPUImage {
+// captureScratch is what a checkpoint sorts and hashes into. It is
+// apart from the snapshot it fills, so a kept snapshot does not pin it;
+// a caller that captures repeatedly keeps one and reuses it.
+type captureScratch struct {
+	image guest.CaptureScratch
+	can   audit.Canon
+	views []vcpuView
+	pids  []int
+	vas   []uint64
+	slots []tlb.Slot
+}
+
+// captureVCPUs overwrites dst with per-vCPU architectural state plus
+// the container's user-range TLB tags, reusing each image's TLB slice.
+// Only (PCID, VA) tags are stored: frame numbers are machine-bound, and
+// TLB coherence guarantees the restorer can re-derive each entry by
+// translating the VA through the rebuilt page tables.
+func (c *Container) captureVCPUs(dst []snapshot.VCPUImage, sc *captureScratch) []snapshot.VCPUImage {
 	id := c.K.ContainerID
-	views := c.vcpuViews()
-	out := make([]snapshot.VCPUImage, 0, len(views))
-	for _, v := range views {
-		img := snapshot.VCPUImage{
+	dst = dst[:0]
+	sc.views = c.appendVCPUViews(sc.views[:0])
+	for _, v := range sc.views {
+		n := len(dst)
+		dst = slices.Grow(dst, 1)[:n+1]
+		img := &dst[n]
+		*img = snapshot.VCPUImage{
 			ID:         v.id,
 			PCID:       v.cpu.PCID(),
 			KernelMode: v.cpu.Mode() == hw.ModeKernel,
 			PKRU:       uint32(v.cpu.PKRU()),
+			TLB:        img.TLB[:0],
 		}
-		for _, s := range v.mmu.TLB.Entries() {
+		sc.slots = v.mmu.TLB.AppendEntries(sc.slots[:0])
+		for _, s := range sc.slots {
 			if int(s.PCID>>8) != id {
 				continue
 			}
@@ -127,9 +144,8 @@ func captureVCPUs(c *Container) []snapshot.VCPUImage {
 			}
 			img.TLB = append(img.TLB, snapshot.TLBSlotImage{PCID: s.PCID, VA: va})
 		}
-		out = append(out, img)
 	}
-	return out
+	return dst
 }
 
 // leafFlags packs the aggregated walk permissions and the leaf's
@@ -191,24 +207,30 @@ func entryFlags(e tlb.Entry) uint64 {
 // checkpoint and its restoration match even though the restored
 // container landed in different frames.
 func (c *Container) CanonicalFingerprint() (uint64, error) {
-	can := audit.NewCanon()
+	return c.fingerprint(new(captureScratch))
+}
+
+// fingerprint is CanonicalFingerprint over reused scratch.
+func (c *Container) fingerprint(sc *captureScratch) (uint64, error) {
+	can := &sc.can
+	can.Reset()
 	id := c.K.ContainerID
-	views := c.vcpuViews()
-	for _, v := range views {
+	sc.views = c.appendVCPUViews(sc.views[:0])
+	for _, v := range sc.views {
 		can.VCPU(v.id, v.cpu.PCID(), v.cpu.Mode() == hw.ModeKernel, uint64(v.cpu.PKRU()))
 	}
 	k := c.K
-	for _, pid := range k.PIDs() {
+	sc.pids = k.AppendPIDs(sc.pids[:0])
+	for _, pid := range sc.pids {
 		p := k.Proc(pid)
 		if p.Exited {
 			continue
 		}
 		as := p.AS
 		can.Root(as.PCID, uint64(as.Root))
-		vas := make([]uint64, 0, 2+len(as.ResidentVAs()))
-		vas = append(vas, guest.KernBase, guest.KernBase+mem.HugePageSize)
-		vas = append(vas, as.ResidentVAs()...)
-		for _, va := range vas {
+		sc.vas = append(sc.vas[:0], guest.KernBase, guest.KernBase+mem.HugePageSize)
+		sc.vas = as.AppendResidentVAs(sc.vas)
+		for _, va := range sc.vas {
 			w, err := pagetable.Translate(k.Mem, as.Root, va)
 			if err != nil {
 				return 0, fmt.Errorf("backends: fingerprint walk pid %d va %#x: %w", pid, va, err)
@@ -216,8 +238,9 @@ func (c *Container) CanonicalFingerprint() (uint64, error) {
 			can.Mapping(as.PCID, va, uint64(w.PFN), leafFlags(k.Mem, w))
 		}
 	}
-	for _, v := range views {
-		for _, s := range v.mmu.TLB.Entries() {
+	for _, v := range sc.views {
+		sc.slots = v.mmu.TLB.AppendEntries(sc.slots[:0])
+		for _, s := range sc.slots {
 			if int(s.PCID>>8) != id {
 				continue
 			}
@@ -236,21 +259,31 @@ func (c *Container) CanonicalFingerprint() (uint64, error) {
 // in-flight COW sharing, no open pipe/socket descriptors); violations
 // surface as *guest.ErrCheckpoint.
 func Checkpoint(c *Container) (*snapshot.Snapshot, error) {
-	img, err := c.K.CaptureImage()
-	if err != nil {
+	snap := new(snapshot.Snapshot)
+	if err := c.checkpoint(snap, new(captureScratch)); err != nil {
 		return nil, err
 	}
-	fp, err := c.CanonicalFingerprint()
-	if err != nil {
-		return nil, err
+	return snap, nil
+}
+
+// checkpoint is Checkpoint into a caller-owned snapshot: every slice of
+// snap is overwritten in place (see guest.Kernel.CaptureInto), so a
+// capture into a previous capture's snapshot, with reused scratch,
+// allocates nothing once both have grown. A refused capture leaves snap
+// partly overwritten.
+func (c *Container) checkpoint(snap *snapshot.Snapshot, sc *captureScratch) error {
+	if err := c.K.CaptureInto(&snap.Image, &sc.image); err != nil {
+		return err
 	}
-	return &snapshot.Snapshot{
-		Config:      snapConfig(c),
-		ContainerID: c.K.ContainerID,
-		Fingerprint: fp,
-		Image:       *img,
-		VCPUs:       captureVCPUs(c),
-	}, nil
+	fp, err := c.fingerprint(sc)
+	if err != nil {
+		return err
+	}
+	snap.Config = snapConfig(c)
+	snap.ContainerID = c.K.ContainerID
+	snap.Fingerprint = fp
+	snap.VCPUs = c.captureVCPUs(snap.VCPUs, sc)
+	return nil
 }
 
 // CheckpointBytes is Checkpoint followed by snapshot.Encode.
@@ -414,7 +447,8 @@ func (c *Container) refillTLB(m *Machine, vcpus []snapshot.VCPUImage) error {
 		}
 	}
 	views := make(map[int]vcpuView)
-	for _, v := range c.vcpuViews() {
+	var one [1]vcpuView // the machine core: a non-SMP container's only vCPU
+	for _, v := range c.appendVCPUViews(one[:0]) {
 		views[v.id] = v
 	}
 	for _, vi := range vcpus {

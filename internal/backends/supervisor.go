@@ -98,11 +98,14 @@ type ContainerHealth struct {
 	// with it (OS-level runtimes only).
 	Escalations int
 
-	down     bool
-	downAt   clock.Time
-	backoff  clock.Time
-	retryAt  clock.Time
-	lastSnap []byte
+	down    bool
+	downAt  clock.Time
+	backoff clock.Time
+	retryAt clock.Time
+	// kept is the last good capture, the warm-restart image; torn marks
+	// that its write tore. spare is the buffer the next capture fills.
+	kept, spare *snapshot.Snapshot
+	torn        bool
 }
 
 // MTTR is the mean virtual time from death to restart.
@@ -119,6 +122,8 @@ type Supervisor struct {
 	Cl     *Cluster
 	Policy RestartPolicy
 	Health []*ContainerHealth
+
+	scratch captureScratch
 }
 
 // NewSupervisor creates a supervisor over cl and arms the watchdog's
@@ -235,23 +240,27 @@ func (s *Supervisor) noteDeath(i int, collateral bool) {
 	}
 }
 
-// snapshot checkpoints container i and keeps the encoded blob as the
-// warm-restart image. The write can tear (faults.SnapshotTorn): the
-// kept blob is then truncated mid-payload, exactly what a writer dying
-// between header and trailer leaves on disk. The damage is not
-// detected here — that is the restore-path checksum's job.
+// snapshot checkpoints container i and keeps the snapshot as the
+// warm-restart image. The capture fills the container's spare snapshot
+// and is swapped in only on success, so a refused capture leaves the
+// last good one untouched, and the steady state allocates nothing. The
+// write can tear (faults.SnapshotTorn): the torn bit is set now and
+// applied when a restart reads the image (tryRestart), which is also
+// the only time it is encoded, so a blob nobody reads is never built.
+// The damage is not detected here — that is the restore-path
+// checksum's job.
 func (s *Supervisor) snapshot(i int) {
 	h := s.Health[i]
 	c := s.Cl.Containers[i]
-	blob, err := CheckpointBytes(c)
-	if err != nil {
+	if h.spare == nil {
+		h.spare = new(snapshot.Snapshot)
+	}
+	if err := c.checkpoint(h.spare, &s.scratch); err != nil {
 		h.SnapshotErrors++
 		return
 	}
-	if c.K.Fire(faults.SnapshotTorn) {
-		blob = blob[:len(blob)*3/4]
-	}
-	h.lastSnap = blob
+	h.kept, h.spare = h.spare, h.kept
+	h.torn = c.K.Fire(faults.SnapshotTorn)
 }
 
 // escalate models the blast radius of container i's crash. An OS-level
@@ -298,8 +307,17 @@ func (s *Supervisor) tryRestart(i int) bool {
 	s.Cl.M.reclaim(old.Kind, id)
 	warm := false
 	var c *Container
-	if s.Policy.WarmRestart && len(h.lastSnap) > 0 {
-		snap, err := snapshot.Decode(h.lastSnap)
+	if s.Policy.WarmRestart && h.kept != nil {
+		// Read the image back as its write left it: whole, or, when the
+		// write tore, truncated mid-payload — what a writer dying
+		// between header and trailer leaves on disk. Decoding also
+		// means the replacement shares the decoded file bytes, never
+		// the kept snapshot the next capture overwrites.
+		blob := snapshot.Encode(h.kept)
+		if h.torn {
+			blob = blob[:len(blob)*3/4]
+		}
+		snap, err := snapshot.Decode(blob)
 		if err == nil {
 			c, err = instantiate(s.Cl.M, snap, snap.ContainerID, guest.RestoreEager, nil, nil, old.Opts.Audit)
 		}
@@ -311,7 +329,7 @@ func (s *Supervisor) tryRestart(i int) bool {
 			// error; the container still comes back, just without its
 			// warm state.
 			h.SnapshotFallbacks++
-			h.lastSnap = nil
+			h.kept = nil
 			// A failed restore may have part-booted a replacement;
 			// reclaim it too before the cold boot below.
 			s.Cl.M.reclaim(old.Kind, id)

@@ -1,12 +1,17 @@
 package backends
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/guest"
+	"repro/internal/mem"
+	"repro/internal/mmu"
 	"repro/internal/snapshot"
 )
 
@@ -69,12 +74,11 @@ func TestWarmRestartRestoresSnapshotState(t *testing.T) {
 	}
 	// The warm-restart image carries the workload's file state, not a
 	// fresh filesystem: smallWork created /chaos before the checkpoint.
-	snap, err := snapshot.Decode(h.lastSnap)
-	if err != nil {
-		t.Fatalf("last good snapshot does not decode: %v", err)
+	if h.kept == nil {
+		t.Fatal("no last good snapshot kept")
 	}
 	found := false
-	for _, f := range snap.Image.Files {
+	for _, f := range h.kept.Image.Files {
 		if f.Path == "/chaos" {
 			found = true
 		}
@@ -88,7 +92,8 @@ func TestWarmRestartRestoresSnapshotState(t *testing.T) {
 	if c.K.Died() {
 		m := sup.Cl.M
 		m.reclaim(c.Kind, c.K.ContainerID)
-		if c, err = RestoreBytes(m, h.lastSnap); err != nil {
+		var err error
+		if c, err = RestoreBytes(m, snapshot.Encode(h.kept)); err != nil {
 			t.Fatalf("manual warm restore: %v", err)
 		}
 	}
@@ -301,6 +306,219 @@ func TestReclaimReturnsEveryFrame(t *testing.T) {
 			}
 			if after := m.HostMem.InUse(); after != before {
 				t.Errorf("host frames in use %d before %d fork+Discard cycles, %d after", before, forks, after)
+			}
+		})
+	}
+}
+
+// churn is a seeded workload that grows and shrinks every part of a
+// captured image: files (write, truncate, unlink), anonymous mappings
+// (mmap, munmap, touches that set A/D bits), processes (fork, exit,
+// reap) and the container's TLB tags (touches and group flushes). A
+// round may end with an open pipe, which the capture after it refuses.
+type churn struct {
+	rng      *rand.Rand
+	m        *Machine
+	init     int
+	children []int
+	maps     []uint64 // init's live mappings, churnPages pages each
+	pipe     []int
+	rounds   int
+}
+
+const churnPages = 4
+
+func (w *churn) round(k *guest.Kernel, id int) error {
+	if err := k.SwitchToPID(w.init); err != nil {
+		return err
+	}
+	for _, fd := range w.pipe {
+		if err := k.Close(fd); err != nil {
+			return err
+		}
+	}
+	w.pipe = nil
+	for n := 1 + w.rng.Intn(4); n > 0; n-- {
+		path := fmt.Sprintf("/churn%d", w.rng.Intn(3))
+		_, statErr := k.Stat(path)
+		switch w.rng.Intn(8) {
+		case 0:
+			fd, err := k.Open(path, true)
+			if err != nil {
+				return err
+			}
+			data := make([]byte, 1+w.rng.Intn(3*mem.PageSize))
+			w.rng.Read(data)
+			if _, err := k.Write(fd, data); err != nil {
+				return err
+			}
+			if err := k.Close(fd); err != nil {
+				return err
+			}
+		case 1:
+			if statErr != nil {
+				continue
+			}
+			fd, err := k.Open(path, false)
+			if err != nil {
+				return err
+			}
+			if err := k.Ftruncate(fd, uint64(w.rng.Intn(mem.PageSize))); err != nil {
+				return err
+			}
+			if err := k.Close(fd); err != nil {
+				return err
+			}
+		case 2:
+			if statErr != nil {
+				continue
+			}
+			if err := k.Unlink(path); err != nil {
+				return err
+			}
+		case 3:
+			addr, err := k.MmapCall(churnPages*mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
+			if err != nil {
+				return err
+			}
+			w.maps = append(w.maps, addr)
+			if err := w.touch(k, addr); err != nil {
+				return err
+			}
+		case 4:
+			if len(w.maps) == 0 {
+				continue
+			}
+			i := w.rng.Intn(len(w.maps))
+			if err := k.MunmapCall(w.maps[i], churnPages*mem.PageSize); err != nil {
+				return err
+			}
+			w.maps = append(w.maps[:i], w.maps[i+1:]...)
+		case 5:
+			if len(w.children) >= 3 {
+				continue
+			}
+			pid, err := k.Fork()
+			if err != nil {
+				return err
+			}
+			w.children = append(w.children, pid)
+		case 6:
+			if len(w.children) == 0 {
+				continue
+			}
+			i := w.rng.Intn(len(w.children))
+			if err := k.SwitchToPID(w.children[i]); err != nil {
+				return err
+			}
+			if err := k.Exit(0); err != nil {
+				return err
+			}
+			w.children = append(w.children[:i], w.children[i+1:]...)
+			if err := k.SwitchToPID(w.init); err != nil {
+				return err
+			}
+			if w.rng.Intn(2) == 0 {
+				if _, err := k.Wait(); err != nil {
+					return err
+				}
+			}
+		case 7:
+			if w.rng.Intn(2) == 0 {
+				w.m.FlushContainerTLB(id)
+			}
+			for _, addr := range w.maps {
+				if err := w.touch(k, addr); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	w.rounds++
+	if w.rounds > 1 && w.rng.Intn(4) == 0 {
+		r, wr, err := k.PipePair()
+		if err != nil {
+			return err
+		}
+		w.pipe = []int{r, wr}
+	}
+	return nil
+}
+
+// touch reads, writes or skips each page of the mapping at addr.
+func (w *churn) touch(k *guest.Kernel, addr uint64) error {
+	for p := uint64(0); p < churnPages; p++ {
+		var err error
+		switch w.rng.Intn(3) {
+		case 0:
+			err = k.Touch(addr+p*mem.PageSize, mmu.Read)
+		case 1:
+			err = k.Touch(addr+p*mem.PageSize, mmu.Write)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestKeptSnapshotMatchesFreshCheckpoint: the supervisor captures into
+// two reused snapshots per container, so whatever a round shrinks must
+// not survive from an older capture in the same buffers. On every
+// runtime, after each churn round the kept snapshot encodes to exactly
+// the bytes of a fresh CheckpointBytes; after a refused capture (an
+// open pipe), to the last good bytes.
+func TestKeptSnapshotMatchesFreshCheckpoint(t *testing.T) {
+	const rounds = 80
+	for _, kind := range []Kind{RunC, HVM, PVM, CKI, GVisor} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cl, err := NewCluster(1 << 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cl.Add(kind, Options{SegmentFrames: 2048, GuestFrames: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol := warmPolicy()
+			// No timer tick lands mid-round: the workload alone decides
+			// which process runs.
+			pol.WatchdogSlice = clock.Second
+			sup := NewSupervisor(cl, pol)
+			h := sup.Health[0]
+			w := &churn{rng: rand.New(rand.NewSource(int64(kind) + 1)), m: cl.M, init: c.K.Cur.PID}
+			var good []byte
+			refused := 0
+			for r := 0; r < rounds; r++ {
+				errs := h.SnapshotErrors
+				if err := sup.Supervise(1, func(_ int, c *Container) error {
+					return w.round(c.K, c.K.ContainerID)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if h.RoundsOK != r+1 {
+					t.Fatalf("round %d not served (crashes %d)", r, h.Crashes)
+				}
+				kept := snapshot.Encode(h.kept)
+				if h.SnapshotErrors > errs {
+					refused++
+					if !bytes.Equal(kept, good) {
+						t.Fatalf("round %d: refused capture changed the kept snapshot", r)
+					}
+					continue
+				}
+				want, err := CheckpointBytes(c)
+				if err != nil {
+					t.Fatalf("round %d: %v", r, err)
+				}
+				if !bytes.Equal(kept, want) {
+					t.Fatalf("round %d: kept snapshot (%d bytes) differs from a fresh checkpoint (%d bytes)",
+						r, len(kept), len(want))
+				}
+				good = kept
+			}
+			if refused == 0 || refused == rounds {
+				t.Fatalf("%d of %d captures refused: the rounds do not mix both outcomes", refused, rounds)
 			}
 		})
 	}

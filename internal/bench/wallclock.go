@@ -404,6 +404,42 @@ func wallclockRows(fx *wallclockFixtures) []wallclockRow {
 				buf = snapshot.EncodeTo(snap, buf[:0])
 			}
 		}},
+		// The supervisor's periodic capture (SnapshotInterval 1, as the
+		// fleet replay runs it) of a booted CKI container holding a file
+		// and resident pages: one supervised round whose request does
+		// nothing, so the round is the probe and the capture into the
+		// container's spare snapshot.
+		wallclockRow{name: "supervisor/capture", zeroAlloc: true, bench: func(b *testing.B) {
+			cl, err := backends.NewCluster(1 << 16)
+			var c *backends.Container
+			if err == nil {
+				c, err = cl.Add(backends.CKI, backends.Options{GuestFrames: 1 << 12, SegmentFrames: 1 << 11})
+			}
+			if err == nil {
+				_, err = serverlessInit(c.K, 1)
+			}
+			if err != nil {
+				fx.fail(b, fmt.Errorf("supervised container: %w", err))
+			}
+			pol := backends.DefaultRestartPolicy()
+			pol.SnapshotInterval = 1
+			sup := backends.NewSupervisor(cl, pol)
+			idle := func(int, *backends.Container) error { return nil }
+			// Two rounds grow both of the container's snapshots.
+			if err := sup.Supervise(2, idle); err != nil {
+				fx.fail(b, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sup.Supervise(1, idle); err != nil {
+					fx.fail(b, err)
+				}
+			}
+			if h := sup.Health[0]; h.SnapshotErrors != 0 {
+				fx.fail(b, fmt.Errorf("%d of %d captures refused", h.SnapshotErrors, h.RoundsOK))
+			}
+		}},
 		wallclockRow{name: "fork/cow", bench: func(b *testing.B) {
 			f := fx.forks(b)
 			b.ReportAllocs()

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/clock"
@@ -117,30 +118,56 @@ var costCheckpointPage = clock.FromNanos(180)
 // registered SIGSEGV handlers, unlinked-but-open files, and pending
 // virtual interrupts all return *ErrCheckpoint.
 func (k *Kernel) CaptureImage() (*Image, error) {
+	img := new(Image)
+	if err := k.CaptureInto(img, new(CaptureScratch)); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// CaptureScratch is the sort scratch of a capture, kept by a caller
+// that captures repeatedly.
+type CaptureScratch struct {
+	paths []string
+	pids  []int
+	fds   []int
+	vas   []uint64
+}
+
+// CaptureInto is CaptureImage into a caller-owned image. Every slice of
+// img — the run queue, the files and their contents, the processes and
+// their descriptors, VMAs and resident pages — is overwritten in place,
+// reusing its backing array, so a capture into the previous capture's
+// image and scratch allocates nothing once both have grown. A refused
+// capture returns *ErrCheckpoint and leaves img partly overwritten.
+func (k *Kernel) CaptureInto(img *Image, sc *CaptureScratch) error {
 	if k.dead {
-		return nil, &ErrCheckpoint{Reason: "kernel has panicked"}
+		return &ErrCheckpoint{Reason: "kernel has panicked"}
 	}
 	if len(k.cowRefs) > 0 {
-		return nil, &ErrCheckpoint{Reason: "outstanding copy-on-write sharings"}
+		return &ErrCheckpoint{Reason: "outstanding copy-on-write sharings"}
 	}
 	for _, p := range k.procs {
 		if p.Exited || p.AS == nil {
 			continue
 		}
 		if len(p.AS.shared) > 0 || len(p.AS.lazy) > 0 {
-			return nil, &ErrCheckpoint{Reason: fmt.Sprintf(
+			return &ErrCheckpoint{Reason: fmt.Sprintf(
 				"pid %d still holds fork-shared or lazily deferred pages", p.PID)}
 		}
 	}
 	if !k.VIC.Enabled() || k.VIC.Pending() > 0 {
-		return nil, &ErrCheckpoint{Reason: "virtual interrupt controller not quiescent"}
+		return &ErrCheckpoint{Reason: "virtual interrupt controller not quiescent"}
 	}
-	img := &Image{
+	*img = Image{
 		ContainerID: k.ContainerID,
 		NextPID:     k.nextPID,
 		NextASID:    k.nextASID,
 		NextIno:     k.FS.nextIno,
 		Timeslice:   k.Timeslice,
+		RunQueue:    img.RunQueue[:0],
+		Files:       img.Files[:0],
+		Procs:       img.Procs[:0],
 	}
 	if k.Cur != nil {
 		img.CurPID = k.Cur.PID
@@ -149,62 +176,70 @@ func (k *Kernel) CaptureImage() (*Image, error) {
 		img.RunQueue = append(img.RunQueue, p.PID)
 	}
 
-	paths := make([]string, 0, len(k.FS.files))
+	sc.paths = slices.Grow(sc.paths[:0], len(k.FS.files))
 	for path := range k.FS.files {
-		paths = append(paths, path)
+		sc.paths = append(sc.paths, path)
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	slices.Sort(sc.paths)
+	for _, path := range sc.paths {
 		ino := k.FS.files[path]
-		img.Files = append(img.Files, FileImage{
+		var fi *FileImage
+		img.Files, fi = extend(img.Files)
+		*fi = FileImage{
 			Path: path, Ino: ino.Ino, Dir: ino.Dir, Dirty: ino.Dirty,
-			Data: append([]byte(nil), ino.Data...),
-		})
+			Data: append(fi.Data[:0], ino.Data...),
+		}
 		k.charge(copyCost(len(ino.Data)))
 	}
 
-	pids := make([]int, 0, len(k.procs))
-	for pid := range k.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		pi, err := k.captureProc(k.procs[pid])
-		if err != nil {
-			return nil, err
+	sc.pids = k.AppendPIDs(sc.pids[:0])
+	for _, pid := range sc.pids {
+		var pi *ProcImage
+		img.Procs, pi = extend(img.Procs)
+		if err := k.captureProc(k.procs[pid], pi, sc); err != nil {
+			return err
 		}
-		img.Procs = append(img.Procs, pi)
 	}
-	return img, nil
+	return nil
 }
 
-func (k *Kernel) captureProc(p *Proc) (ProcImage, error) {
-	pi := ProcImage{
+// extend returns s grown by one element and a pointer to it. Within
+// s's capacity the element is the one a previous capture left there, so
+// the caller can reuse its inner slices; it must overwrite every field.
+func extend[T any](s []T) ([]T, *T) {
+	s = slices.Grow(s, 1)[:len(s)+1]
+	return s, &s[len(s)-1]
+}
+
+// captureProc overwrites *pi with process p.
+func (k *Kernel) captureProc(p *Proc, pi *ProcImage, sc *CaptureScratch) error {
+	*pi = ProcImage{
 		PID: p.PID, Parent: p.Parent, Affinity: p.Affinity,
 		Exited: p.Exited, ExitCode: p.ExitCode,
 		Brk: p.brk, NextFD: p.nextFD, HeapVMA: -1,
+		FDs: pi.FDs[:0], VMAs: pi.VMAs[:0], Resident: pi.Resident[:0],
 	}
 	if p.segv != nil {
-		return pi, &ErrCheckpoint{Reason: fmt.Sprintf("pid %d has a registered SIGSEGV handler", p.PID)}
+		return &ErrCheckpoint{Reason: fmt.Sprintf("pid %d has a registered SIGSEGV handler", p.PID)}
 	}
-	fds := make([]int, 0, len(p.fds))
+	sc.fds = slices.Grow(sc.fds[:0], len(p.fds))
 	for fd := range p.fds {
-		fds = append(fds, fd)
+		sc.fds = append(sc.fds, fd)
 	}
-	sort.Ints(fds)
-	for _, fd := range fds {
+	slices.Sort(sc.fds)
+	for _, fd := range sc.fds {
 		f := p.fds[fd]
 		if f.kind != kindRegular {
-			return pi, &ErrCheckpoint{Reason: fmt.Sprintf("pid %d fd %d is a pipe or socket", p.PID, fd)}
+			return &ErrCheckpoint{Reason: fmt.Sprintf("pid %d fd %d is a pipe or socket", p.PID, fd)}
 		}
 		if k.FS.files[f.inode.Name] != f.inode {
-			return pi, &ErrCheckpoint{Reason: fmt.Sprintf("pid %d fd %d refers to an unlinked file", p.PID, fd)}
+			return &ErrCheckpoint{Reason: fmt.Sprintf("pid %d fd %d refers to an unlinked file", p.PID, fd)}
 		}
 		pi.FDs = append(pi.FDs, FDImage{FD: fd, Path: f.inode.Name, Pos: f.pos, Append: f.append_})
 	}
 	if p.Exited {
 		// Zombies have no address space left to capture.
-		return pi, nil
+		return nil
 	}
 	as := p.AS
 	pi.PCID = as.PCID
@@ -213,7 +248,7 @@ func (k *Kernel) captureProc(p *Proc) (ProcImage, error) {
 		vi := VMAImage{Start: v.Start, End: v.End, Prot: v.Prot, Off: v.Off, Huge: v.Huge}
 		if v.File != nil {
 			if k.FS.files[v.File.Name] != v.File {
-				return pi, &ErrCheckpoint{Reason: fmt.Sprintf("pid %d maps an unlinked file", p.PID)}
+				return &ErrCheckpoint{Reason: fmt.Sprintf("pid %d maps an unlinked file", p.PID)}
 			}
 			vi.HasFile, vi.Path = true, v.File.Name
 		}
@@ -222,15 +257,11 @@ func (k *Kernel) captureProc(p *Proc) (ProcImage, error) {
 			pi.HeapVMA = i
 		}
 	}
-	vas := make([]uint64, 0, len(as.mapped))
-	for va := range as.mapped {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	for _, va := range vas {
+	sc.vas = as.AppendResidentVAs(sc.vas[:0])
+	for _, va := range sc.vas {
 		w, err := pagetable.Translate(k.Mem, as.Root, va)
 		if err != nil {
-			return pi, &ErrCheckpoint{Reason: fmt.Sprintf("pid %d: resident va %#x unmapped in tables", p.PID, va)}
+			return &ErrCheckpoint{Reason: fmt.Sprintf("pid %d: resident va %#x unmapped in tables", p.PID, va)}
 		}
 		leaf := pagetable.ReadEntry(k.Mem, w.Slot.PTP, w.Slot.Index)
 		pi.Resident = append(pi.Resident, PageImage{
@@ -240,7 +271,7 @@ func (k *Kernel) captureProc(p *Proc) (ProcImage, error) {
 		})
 		k.Phase("checkpoint_scan", costCheckpointPage)
 	}
-	return pi, nil
+	return nil
 }
 
 // RestoreImageMode rebuilds the image on this freshly booted kernel.
@@ -422,23 +453,37 @@ func (k *Kernel) restoreProc(pi *ProcImage, mode RestoreMode, prefetch map[uint6
 // PIDs returns every process ID, sorted (fingerprint walks and
 // checkpoint tooling iterate processes in this order).
 func (k *Kernel) PIDs() []int {
-	out := make([]int, 0, len(k.procs))
+	return k.AppendPIDs(nil)
+}
+
+// AppendPIDs appends every process ID to dst, sorted, and returns the
+// extended slice.
+func (k *Kernel) AppendPIDs(dst []int) []int {
+	start := len(dst)
+	dst = slices.Grow(dst, len(k.procs))
 	for pid := range k.procs {
-		out = append(out, pid)
+		dst = append(dst, pid)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // ResidentVAs returns the resident page addresses of the address
 // space, sorted.
 func (as *AddrSpace) ResidentVAs() []uint64 {
-	out := make([]uint64, 0, len(as.mapped))
+	return as.AppendResidentVAs(nil)
+}
+
+// AppendResidentVAs appends the resident page addresses to dst, sorted,
+// and returns the extended slice.
+func (as *AddrSpace) AppendResidentVAs(dst []uint64) []uint64 {
+	start := len(dst)
+	dst = slices.Grow(dst, len(as.mapped))
 	for va := range as.mapped {
-		out = append(out, va)
+		dst = append(dst, va)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // --- dirty-page tracking ------------------------------------------------

@@ -18,7 +18,8 @@
 package tlb
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -140,7 +141,7 @@ func (t *TLB) PCIDStats() []PCIDStat {
 	for _, st := range t.perPCID {
 		out = append(out, *st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PCID < out[j].PCID })
+	slices.SortFunc(out, func(a, b PCIDStat) int { return cmp.Compare(a.PCID, b.PCID) })
 	return out
 }
 
@@ -381,24 +382,34 @@ type Slot struct {
 // audit-replay tests can compare reconstructed TLB contents against a
 // live one deterministically.
 func (t *TLB) Entries() []Slot {
-	out := make([]Slot, 0, t.n)
+	return t.AppendEntries(nil)
+}
+
+// AppendEntries appends every live entry to dst in Entries' order and
+// returns the extended slice; a capture that reuses dst allocates
+// nothing.
+func (t *TLB) AppendEntries(dst []Slot) []Slot {
+	start := len(dst)
+	dst = slices.Grow(dst, t.n)
 	for pcid, sp := range t.spaces {
 		for vpn, tg := range sp.entries {
-			out = append(out, Slot{
+			dst = append(dst, Slot{
 				PCID: pcid, VPN: vpn &^ (1 << 63),
 				Huge: vpn&(1<<63) != 0, Entry: tg.e,
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.PCID != b.PCID {
-			return a.PCID < b.PCID
+	slices.SortFunc(dst[start:], func(a, b Slot) int {
+		if c := cmp.Compare(a.PCID, b.PCID); c != 0 {
+			return c
 		}
 		if a.Huge != b.Huge {
-			return !a.Huge
+			if a.Huge {
+				return 1
+			}
+			return -1
 		}
-		return a.VPN < b.VPN
+		return cmp.Compare(a.VPN, b.VPN)
 	})
-	return out
+	return dst
 }
