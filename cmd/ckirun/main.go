@@ -75,6 +75,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ckirun: unknown workload %q (try -list)\n", *wl)
 		os.Exit(2)
 	}
+	if *traceN < 0 {
+		fmt.Fprintf(os.Stderr, "ckirun: -trace %d: must be at least 0\n", *traceN)
+		os.Exit(2)
+	}
 	var auditRec *audit.Recorder
 	if *auditOut != "" {
 		auditRec = audit.NewRecorder(nil)

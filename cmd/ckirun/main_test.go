@@ -72,6 +72,7 @@ func TestExitCodes(t *testing.T) {
 		{"list", []string{"-list"}, 0, "btree"},
 		{"unknown runtime", []string{"-runtime", "xen"}, 2, "unknown runtime"},
 		{"unknown workload", []string{"-workload", "nope"}, 2, "unknown workload"},
+		{"negative trace", []string{"-trace", "-1"}, 2, "-trace -1"},
 		{"audit-out with restore", []string{"-restore", "app.snap", "-audit-out", "a.log"}, 2, "-audit-out"},
 		{"missing restore image", []string{"-restore", filepath.Join(tmp, "none.snap")}, 1, "none.snap"},
 		{"torn restore image", []string{"-restore", torn, "-workload", "btree"}, 1, "restore " + torn + ": snapshot:"},

@@ -398,17 +398,6 @@ func instantiate(m *Machine, snap *snapshot.Snapshot, id int, mode guest.Restore
 	return c, nil
 }
 
-// RestoreBytes decodes blob (verifying the CKISNAP1 checksum) and
-// restores it. Corrupt or truncated snapshots come back as clean
-// errors, never panics — callers fall back to a cold restart.
-func RestoreBytes(m *Machine, blob []byte) (*Container, error) {
-	s, err := snapshot.Decode(blob)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(m, s)
-}
-
 // refreshTopCopies re-synchronizes CKI's per-vCPU top-level table
 // copies after a restore rebuilt the master tables: every declared root
 // regains a coherent split view on every vCPU. A no-op for the other

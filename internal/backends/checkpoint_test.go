@@ -77,15 +77,17 @@ func TestCheckpointRestoreEveryRuntime(t *testing.T) {
 		if got := snap.Image.ResidentPages(); got < 5 {
 			t.Fatalf("resident pages in image = %d, want >= 5", got)
 		}
-		blob := snapshot.Encode(snap)
-
+		decoded, err := snapshot.Decode(snapshot.Encode(snap))
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
 		m2, err := NewMachine(c.Opts.HostFrames, c.Opts.TLBEntries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RestoreBytes(m2, blob)
+		r, err := Restore(m2, decoded)
 		if err != nil {
-			t.Fatalf("RestoreBytes: %v", err)
+			t.Fatalf("Restore: %v", err)
 		}
 
 		// The restored container keeps serving: preserved descriptor,
@@ -164,7 +166,8 @@ func TestCheckpointDeterministic(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruption: bit flips and truncations anywhere in
-// the blob are detected by the checksum and surface as clean errors.
+// the blob are detected by the checksum and surface as clean errors
+// from Decode, before any restore could start.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	c := MustNew(PVM, Options{})
 	checkpointWorkload(t, c)
@@ -175,15 +178,13 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	for _, off := range []int{0, 8, len(blob) / 2, len(blob) - 9, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x40
-		m, _ := NewMachine(0, 0)
-		if _, err := RestoreBytes(m, bad); err == nil {
-			t.Fatalf("flip at %d: restore accepted corrupt snapshot", off)
+		if _, err := snapshot.Decode(bad); err == nil {
+			t.Fatalf("flip at %d: decode accepted corrupt snapshot", off)
 		}
 	}
 	for _, n := range []int{0, 7, 8, 20, len(blob) - 8, len(blob) - 1} {
-		m, _ := NewMachine(0, 0)
-		if _, err := RestoreBytes(m, blob[:n]); err == nil {
-			t.Fatalf("truncate to %d: restore accepted torn snapshot", n)
+		if _, err := snapshot.Decode(blob[:n]); err == nil {
+			t.Fatalf("truncate to %d: decode accepted torn snapshot", n)
 		}
 	}
 }

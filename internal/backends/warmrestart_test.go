@@ -93,7 +93,7 @@ func TestWarmRestartRestoresSnapshotState(t *testing.T) {
 		m := sup.Cl.M
 		m.reclaim(c.Kind, c.K.ContainerID)
 		var err error
-		if c, err = RestoreBytes(m, snapshot.Encode(h.kept)); err != nil {
+		if c, err = Restore(m, h.kept); err != nil {
 			t.Fatalf("manual warm restore: %v", err)
 		}
 	}

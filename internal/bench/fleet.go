@@ -13,6 +13,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/guest"
 	"repro/internal/metrics"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
@@ -192,63 +193,95 @@ type FleetReport struct {
 	Timeline *telemetry.Store `json:"-"`
 }
 
-// fleetCalibrate measures one runtime's cost model on a real machine:
-// the boot is the virtual time New charges, the service time averages
-// fleetCalibReqs requests after warmup, and the warm-restore cost is a
-// checkpoint/restore round trip onto a fresh machine.
-func fleetCalibrate(kind backends.Kind, opts backends.Options) (fleet.RuntimeCosts, string, error) {
-	var costs fleet.RuntimeCosts
-	c, err := backends.New(kind, opts)
+// calibrate measures one runtime on a real machine: boot it (boot is
+// the virtual time New charges), run init, then time n requests on the
+// address init returns (first is the clock after init and the first
+// timed request, service their mean), and checkpoint the result. Fleet,
+// tail, slo and serverless calibrate through this one body.
+func calibrate(spec runtimeSpec, init func(*guest.Kernel) (uint64, error), request func(*guest.Kernel, uint64) error, n int) (
+	name string, boot, first, service clock.Time, snap *snapshot.Snapshot, addr uint64, err error) {
+	c, err := backends.New(spec.kind, spec.opts)
 	if err != nil {
-		return costs, "", err
+		return
 	}
-	costs.Boot = c.Clk.Now()
-	for i := 0; i < 4; i++ {
-		if err := workloads.PageRequest(c.K); err != nil {
-			return costs, "", err
-		}
+	name, boot = c.Name, c.Clk.Now()
+	if addr, err = init(c.K); err != nil {
+		err = fmt.Errorf("%s: init: %w", name, err)
+		return
 	}
 	t0 := c.Clk.Now()
-	for i := 0; i < fleetCalibReqs; i++ {
-		if err := workloads.PageRequest(c.K); err != nil {
-			return costs, "", err
+	for i := 0; i < n; i++ {
+		if err = request(c.K, addr); err != nil {
+			err = fmt.Errorf("%s: request: %w", name, err)
+			return
+		}
+		if i == 0 {
+			first = c.Clk.Now()
 		}
 	}
-	costs.Service = (c.Clk.Now() - t0) / fleetCalibReqs
+	service = (c.Clk.Now() - t0) / clock.Time(n)
+	if snap, err = backends.Checkpoint(c); err != nil {
+		err = fmt.Errorf("%s: checkpoint: %w", name, err)
+	}
+	return
+}
 
-	snap, err := backends.Checkpoint(c)
+// bringUp instantiates snap under mode on a fresh machine sized from
+// its config, at the snapshot's own container ID (an eager bring-up is
+// exactly backends.Restore). restored is the machine's clock once the
+// container is up and pending the pages a lazy bring-up deferred; a
+// non-nil serve then runs once and served is the clock after it. idx
+// is snap's digest index, which only the COW and lazy modes read.
+func bringUp(snap *snapshot.Snapshot, idx *snapshot.DigestIndex, mode guest.RestoreMode, serve func(*guest.Kernel) error) (
+	c *backends.Container, restored, served clock.Time, pending int, err error) {
+	m, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
 	if err != nil {
-		return costs, "", fmt.Errorf("%s: checkpoint: %w", c.Name, err)
+		return
 	}
-	m2, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
-	if err != nil {
-		return costs, "", err
+	if c, err = backends.ForkFromSnapshot(m, snap, idx, snapshot.NewPageStore(m.HostMem), snap.ContainerID, mode); err != nil {
+		return
 	}
-	if _, err := backends.RestoreBytes(m2, snapshot.Encode(snap)); err != nil {
-		return costs, "", fmt.Errorf("%s: restore: %w", c.Name, err)
+	restored, pending = m.Clk.Now(), c.K.Cur.AS.LazyPending()
+	if serve != nil {
+		err = serve(c.K)
+		served = m.Clk.Now()
 	}
-	costs.WarmRestore = m2.Clk.Now()
-	return costs, c.Name, nil
+	return
 }
 
 // fleetCalibrateAll calibrates every fleet runtime, one cell each fanned
-// out across host cores, and tabulates the cost models for the report.
+// out across host cores, and tabulates the cost models for the report:
+// boot, the mean of fleetCalibReqs requests after four warm-up requests,
+// and the warm-restore cost of an eager bring-up on a fresh machine.
 // exp prefixes errors with the calling experiment.
 func fleetCalibrateAll(exp string, parallel int) ([]fleet.RuntimeCosts, []FleetCalibration, error) {
 	specs := runtimeSpecs()
 	costs := make([]fleet.RuntimeCosts, len(specs))
 	table := make([]FleetCalibration, len(specs))
+	request := func(k *guest.Kernel, _ uint64) error { return workloads.PageRequest(k) }
+	warmUp := func(k *guest.Kernel) (uint64, error) {
+		for range 4 {
+			if err := request(k, 0); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	}
 	err := RunIndexed(parallel, len(specs), func(i int) error {
-		c, name, err := fleetCalibrate(specs[i].kind, specs[i].opts)
+		name, boot, _, service, snap, _, err := calibrate(specs[i], warmUp, request, fleetCalibReqs)
+		var restored clock.Time
+		if err == nil {
+			_, restored, _, _, err = bringUp(snap, nil, guest.RestoreEager, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: calibrate %v: %w", exp, specs[i].kind, err)
 		}
-		costs[i] = c
+		costs[i] = fleet.RuntimeCosts{Boot: boot, Service: service, WarmRestore: restored}
 		table[i] = FleetCalibration{
 			Runtime:       name,
-			BootNs:        float64(c.Boot) / float64(clock.Nanosecond),
-			ServiceNs:     float64(c.Service) / float64(clock.Nanosecond),
-			WarmRestoreNs: float64(c.WarmRestore) / float64(clock.Nanosecond),
+			BootNs:        float64(boot) / float64(clock.Nanosecond),
+			ServiceNs:     float64(service) / float64(clock.Nanosecond),
+			WarmRestoreNs: float64(restored) / float64(clock.Nanosecond),
 		}
 		return nil
 	})

@@ -216,90 +216,6 @@ func serverlessInvoke(k *guest.Kernel, addr uint64) error {
 	return k.Close(fd)
 }
 
-// serverlessCosts carries one runtime's calibrated numbers to the
-// fleet stage in clock units.
-type serverlessCosts struct {
-	name                    string
-	cold, eager, cow, lazy  clock.Time
-	invoke                  clock.Time
-	shareBreaks, lazyFaults uint64
-	deferred                int
-	churn                   ServerlessChurn
-}
-
-// serverlessCalibrate measures one runtime's four instantiation paths
-// end-to-first-response and runs its churn loop.
-func serverlessCalibrate(scale int, kind backends.Kind, opts backends.Options) (*serverlessCosts, error) {
-	// Cold: bare machine -> boot -> full init -> first invocation.
-	c, err := backends.New(kind, opts)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := serverlessInit(c.K, scale)
-	if err != nil {
-		return nil, fmt.Errorf("%s: init: %w", c.Name, err)
-	}
-	ready := c.Clk.Now()
-	if err := serverlessInvoke(c.K, addr); err != nil {
-		return nil, fmt.Errorf("%s: invoke: %w", c.Name, err)
-	}
-	out := &serverlessCosts{name: c.Name, cold: c.Clk.Now()}
-	// Steady-state service time: more warm invocations, averaged. They
-	// run before the checkpoint, so the template's warm TLB — the lazy
-	// prefetch set — ends up holding exactly the hot working set.
-	for i := 1; i < serverlessInvokes; i++ {
-		if err := serverlessInvoke(c.K, addr); err != nil {
-			return nil, err
-		}
-	}
-	out.invoke = (c.Clk.Now() - ready) / serverlessInvokes
-	snap, err := backends.Checkpoint(c)
-	if err != nil {
-		return nil, fmt.Errorf("%s: checkpoint: %w", c.Name, err)
-	}
-
-	// Eager restore, COW fork and lazy fork, each on a fresh machine at
-	// the template's own ID and timed to its first response. One digest
-	// index serves every fork of the template.
-	idx := snapshot.NewDigestIndex(snap)
-	for _, in := range []struct {
-		name  string
-		mode  guest.RestoreMode
-		ready *clock.Time
-	}{
-		{"restore", guest.RestoreEager, &out.eager},
-		{"cow fork", guest.RestoreCOW, &out.cow},
-		{"lazy fork", guest.RestoreLazy, &out.lazy},
-	} {
-		m, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
-		if err != nil {
-			return nil, err
-		}
-		f, err := backends.ForkFromSnapshot(m, snap, idx, snapshot.NewPageStore(m.HostMem), snap.ContainerID, in.mode)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", c.Name, in.name, err)
-		}
-		deferred := f.K.Cur.AS.LazyPending()
-		if err := serverlessInvoke(f.K, addr); err != nil {
-			return nil, err
-		}
-		*in.ready = m.Clk.Now()
-		switch in.mode {
-		case guest.RestoreCOW:
-			out.shareBreaks = f.K.Stats.ShareBreaks
-		case guest.RestoreLazy:
-			out.deferred, out.lazyFaults = deferred, f.K.Stats.LazyFaults
-		}
-	}
-
-	churn, err := serverlessChurnLoop(scale, c.Name, snap, idx, addr)
-	if err != nil {
-		return nil, err
-	}
-	out.churn = churn
-	return out, nil
-}
-
 // serverlessChurnLoop forks a rolling window of siblings from one
 // snapshot against one shared page store on one machine — the
 // serverless churn pattern — invoking each once and evicting the
@@ -364,24 +280,6 @@ func serverlessChurnLoop(scale int, name string, snap *snapshot.Snapshot, idx *s
 	return out, nil
 }
 
-// serverlessCellCosts maps an instantiation mode onto the fleet cost
-// model: cold and eager differ only in Boot; cow and lazy arrivals
-// instantiate by forking (Costs.ForkBoot, traced as fork_boot).
-func serverlessCellCosts(cal *serverlessCosts, mode string) (fleet.RuntimeCosts, bool) {
-	costs := fleet.RuntimeCosts{Service: cal.invoke, Boot: cal.cold}
-	switch mode {
-	case "eager":
-		costs.Boot = cal.eager
-	case "cow":
-		costs.ForkBoot = cal.cow
-		return costs, true
-	case "lazy":
-		costs.ForkBoot = cal.lazy
-		return costs, true
-	}
-	return costs, false
-}
-
 // serverlessAttribution decomposes every completed request's latency
 // into queue, instantiation (boot, fork, warm restore, storm redo) and
 // service time, conservation-checked per request by tailComponents.
@@ -429,39 +327,68 @@ func RunServerless(o Options) (*ServerlessReport, error) {
 	specs := serverlessSpecs()
 
 	// Stage 1 — calibration plus the churn loop, one cell per runtime.
-	cals := make([]*serverlessCosts, len(specs))
-	err = RunIndexed(o.Parallel, len(specs), func(i int) error {
-		cal, err := serverlessCalibrate(shape.Scale, specs[i].kind, specs[i].opts)
-		if err != nil {
-			return fmt.Errorf("serverless: calibrate %v: %w", specs[i].kind, err)
-		}
-		cals[i] = cal
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
+	// Cold is the template's own first response: bare machine, boot,
+	// full init, first invocation. The warm invocations that average the
+	// service time run before the checkpoint, so the template's warm TLB
+	// (the lazy prefetch set) holds exactly the hot working set. Eager
+	// restore, COW fork and lazy fork are each timed to their first
+	// response on a fresh machine; one digest index serves every fork of
+	// the template. costs[i] maps each instantiation mode onto the fleet
+	// cost model: cold and eager differ only in Boot, cow and lazy
+	// arrivals instantiate by forking (ForkBoot, traced as fork_boot).
 	rep := &ServerlessReport{
 		FleetShape: shape, Sched: fleet.Spread{}.Name(),
 		HeapPages: serverlessHeapPages * shape.Scale, HotPages: serverlessHotPages,
-		TLBEntries: serverlessTLBEntries,
+		TLBEntries:  serverlessTLBEntries,
+		Calibration: make([]ServerlessCalibration, len(specs)),
+		Churn:       make([]ServerlessChurn, len(specs)),
 	}
+	costs := make([]map[string]fleet.RuntimeCosts, len(specs))
 	ns := func(t clock.Time) float64 { return float64(t) / float64(clock.Nanosecond) }
-	for _, cal := range cals {
-		rep.Calibration = append(rep.Calibration, ServerlessCalibration{
-			Runtime:        cal.name,
-			ColdBootNs:     ns(cal.cold),
-			EagerRestoreNs: ns(cal.eager),
-			CowForkNs:      ns(cal.cow),
-			LazyForkNs:     ns(cal.lazy),
-			InvokeNs:       ns(cal.invoke),
-			ColdOverLazy:   float64(cal.cold) / float64(cal.lazy),
-			ShareBreaks:    cal.shareBreaks,
-			LazyFaults:     cal.lazyFaults,
-			DeferredPages:  cal.deferred,
-		})
-		rep.Churn = append(rep.Churn, cal.churn)
+	err = RunIndexed(o.Parallel, len(specs), func(i int) error {
+		init := func(k *guest.Kernel) (uint64, error) { return serverlessInit(k, shape.Scale) }
+		fail := func(err error) error { return fmt.Errorf("serverless: calibrate %v: %w", specs[i].kind, err) }
+		name, _, cold, invoke, snap, addr, err := calibrate(specs[i], init, serverlessInvoke, serverlessInvokes)
+		if err != nil {
+			return fail(err)
+		}
+		idx := snapshot.NewDigestIndex(snap)
+		serve := func(k *guest.Kernel) error { return serverlessInvoke(k, addr) }
+		_, _, eager, _, err := bringUp(snap, idx, guest.RestoreEager, serve)
+		if err != nil {
+			return fail(err)
+		}
+		forked, _, cow, _, err := bringUp(snap, idx, guest.RestoreCOW, serve)
+		if err != nil {
+			return fail(err)
+		}
+		lazied, _, lazy, deferred, err := bringUp(snap, idx, guest.RestoreLazy, serve)
+		if err != nil {
+			return fail(err)
+		}
+		rep.Calibration[i] = ServerlessCalibration{
+			Runtime:        name,
+			ColdBootNs:     ns(cold),
+			EagerRestoreNs: ns(eager),
+			CowForkNs:      ns(cow),
+			LazyForkNs:     ns(lazy),
+			InvokeNs:       ns(invoke),
+			ColdOverLazy:   float64(cold) / float64(lazy),
+			ShareBreaks:    forked.K.Stats.ShareBreaks,
+			LazyFaults:     lazied.K.Stats.LazyFaults,
+			DeferredPages:  deferred,
+		}
+		costs[i] = map[string]fleet.RuntimeCosts{
+			"cold":  {Boot: cold, Service: invoke},
+			"eager": {Boot: eager, Service: invoke},
+			"cow":   {Boot: cold, Service: invoke, ForkBoot: cow},
+			"lazy":  {Boot: cold, Service: invoke, ForkBoot: lazy},
+		}
+		rep.Churn[i], err = serverlessChurnLoop(shape.Scale, name, snap, idx, addr)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage 2 — the churn grid: one cell per (runtime, mode), every
@@ -470,26 +397,26 @@ func RunServerless(o Options) (*ServerlessReport, error) {
 	rows := make([]ServerlessRow, len(specs)*len(modes))
 	err = RunIndexed(o.Parallel, len(rows), func(ci int) error {
 		ri, mi := ci/len(modes), ci%len(modes)
-		cal, mode := cals[ri], modes[mi]
-		costs, forkBoots := serverlessCellCosts(cal, mode)
+		name, mode := rep.Calibration[ri].Runtime, modes[mi]
+		cell := costs[ri][mode]
 		// Rate and horizon derive from the cold cost model for every
 		// mode: the comparison holds offered load fixed and lets the
 		// instantiation path move the tail.
-		rate := serverlessLoad * shape.capacity(fleet.RuntimeCosts{Boot: cal.cold, Service: cal.invoke})
+		rate := serverlessLoad * shape.capacity(costs[ri]["cold"])
 		if o.ChurnRate > 0 {
 			rate = o.ChurnRate
 		}
 		horizon := shape.horizon(serverlessArrivalsPerCell, rate)
 		seed := faults.Child(shape.Seed, ri)
 		rec := trace.NewRequestRecorder()
-		cfg := shape.cell(costs, seed, des.PoissonArrivals(seed, rate, horizon), horizon, fleet.Spread{})
-		cfg.ForkBoots = forkBoots
+		cfg := shape.cell(cell, seed, des.PoissonArrivals(seed, rate, horizon), horizon, fleet.Spread{})
+		cfg.ForkBoots = cell.ForkBoot > 0
 		cfg.Requests = rec
 		res, err := fleet.Run(cfg)
 		if err != nil {
-			return fmt.Errorf("serverless: %s/%s: %w", cal.name, mode, err)
+			return fmt.Errorf("serverless: %s/%s: %w", name, mode, err)
 		}
-		q, b, s, err := serverlessAttribution(cal.name+"/"+mode, rec)
+		q, b, s, err := serverlessAttribution(name+"/"+mode, rec)
 		if err != nil {
 			return err
 		}
@@ -500,7 +427,7 @@ func RunServerless(o Options) (*ServerlessReport, error) {
 			return 0
 		}
 		rows[ci] = ServerlessRow{
-			Runtime: cal.name, Mode: mode, OfferedPerSec: rate,
+			Runtime: name, Mode: mode, OfferedPerSec: rate,
 			FleetTails: fleetTails(res, cfg.Horizon),
 			QueuePct:   pct(q), BootPct: pct(b), ServicePct: pct(s),
 		}

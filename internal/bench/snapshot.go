@@ -200,23 +200,20 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 	row.CheckpointNs = float64(ckpt) / float64(clock.Nanosecond)
 	row.Checkpoint = ckpt.String()
 
-	// Restore onto a fresh machine: RestoreBytes rebuilds the container
-	// through the runtime's own paravirt hooks and verifies the
-	// canonical fingerprint before handing it back.
-	m2, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
-	if err != nil {
-		return row, nil, err
+	// Restore onto a fresh machine: decode the blob (verifying its
+	// checksum), then an eager bring-up rebuilds the container through
+	// the runtime's own paravirt hooks and verifies the canonical
+	// fingerprint before handing it back.
+	restored, err := snapshot.Decode(blob)
+	var restore clock.Time
+	if err == nil {
+		_, restore, _, _, err = bringUp(restored, nil, guest.RestoreEager, snapshotServes)
 	}
-	c2, err := backends.RestoreBytes(m2, blob)
 	if err != nil {
 		return row, nil, fmt.Errorf("%s: restore: %w", c.Name, err)
 	}
-	restore := m2.Clk.Now()
 	row.RestoreNs = float64(restore) / float64(clock.Nanosecond)
 	row.Restore = restore.String()
-	if err := snapshotServes(c2.K); err != nil {
-		return row, nil, fmt.Errorf("%s: %w", c.Name, err)
-	}
 
 	// Live migration with iterative pre-copy: round 1 streams the full
 	// resident set while the source keeps serving; each later round
@@ -255,20 +252,17 @@ func snapshotCell(kind backends.Kind, opts backends.Options, scale, interval int
 		return row, nil, fmt.Errorf("%s: final checkpoint: %w", c.Name, err)
 	}
 	srcStop := c.Clk.Now() - t0
-	m3, err := backends.NewMachine(snap.Config.HostFrames, snap.Config.TLBEntries)
-	if err != nil {
-		return row, nil, err
+	migrated, err := snapshot.Decode(blob2)
+	var target clock.Time
+	if err == nil {
+		_, target, _, _, err = bringUp(migrated, nil, guest.RestoreEager, snapshotServes)
 	}
-	c3, err := backends.RestoreBytes(m3, blob2)
 	if err != nil {
 		return row, nil, fmt.Errorf("%s: migration restore: %w", c.Name, err)
 	}
-	downtime := srcStop + m3.Clk.Now()
+	downtime := srcStop + target
 	row.DowntimeNs = float64(downtime) / float64(clock.Nanosecond)
 	row.Downtime = downtime.String()
-	if err := snapshotServes(c3.K); err != nil {
-		return row, nil, fmt.Errorf("%s: migrated container: %w", c.Name, err)
-	}
 
 	// Warm-vs-cold recovery: the same deterministic crash schedule
 	// supervised twice — once restoring the last good snapshot (which

@@ -290,20 +290,14 @@ func tailRow(name string, storm, calm *tailCell) (TailRow, error) {
 		return pairs[i].seen < pairs[j].seen
 	})
 
-	// Quantiles: the same ceil-rank order statistic Result.Quantile
-	// publishes, here resolved to the concrete request paying it.
+	// Quantiles: the ceil-rank order statistic Result.Quantile publishes
+	// (fleet.QuantileRank), here resolved to the concrete request paying
+	// it.
 	for _, q := range []struct {
 		name string
 		q    float64
 	}{{"p50", 0.5}, {"p99", 0.99}, {"p999", 0.999}} {
-		idx := int(q.q*float64(len(pairs))+0.999999) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(pairs) {
-			idx = len(pairs) - 1
-		}
-		p := pairs[len(pairs)-1-idx] // pairs is sorted descending
+		p := pairs[len(pairs)-1-fleet.QuantileRank(q.q, len(pairs))] // pairs is sorted descending
 		if want := res.Quantile(q.q); p.lat != want {
 			return row, fmt.Errorf("tail: %s: %s request latency %v disagrees with the result quantile %v",
 				name, q.name, p.lat, want)

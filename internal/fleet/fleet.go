@@ -193,14 +193,14 @@ func (r *Result) Quantile(q float64) clock.Time {
 		r.sorted = slices.Clone(r.Latencies)
 		slices.Sort(r.sorted)
 	}
-	idx := int(q*float64(len(r.sorted))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.sorted) {
-		idx = len(r.sorted) - 1
-	}
-	return r.sorted[idx]
+	return r.sorted[QuantileRank(q, len(r.sorted))]
+}
+
+// QuantileRank is the 0-based index of the q-th quantile in an
+// ascending sample of n > 0: the ceil-rank order statistic
+// ceil(q*n)-1, clamped to the sample.
+func QuantileRank(q float64, n int) int {
+	return min(max(int(q*float64(n)+0.999999)-1, 0), n-1)
 }
 
 // MeanLatency is the mean arrival-to-completion latency.

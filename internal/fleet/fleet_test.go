@@ -574,6 +574,22 @@ func TestQuantileBoundaries(t *testing.T) {
 	}
 }
 
+// TestQuantileRankIsIntegerCeil checks QuantileRank's floating-point
+// ceil against the exact integer ceil(q*n)-1 for the three quantiles
+// the fleet tables publish, over every sample count up to a million.
+func TestQuantileRankIsIntegerCeil(t *testing.T) {
+	for _, q := range []struct {
+		f        float64
+		num, den int
+	}{{0.5, 1, 2}, {0.99, 99, 100}, {0.999, 999, 1000}} {
+		for n := 1; n <= 1_000_000; n++ {
+			if got, want := QuantileRank(q.f, n), (q.num*n+q.den-1)/q.den-1; got != want {
+				t.Fatalf("q=%g n=%d: rank %d, want %d", q.f, n, got, want)
+			}
+		}
+	}
+}
+
 // refInstance and refNode are the pointer-based state refRun keeps.
 type refInstance struct {
 	id                               trace.RequestID

@@ -82,8 +82,10 @@ func measure(c *backends.Container, name string, ops int, fn func() error) (Resu
 // PageRequest is one served request: map a page, touch it, retire it,
 // compute. It touches the syscall, page-fault and mediated-PTE paths,
 // and on a multi-vCPU container the munmap of the resident page forces
-// a TLB shootdown. The SMP closed loop, the fleet calibration and the
-// fleet's machine replay all serve this one body.
+// a TLB shootdown. The SMP closed loop, the fleet's machine replay and
+// the fleet calibration (bench's calibrate, which takes four of these
+// as warm-up and times the requests after them) all serve this one
+// body.
 func PageRequest(k *guest.Kernel) error {
 	addr, err := k.MmapCall(mem.PageSize, guest.ProtRead|guest.ProtWrite, nil, false)
 	if err != nil {
